@@ -1,0 +1,110 @@
+"""Golden CLI output: stdout and exit code of every command, byte for byte.
+
+`tests/golden/cli.json` holds one record per case.  Regenerate it only for an
+intended change of output, with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+and review the diff of the JSON file before committing it.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from equiko import cli
+from equiko.bredon import fuchsian_noncocompact_datum, sl3_datum
+from equiko.cwfile import format_cw
+from equiko.fuchsian import MODULAR_SIGNATURE
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+
+#: Input files of the `complex` cases, written under these relative names so
+#: that the JSON `inputs.file` field does not depend on the temporary path.
+FILES = {
+    "modular.cw": lambda: format_cw(fuchsian_noncocompact_datum(MODULAR_SIGNATURE)),
+    "sl3.cw": lambda: format_cw(sl3_datum()),
+}
+
+_BOTH_FORMATS = [
+    ["sl3"],
+    ["sl3", "--ko"],
+    ["gl3"],
+    ["gl3", "--ko"],
+    ["fuchsian", "--signature", "[0,0;2,3,7]"],
+    ["fuchsian", "--signature", "[0,1;2,3]", "--lift"],
+    ["hecke", "-p", "2"],
+    ["hecke", "-p", "13"],
+    ["hecke", "-p", "23"],
+    ["psl2zp", "-p", "17"],
+    ["sl2zp", "-p", "13"],
+    ["cstar", "-p", "11"],
+    ["cstar", "-p", "11", "--ko"],
+    ["complex", "--file", "modular.cw"],
+    ["complex", "--file", "modular.cw", "--ko"],  # Z3 stabiliser: exit 1
+    ["complex", "--file", "modular.cw", "--emit"],
+    ["complex", "--file", "sl3.cw", "--ko"],
+    ["verify", "--primes", "2..50"],
+]
+
+CASES = [argv + ["--format", fmt] for argv in _BOTH_FORMATS for fmt in ("text", "json")]
+CASES += [
+    ["psl2zp", "-p", "15"],  # composite prime: exit 1
+    ["fuchsian", "--signature", "[0,0;2,3"],  # malformed signature: exit 2
+]
+
+
+def _case_id(argv) -> str:
+    return " ".join(argv)
+
+
+def _run(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return {"code": code, "stdout": out.getvalue()}
+
+
+def _write_files(directory: Path) -> None:
+    for name, make in FILES.items():
+        (directory / name).write_text(make(), encoding="utf-8")
+
+
+@pytest.fixture
+def in_file_dir(tmp_path, monkeypatch):
+    _write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+
+def test_golden_covers_every_case():
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(
+        _case_id(argv) for argv in CASES
+    )
+
+
+@pytest.mark.parametrize("argv", CASES, ids=_case_id)
+def test_golden_cli(argv, in_file_dir):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[_case_id(argv)]
+    assert _run(argv) == expected
+
+
+def regenerate() -> None:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_files(Path(tmp))
+        os.chdir(tmp)
+        try:
+            records = {_case_id(argv): _run(argv) for argv in CASES}
+        finally:
+            os.chdir(cwd)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
