@@ -33,14 +33,7 @@ from .groups import (
     fs_indicator,
     parse_name,
 )
-from .reprings import (
-    InductionMap,
-    RepRing,
-    cyclic_induction,
-    degree_map,
-    induction_from_trivial,
-    rep_ring,
-)
+from .reprings import cyclic_induction, induction_from_trivial
 from .fuchsian import (
     MODULAR_SIGNATURE,
     Signature,
@@ -66,11 +59,9 @@ from .bredon import (
 from .cwfile import CWFormatError, format_cw, parse_cw
 from .ko_assembly import (
     KO_POINT,
-    E2Page,
     GradedGroup,
     collapse_complex,
     ensure_ko_hypothesis,
-    ko_e2_page,
     ko_from_bredon,
     kunneth_times_z2,
 )
@@ -91,19 +82,16 @@ __all__ = [
     "CharacterTable",
     "CWFormatError",
     "DatumError",
-    "E2Page",
     "FinAbGroup",
     "FiniteGroupData",
     "GammaCWDatum",
     "GradedGroup",
     "GraphOfGroupsDatum",
     "GroupId",
-    "InductionMap",
     "IntChainComplex",
     "IntMatrix",
     "KO_POINT",
     "MODULAR_SIGNATURE",
-    "RepRing",
     "Signature",
     "SNFResult",
     "UnsupportedGroupError",
@@ -119,7 +107,6 @@ __all__ = [
     "cstar_ko_p11",
     "cyclic_fs_indicator",
     "cyclic_induction",
-    "degree_map",
     "direct_sum",
     "ensure_ko_hypothesis",
     "equivariant_k",
@@ -134,7 +121,6 @@ __all__ = [
     "homology",
     "induction_from_trivial",
     "is_prime",
-    "ko_e2_page",
     "ko_from_bredon",
     "kunneth_times_z2",
     "lifted_fuchsian_datum",
@@ -144,7 +130,6 @@ __all__ = [
     "parse_signature",
     "psl_zp_bredon",
     "psl_zp_k",
-    "rep_ring",
     "sl_zp_k",
     "sl3_datum",
     "smith_normal_form",

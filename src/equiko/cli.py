@@ -5,9 +5,9 @@ cstar), closed forms for arbitrary signatures (fuchsian), user-supplied
 Gamma-CW files (complex), and the full regression sweep (verify).  Output is
 deterministic: identical invocations produce identical bytes.
 
-Exit codes: 0 success; 1 domain error (composite prime, failed hypothesis,
-invalid lift); 2 parse error (malformed signature or file); 3 verification
-failure.
+Exit codes: 0 success; 1 domain error (composite prime, prime beyond the
+proven range 2**64, failed hypothesis, invalid lift); 2 parse error
+(malformed signature or file); 3 verification failure.
 """
 
 from __future__ import annotations
@@ -19,15 +19,16 @@ import sys
 
 from . import arithmetic_k, bredon, cwfile, fuchsian, ko_assembly
 from . import verify as verify_mod
+from .groups import GroupId
 
 BOTT_NOTE = "remaining groups by Bott periodicity"
 
 
-def _print_doc(args, command: str, inputs: dict, groups: dict,
-               text_lines: list[str], ambiguous_degrees=(), extra=None) -> int:
+def _print_doc(args, inputs: dict, groups: dict, text_lines: list[str],
+               ambiguous_degrees=(), extra=None) -> int:
     if args.format == "json":
         doc = {
-            "command": command,
+            "command": args.command,
             "inputs": inputs,
             "groups": groups,
             "extension_ambiguous": bool(ambiguous_degrees),
@@ -56,37 +57,26 @@ def _ko_payload(gg) -> tuple[dict, list[str]]:
     return groups, lines + [BOTT_NOTE]
 
 
+def _assemble(h, stabilisers, ko: bool) -> tuple[dict, list[str]]:
+    """K by collapse, or KO once every stabiliser passes the KO hypothesis."""
+    if ko:
+        ko_assembly.ensure_ko_hypothesis(stabilisers)
+        return _ko_payload(ko_assembly.ko_from_bredon(h))
+    return _k_payload(*ko_assembly.collapse_complex(h))
+
+
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_sl3(args) -> int:
+def _cmd_sl3_gl3(args) -> int:
     datum = bredon.sl3_datum()
-    h = bredon.bredon_homology(datum)
-    if args.ko:
-        ko_assembly.ensure_ko_hypothesis(datum.stabilisers())
-        gg = ko_assembly.ko_from_bredon(h)
-        groups, lines = _ko_payload(gg)
-        return _print_doc(args, "sl3", {}, groups, lines)
-    k0, k1 = ko_assembly.collapse_complex(h)
-    groups, lines = _k_payload(k0, k1)
-    return _print_doc(args, "sl3", {}, groups, lines)
-
-
-def _cmd_gl3(args) -> int:
-    from .groups import GroupId
-
-    datum = bredon.sl3_datum()
-    h = ko_assembly.kunneth_times_z2(bredon.bredon_homology(datum))
-    if args.ko:
-        ko_assembly.ensure_ko_hypothesis(
-            [GroupId.times_z2(g) for g in datum.stabilisers()]
-        )
-        gg = ko_assembly.ko_from_bredon(h)
-        groups, lines = _ko_payload(gg)
-        return _print_doc(args, "gl3", {}, groups, lines)
-    k0, k1 = ko_assembly.collapse_complex(h)
-    groups, lines = _k_payload(k0, k1)
-    return _print_doc(args, "gl3", {}, groups, lines)
+    h, stabilisers = bredon.bredon_homology(datum), datum.stabilisers()
+    if args.command == "gl3":
+        # GL_3(Z) = SL_3(Z) x Z/2, the Z/2 central and acting trivially.
+        h = ko_assembly.kunneth_times_z2(h)
+        stabilisers = [GroupId.times_z2(g) for g in stabilisers]
+    groups, lines = _assemble(h, stabilisers, args.ko)
+    return _print_doc(args, {}, groups, lines)
 
 
 def _cmd_fuchsian(args) -> int:
@@ -102,7 +92,7 @@ def _cmd_fuchsian(args) -> int:
     else:
         k0, k1 = fuchsian.equivariant_k(sig)
     groups, lines = _k_payload(k0, k1)
-    return _print_doc(args, "fuchsian", inputs, groups, lines)
+    return _print_doc(args, inputs, groups, lines)
 
 
 def _cmd_hecke(args) -> int:
@@ -111,34 +101,26 @@ def _cmd_hecke(args) -> int:
     groups = {"H0": str(h0), "H1": str(h1)}
     lines = [f"signature = {sig}", f"H0 = {h0}", f"H1 = {h1}"]
     return _print_doc(
-        args, "hecke", {"p": args.prime}, groups, lines,
-        extra={"signature": str(sig)},
+        args, {"p": args.prime}, groups, lines, extra={"signature": str(sig)}
     )
 
 
-def _cmd_psl2zp(args) -> int:
-    k0, k1 = arithmetic_k.psl_zp_k(args.prime)
-    groups, lines = _k_payload(k0, k1)
-    return _print_doc(args, "psl2zp", {"p": args.prime}, groups, lines)
-
-
-def _cmd_sl2zp(args) -> int:
-    k0, k1 = arithmetic_k.sl_zp_k(args.prime)
-    groups, lines = _k_payload(k0, k1)
-    return _print_doc(args, "sl2zp", {"p": args.prime}, groups, lines)
+def _cmd_zp(args) -> int:
+    compute = arithmetic_k.psl_zp_k if args.command == "psl2zp" else arithmetic_k.sl_zp_k
+    groups, lines = _k_payload(*compute(args.prime))
+    return _print_doc(args, {"p": args.prime}, groups, lines)
 
 
 def _cmd_cstar(args) -> int:
+    inputs = {"p": args.prime, "ko": args.ko}
     if args.ko:
         gg = arithmetic_k.cstar_ko_p11(args.prime)
         groups, lines = _ko_payload(gg)
         return _print_doc(
-            args, "cstar", {"p": args.prime, "ko": True}, groups, lines,
-            ambiguous_degrees=gg.extension_ambiguous,
+            args, inputs, groups, lines, ambiguous_degrees=gg.extension_ambiguous
         )
-    k0, k1 = arithmetic_k.cstar_k_p11(args.prime)
-    groups, lines = _k_payload(k0, k1)
-    return _print_doc(args, "cstar", {"p": args.prime, "ko": False}, groups, lines)
+    groups, lines = _k_payload(*arithmetic_k.cstar_k_p11(args.prime))
+    return _print_doc(args, inputs, groups, lines)
 
 
 def _cmd_complex(args) -> int:
@@ -156,20 +138,16 @@ def _cmd_complex(args) -> int:
     groups = {f"H{n}": str(g) for n, g in enumerate(h)}
     lines = [f"name = {datum.name}"]
     lines += [f"H{n} = {g}" for n, g in enumerate(h)]
-    collapsible = all(g.is_zero() for g in h[3:])
-    if collapsible:
-        k0, k1 = ko_assembly.collapse_complex(h)
-        groups["K0"], groups["K1"] = str(k0), str(k1)
-        k_groups, k_lines = _k_payload(k0, k1)
-        lines += k_lines
+    parts = []
+    if all(g.is_zero() for g in h[3:]):
+        parts.append(_assemble(h, datum.stabilisers(), ko=False))
     if args.ko:
-        ko_assembly.ensure_ko_hypothesis(datum.stabilisers())
-        gg = ko_assembly.ko_from_bredon(h)
-        ko_groups, ko_lines = _ko_payload(gg)
-        groups.update(ko_groups)
-        lines += ko_lines
+        parts.append(_assemble(h, datum.stabilisers(), ko=True))
+    for part_groups, part_lines in parts:
+        groups.update(part_groups)
+        lines += part_lines
     return _print_doc(
-        args, "complex", {"file": args.file, "ko": bool(args.ko)}, groups, lines,
+        args, {"file": args.file, "ko": args.ko}, groups, lines,
         extra={"name": datum.name},
     )
 
@@ -206,16 +184,49 @@ def _cmd_verify(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+#: Command-line arguments by key: (flags, add_argument keywords).
+_ARGUMENTS = {
+    "ko": (("--ko",), {"action": "store_true", "help": "compute KO instead of K"}),
+    "prime": (("-p", "--prime"), {"type": int, "required": True, "help": "a prime number"}),
+    "signature": (("--signature",), {
+        "required": True, "metavar": "[g,s;m1,...]",
+        "help": 'signature, e.g. "[0,0;2,3,7]" or "[1,2;]"',
+    }),
+    "lift": (("--lift",), {
+        "action": "store_true",
+        "help": "use the central Z/2 extension (s >= 1, periods in {2,3})",
+    }),
+    "file": (("--file",), {"required": True, "help": "path to a Gamma-CW file"}),
+    "also_ko": (("--ko",), {"action": "store_true", "help": "also compute KO (if valid)"}),
+    "emit": (("--emit",), {
+        "action": "store_true",
+        "help": "re-serialize the parsed file and exit (round-trip check)",
+    }),
+    "primes": (("--primes",), {
+        "default": "2..200", "metavar": "A..B",
+        "help": "prime range for the sweeps (default 2..200)",
+    }),
+    "format": (("--format",), {
+        "choices": ("text", "json"), "default": "text",
+        "help": "output format (default: text)",
+    }),
+}
 
-def _add_format(sub) -> None:
-    sub.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)",
-    )
-
-
-def _add_prime(sub) -> None:
-    sub.add_argument("-p", "--prime", type=int, required=True, help="a prime number")
+#: One subcommand per row: (name, help, handler, argument keys in order).
+_COMMANDS = (
+    ("sl3", "equivariant K or KO groups for SL_3(Z)", _cmd_sl3_gl3, ("ko",)),
+    ("gl3", "equivariant K or KO groups for GL_3(Z)", _cmd_sl3_gl3, ("ko",)),
+    ("fuchsian", "equivariant K for a Fuchsian signature", _cmd_fuchsian,
+     ("signature", "lift")),
+    ("hecke", "signature and Bredon homology of Gamma_0(p)", _cmd_hecke, ("prime",)),
+    ("psl2zp", "equivariant K for PSL_2(Z[1/p])", _cmd_zp, ("prime",)),
+    ("sl2zp", "equivariant K for SL_2(Z[1/p])", _cmd_zp, ("prime",)),
+    ("cstar", "K or KO of the reduced C*-algebra (p = 11 mod 12)", _cmd_cstar,
+     ("prime", "ko")),
+    ("complex", "Bredon homology of a Gamma-CW file", _cmd_complex,
+     ("file", "also_ko", "emit")),
+    ("verify", "recompute and check every published value", _cmd_verify, ("primes",)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,70 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sl3", help="equivariant K or KO groups for SL_3(Z)")
-    p.add_argument("--ko", action="store_true", help="compute KO instead of K")
-    _add_format(p)
-    p.set_defaults(func=_cmd_sl3)
-
-    p = sub.add_parser("gl3", help="equivariant K or KO groups for GL_3(Z)")
-    p.add_argument("--ko", action="store_true", help="compute KO instead of K")
-    _add_format(p)
-    p.set_defaults(func=_cmd_gl3)
-
-    p = sub.add_parser("fuchsian", help="equivariant K for a Fuchsian signature")
-    p.add_argument(
-        "--signature", required=True, metavar="[g,s;m1,...]",
-        help='signature, e.g. "[0,0;2,3,7]" or "[1,2;]"',
-    )
-    p.add_argument(
-        "--lift", action="store_true",
-        help="use the central Z/2 extension (s >= 1, periods in {2,3})",
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_fuchsian)
-
-    p = sub.add_parser("hecke", help="signature and Bredon homology of Gamma_0(p)")
-    _add_prime(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_hecke)
-
-    p = sub.add_parser("psl2zp", help="equivariant K for PSL_2(Z[1/p])")
-    _add_prime(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_psl2zp)
-
-    p = sub.add_parser("sl2zp", help="equivariant K for SL_2(Z[1/p])")
-    _add_prime(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_sl2zp)
-
-    p = sub.add_parser(
-        "cstar", help="K or KO of the reduced C*-algebra (p = 11 mod 12)"
-    )
-    _add_prime(p)
-    p.add_argument("--ko", action="store_true", help="compute KO instead of K")
-    _add_format(p)
-    p.set_defaults(func=_cmd_cstar)
-
-    p = sub.add_parser("complex", help="Bredon homology of a Gamma-CW file")
-    p.add_argument("--file", required=True, help="path to a Gamma-CW file")
-    p.add_argument("--ko", action="store_true", help="also compute KO (if valid)")
-    p.add_argument(
-        "--emit", action="store_true",
-        help="re-serialize the parsed file and exit (round-trip check)",
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_complex)
-
-    p = sub.add_parser("verify", help="recompute and check every published value")
-    p.add_argument(
-        "--primes", default="2..200", metavar="A..B",
-        help="prime range for the sweeps (default 2..200)",
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, help_text, handler, keys in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for key in keys + ("format",):
+            flags, options = _ARGUMENTS[key]
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -68,8 +68,7 @@ class IntMatrix:
             if data and width != cols:
                 raise ValueError(f"rows have width {width}, expected {cols}")
             width = cols
-        flat = tuple(_check_int(x) for row in data for x in row)
-        return cls(len(data), width, flat)
+        return cls(len(data), width, tuple(x for row in data for x in row))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -94,7 +93,7 @@ class IntMatrix:
             raise ValueError("diagonal longer than matrix")
         entries = [0] * (rows * cols)
         for k, d in enumerate(diag):
-            entries[k * cols + k] = _check_int(d)
+            entries[k * cols + k] = d
         return cls(rows, cols, tuple(entries))
 
     def entry(self, i: int, j: int) -> int:
@@ -136,19 +135,6 @@ class IntMatrix:
                     for j in range(m):
                         out[orow + j] += ait * b[brow + j]
         return IntMatrix(n, m, tuple(out))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(
-            self.rows, self.cols, tuple(x + y for x, y in zip(self.entries, other.entries))
-        )
-
-    def scaled(self, c: int) -> "IntMatrix":
-        _check_int(c)
-        return IntMatrix(self.rows, self.cols, tuple(c * e for e in self.entries))
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -425,9 +411,6 @@ class FinAbGroup:
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def is_free(self) -> bool:
-        return not self.torsion
-
     def __str__(self) -> str:
         terms = []
         if self.free_rank == 1:
@@ -503,18 +486,6 @@ class IntChainComplex:
                     f"composite of differentials through degree "
                     f"{self.bottom_degree + i + 1} is nonzero"
                 )
-
-    @classmethod
-    def from_data(cls, bottom_degree, ranks, boundaries) -> "IntChainComplex":
-        return cls(tuple(ranks), tuple(boundaries), bottom_degree)
-
-    @property
-    def top_degree(self) -> int:
-        return self.bottom_degree + len(self.ranks) - 1
-
-    def rank_in_degree(self, n: int) -> int:
-        i = n - self.bottom_degree
-        return self.ranks[i] if 0 <= i < len(self.ranks) else 0
 
     def euler_characteristic(self) -> int:
         return sum(

@@ -11,10 +11,9 @@ The closed forms here are the fast path; the chain-level computation via
 `bredon.fuchsian_*_datum` + `bredon.bredon_homology` is the cross-check used
 throughout the test suite and the `verify` command.
 
-Congruence subgroups Gamma_0(p) of the modular group act on a tree with
-quotient structure depending only on p mod 12, so their signatures (and the
-signature of the modular group itself, [0, 1; 2, 3]) appear as specific
-instances.
+The congruence subgroups Gamma_0(p) of the modular group (and the modular
+group itself, [0, 1; 2, 3]) appear as specific signatures; their torsion
+depends only on p mod 12.
 """
 
 from __future__ import annotations
@@ -127,9 +126,15 @@ MODULAR_SIGNATURE = Signature(0, 1, (2, 3))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 2**64."""
+    """Deterministic Miller-Rabin, exact for all n < 2**64.
+
+    Larger n raise ValueError: beyond that range the base set is not proven,
+    and 3317044064679887385961981 is a composite that passes every base.
+    """
     if n < 2:
         return False
+    if n >= 2**64:
+        raise ValueError(f"{n} is outside the proven range n < 2**64 of the primality test")
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
@@ -151,34 +156,22 @@ def is_prime(n: int) -> bool:
 
 
 def hecke_signature(p: int) -> Signature:
-    """Signature of Gamma_0(p) as a Fuchsian group, for p prime.
+    """Signature [g, 2; 2^e2, 3^e3] of Gamma_0(p) as a Fuchsian group, p prime.
 
-    The quotient of the tree by Gamma_0(p) has genus 0; the cusp count and
-    the surviving torsion depend only on p mod 12:
+    Gamma_0(p) has index p + 1 in the modular group and two cusps, 0 and
+    infinity.  It has e2 = 1 + (-1/p) elliptic points of order 2 and
+    e3 = 1 + (-3/p) of order 3, and genus g = (p + 1 - 3 e2 - 4 e3) / 12 by
+    Riemann-Hurwitz (Shimura, Introduction to the Arithmetic Theory of
+    Automorphic Functions, Prop. 1.40 and 1.43).
 
-    * p = 2: [0, 2; 2]            * p = 3: [0, 2; 3]
-    * p = 1 mod 12: [0, (p-7)/6 + 1; 2, 2, 3, 3]
-    * p = 5 mod 12: [0, (p+1)/6 + 1; 2, 2]
-    * p = 7 mod 12: [0, (p-1)/6 + 1; 3, 3]
-    * p = 11 mod 12: [0, (p+7)/6 + 1;]  (torsion-free)
-
-    >>> str(hecke_signature(13))
-    '[0,2;2,2,3,3]'
+    >>> str(hecke_signature(13)), str(hecke_signature(23))
+    ('[0,2;2,2,3,3]', '[2,2;]')
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return Signature(0, 2, (2,))
-    if p == 3:
-        return Signature(0, 2, (3,))
-    residue = p % 12
-    if residue == 1:
-        return Signature(0, (p - 7) // 6 + 1, (2, 2, 3, 3))
-    if residue == 5:
-        return Signature(0, (p + 1) // 6 + 1, (2, 2))
-    if residue == 7:
-        return Signature(0, (p - 1) // 6 + 1, (3, 3))
-    return Signature(0, (p + 7) // 6 + 1, ())
+    e2 = {1: 2, 2: 1, 3: 0}[p % 4]
+    e3 = {0: 1, 1: 2, 2: 0}[p % 3]
+    return Signature((p + 1 - 3 * e2 - 4 * e3) // 12, 2, (2,) * e2 + (3,) * e3)
 
 
 def hecke_bredon(p: int) -> tuple[FinAbGroup, FinAbGroup]:

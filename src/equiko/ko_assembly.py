@@ -5,13 +5,12 @@ sequence degenerates in one of two ways:
 
 * complex K: when Bredon homology vanishes in degrees >= 3, the sequence
   collapses and K_0 = H_0 + H_2, K_1 = H_1 (`collapse_complex`);
-* real KO: when the Bredon homology is concentrated in column p = 0 of the
-  E^2 page with KO-point coefficients, the groups of the page's only
-  nonzero column are the KO-homology (`ko_e2_page` + `ko_column_collapse`).
+* real KO: when the E^2 page with KO-point coefficients is concentrated in
+  column p = 0, that column is the KO-homology (`ko_from_bredon`).
 
-Both guards are enforced, never assumed.  The page rows follow the period-8
+Both guards are enforced, never assumed.  The column follows the period-8
 coefficients KO_q(point) = Z, Z/2, Z/2, 0, Z, 0, 0, 0: integral rows repeat
-the homology, the two Z/2 rows are tensor and Tor terms with Z/2.
+H_0, the two Z/2 rows are H_0 tensor Z/2.
 
 `kunneth_times_z2` handles a direct factor of Z/2 acting trivially (ranks
 double; torsion in the input would break the shortcut and is rejected).
@@ -86,65 +85,6 @@ def collapse_complex(h) -> tuple[FinAbGroup, FinAbGroup]:
     return direct_sum(h[0], h[2]), h[1]
 
 
-class E2Page:
-    """A first-quadrant page with rows periodic of period 8 in q."""
-
-    def __init__(self, max_p: int, entries: dict[tuple[int, int], FinAbGroup]):
-        self.max_p = max_p
-        self._entries = {k: g for k, g in entries.items() if not g.is_zero()}
-
-    def entry(self, p: int, q: int) -> FinAbGroup:
-        if p < 0 or p > self.max_p:
-            return FinAbGroup.zero()
-        return self._entries.get((p, q % 8), FinAbGroup.zero())
-
-    def nonzero_positions(self) -> list[tuple[int, int]]:
-        return sorted(self._entries)
-
-
-def ko_e2_page(h) -> E2Page:
-    """E^2 page of the KO assembly: E_{p,q} = H_p ⊗ KO_q(pt) + Tor(H_{p-1}, KO_q(pt)).
-
-    Integral rows (q = 0, 4 mod 8) repeat the homology; the Z/2 rows
-    (q = 1, 2 mod 8) are tensor plus a Tor term from one column to the left;
-    the remaining rows vanish.  The hypothesis that makes this page correct
-    (coinciding character tables for every stabiliser) is the caller's to
-    verify -- see `ensure_ko_hypothesis`.
-    """
-    h = list(h)
-    max_p = len(h) - 1
-    entries: dict[tuple[int, int], FinAbGroup] = {}
-    for p in range(max_p + 1):
-        entries[(p, 0)] = h[p]
-        entries[(p, 4)] = h[p]
-        for q in (1, 2):
-            tor_part = tor_z2(h[p - 1]) if p >= 1 else FinAbGroup.zero()
-            entries[(p, q)] = direct_sum(tensor_z2(h[p]), tor_part)
-    # A Tor term can stick out one column past the homology.
-    if max_p >= 0 and h[max_p].torsion:
-        extra = tor_z2(h[max_p])
-        if not extra.is_zero():
-            max_p += 1
-            for q in (1, 2):
-                entries[(max_p, q)] = extra
-    return E2Page(max_p, entries)
-
-
-def ko_column_collapse(page: E2Page) -> GradedGroup:
-    """Read KO-homology off a page concentrated in the column p = 0.
-
-    Raises when any other column is nonzero: a second column would feed
-    differentials and extension problems this routine has no right to
-    ignore.
-    """
-    bad = sorted({p for p, _ in page.nonzero_positions() if p > 0})
-    if bad:
-        raise ValueError(
-            f"page is not concentrated in column 0 (nonzero columns {bad})"
-        )
-    return GradedGroup(8, tuple(page.entry(0, q) for q in range(8)))
-
-
 def kunneth_times_z2(h) -> list[FinAbGroup]:
     """Homology after crossing with a trivially-acting direct factor of Z/2.
 
@@ -165,8 +105,8 @@ def kunneth_times_z2(h) -> list[FinAbGroup]:
 def ensure_ko_hypothesis(group_ids) -> None:
     """Check that every stabiliser has coinciding character tables.
 
-    This is the hypothesis under which the KO page of `ko_e2_page` is the
-    correct one; callers must run it before trusting any KO output.
+    This is the hypothesis under which `ko_from_bredon` reads the correct KO
+    page; callers must run it before trusting any KO output.
     """
     for gid in group_ids:
         if not isinstance(gid, GroupId):
@@ -179,5 +119,27 @@ def ensure_ko_hypothesis(group_ids) -> None:
 
 
 def ko_from_bredon(h) -> GradedGroup:
-    """KO-homology from single-column Bredon homology (guards included)."""
-    return ko_column_collapse(ko_e2_page(h))
+    """KO-homology from Bredon homology concentrated in degree 0.
+
+    The E^2 page is E_{p,q} = H_p ⊗ KO_q(pt) + Tor(H_{p-1}, KO_q(pt)); its
+    column 0 gives KO_0..7 = H_0, H_0⊗Z/2, H_0⊗Z/2, 0, H_0, 0, 0, 0.  Raises
+    when another column is nonzero: a nonzero H_p with p >= 1, or even
+    torsion in H_0, whose Tor term lands in column 1.  A second column would
+    feed differentials and extension problems this routine has no right to
+    ignore.
+
+    >>> str(ko_from_bredon([FinAbGroup.of(1, [3])]).entry(1))
+    'Z/2'
+    """
+    h = list(h)
+    bad = sorted(
+        {p for p, g in enumerate(h) if p > 0 and not g.is_zero()}
+        | {p + 1 for p, g in enumerate(h) if not tor_z2(g).is_zero()}
+    )
+    if bad:
+        raise ValueError(
+            f"page is not concentrated in column 0 (nonzero columns {bad})"
+        )
+    h0 = h[0] if h else _0
+    mod2 = tensor_z2(h0)
+    return GradedGroup(8, (h0, mod2, mod2, _0, h0, _0, _0, _0))

@@ -1,81 +1,22 @@
-"""Representation rings of the catalogue groups and maps between them.
+"""Induction matrices between representation rings of the catalogue groups.
 
 A representation ring is used here only through its underlying free abelian
-group Z^rank, with the basis given by irreducible characters in the fixed
-catalogue order (for cyclic groups: characters indexed 0..m-1).  Induction
-along a subgroup inclusion is then an integer matrix.  Two families cover
-every complex we build:
+group Z^rank (`groups.complex_irreducible_count`), with the basis given by
+irreducible characters in the fixed catalogue order (for cyclic groups:
+characters indexed 0..m-1).  Induction along a subgroup inclusion is then a
+nonnegative integer matrix whose rows index irreducibles of the target and
+whose columns index irreducibles of the source.  Two families cover every
+complex we build:
 
 * induction from the trivial group (the regular representation), and
 * induction along Z/d <= Z/m for d | m, where the character indexed j
   induces to the sum of the characters indexed j, j+d, j+2d, ...
   (restriction being reduction of the index mod d).
-
-The real/complex/quaternionic degree-change maps are only needed for groups
-whose three representation rings coincide; in that regime they are plain
-diagonal matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlinalg import IntMatrix
-from .groups import GroupId, all_tables_coincide, complex_irreducible_count
-
-COMPLEX = "complex"
-REAL = "real"
-QUATERNIONIC = "quaternionic"
-_FLAVORS = (COMPLEX, REAL, QUATERNIONIC)
-
-
-@dataclass(frozen=True)
-class RepRing:
-    """The representation ring of a catalogue group, as a based free group."""
-
-    group: GroupId
-    flavor: str
-    rank: int
-
-    def __post_init__(self):
-        if self.flavor not in _FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.rank < 1:
-            raise ValueError("representation rings have positive rank")
-
-
-def rep_ring(group: GroupId, flavor: str = COMPLEX) -> RepRing:
-    """Build the representation ring of `group`.
-
-    Real and quaternionic rings are only constructed for groups where all
-    three character tables coincide, which is the only situation in which
-    this package needs them; there the three rings share one basis.
-    """
-    if flavor != COMPLEX and not all_tables_coincide(group):
-        raise ValueError(
-            f"{flavor} representation ring of {group.name()} is not available: "
-            "its character tables do not all coincide"
-        )
-    return RepRing(group, flavor, complex_irreducible_count(group))
-
-
-@dataclass(frozen=True)
-class InductionMap:
-    """An induction R(H) -> R(G) as a nonnegative integer matrix.
-
-    Rows index irreducibles of the target, columns irreducibles of the
-    source.
-    """
-
-    source: RepRing
-    target: RepRing
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if (self.matrix.rows, self.matrix.cols) != (self.target.rank, self.source.rank):
-            raise ValueError("induction matrix shape does not match the rings")
-        if any(e < 0 for e in self.matrix.entries):
-            raise ValueError("induction matrices are nonnegative")
 
 
 def _check_column_sums(matrix: IntMatrix, index: int) -> None:
@@ -90,31 +31,26 @@ def _check_column_sums(matrix: IntMatrix, index: int) -> None:
             )
 
 
-def induction_from_trivial(m: int) -> InductionMap:
+def induction_from_trivial(m: int) -> IntMatrix:
     """Induction from the trivial group to Z/m: 1 goes to the regular rep.
 
-    >>> induction_from_trivial(3).matrix.entries
+    >>> induction_from_trivial(3).entries
     (1, 1, 1)
     """
     if m < 1:
         raise ValueError("cyclic order must be >= 1")
     matrix = IntMatrix(m, 1, (1,) * m)
-    out = InductionMap(
-        source=rep_ring(GroupId.trivial()),
-        target=rep_ring(GroupId.cyclic(m)),
-        matrix=matrix,
-    )
     _check_column_sums(matrix, m)
-    return out
+    return matrix
 
 
-def cyclic_induction(d: int, m: int) -> InductionMap:
+def cyclic_induction(d: int, m: int) -> IntMatrix:
     """Induction along Z/d <= Z/m (requires d | m).
 
     The character indexed j of Z/d induces to the sum of all characters of
     Z/m whose index reduces to j mod d.
 
-    >>> cyclic_induction(2, 4).matrix.row_list()
+    >>> cyclic_induction(2, 4).row_list()
     [[1, 0], [0, 1], [1, 0], [0, 1]]
     """
     if d < 1 or m < 1:
@@ -124,41 +60,5 @@ def cyclic_induction(d: int, m: int) -> InductionMap:
     matrix = IntMatrix(
         m, d, tuple(1 if k % d == j else 0 for k in range(m) for j in range(d))
     )
-    out = InductionMap(
-        source=rep_ring(GroupId.cyclic(d)),
-        target=rep_ring(GroupId.cyclic(m)),
-        matrix=matrix,
-    )
     _check_column_sums(matrix, m // d)
-    return out
-
-
-_DEGREE_KINDS = {
-    # complexification of a real representation
-    "nu": (REAL, COMPLEX, 1),
-    # underlying real representation of a complex one
-    "rho": (COMPLEX, REAL, 2),
-    # quaternionification of a complex representation
-    "sigma": (COMPLEX, QUATERNIONIC, 1),
-    # underlying complex representation of a quaternionic one
-    "eta": (QUATERNIONIC, COMPLEX, 2),
-}
-
-
-def degree_map(kind: str, group: GroupId) -> IntMatrix:
-    """The flavor-change map on representation rings, as a matrix.
-
-    Only defined when all three character tables of `group` coincide; in
-    that case nu and sigma are the identity while rho and eta multiply by 2
-    (a complex irreducible restricts to twice the corresponding real one,
-    and similarly for quaternionic scalars).
-    """
-    if kind not in _DEGREE_KINDS:
-        raise ValueError(f"unknown degree map {kind!r}")
-    if not all_tables_coincide(group):
-        raise ValueError(
-            f"degree maps for {group.name()} need coinciding character tables"
-        )
-    n = complex_irreducible_count(group)
-    scale = _DEGREE_KINDS[kind][2]
-    return IntMatrix.identity(n).scaled(scale)
+    return matrix

@@ -38,12 +38,7 @@ from equiko.fuchsian import (
     is_prime,
 )
 from equiko.groups import GroupId, all_tables_coincide, build_group, character_table, fs_indicator
-from equiko.ko_assembly import (
-    collapse_complex,
-    ko_column_collapse,
-    ko_e2_page,
-    kunneth_times_z2,
-)
+from equiko.ko_assembly import collapse_complex, ko_from_bredon, kunneth_times_z2
 
 
 @contextmanager
@@ -249,8 +244,8 @@ def test_criterion_10_negative_controls():
         Z = FinAbGroup.free(1)
         with pytest.raises(ValueError):
             collapse_complex([Z, Z, Z, Z])  # H3 nonzero
-        with pytest.raises(ValueError):
-            ko_column_collapse(ko_e2_page([Z, Z]))  # two columns
+        with pytest.raises(ValueError, match="column"):
+            ko_from_bredon([Z, Z])  # two columns
         with pytest.raises(ValueError):
             kunneth_times_z2([FinAbGroup.of(0, [2])])  # torsion
         for p in [13, 17, 19, 29]:

@@ -58,7 +58,7 @@ def test_fuchsian_lift(capsys):
 def test_hecke_text(capsys):
     code, out, _ = run(capsys, "hecke", "-p", "23")
     assert code == 0
-    assert out == "signature = [0,6;]\nH0 = Z\nH1 = Z^5\n"
+    assert out == "signature = [2,2;]\nH0 = Z\nH1 = Z^5\n"
 
 
 def test_psl2zp_text(capsys):
@@ -169,6 +169,13 @@ def test_domain_errors_exit_one(capsys):
     assert run(capsys, "hecke", "-p", "15")[0] == 1
     assert run(capsys, "cstar", "-p", "13")[0] == 1
     assert run(capsys, "fuchsian", "--signature", "[0,0;2,5]", "--lift")[0] == 1
+
+
+def test_prime_beyond_proven_range_exits_one(capsys):
+    # a composite strong pseudoprime to every base of the primality test
+    code, out, err = run(capsys, "psl2zp", "-p", "3317044064679887385961981")
+    assert (code, out) == (1, "")
+    assert "2**64" in err
 
 
 def test_parse_errors_exit_two(capsys, tmp_path):

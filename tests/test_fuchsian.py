@@ -106,14 +106,15 @@ def test_closed_form_random_rank_bookkeeping():
 
 
 def test_hecke_signature_by_residue_class():
+    # [g, 2; 2^e2, 3^e3] with e2 = 1 + (-1/p), e3 = 1 + (-3/p)
     assert str(hecke_signature(2)) == "[0,2;2]"
     assert str(hecke_signature(3)) == "[0,2;3]"
     assert str(hecke_signature(13)) == "[0,2;2,2,3,3]"   # 13 = 1 mod 12
-    assert str(hecke_signature(17)) == "[0,4;2,2]"       # 17 = 5 mod 12
-    assert str(hecke_signature(19)) == "[0,4;3,3]"       # 19 = 7 mod 12
-    assert str(hecke_signature(23)) == "[0,6;]"          # 23 = 11 mod 12
-    assert str(hecke_signature(11)) == "[0,4;]"
-    assert str(hecke_signature(37)) == "[0,6;2,2,3,3]"
+    assert str(hecke_signature(17)) == "[1,2;2,2]"       # 17 = 5 mod 12
+    assert str(hecke_signature(19)) == "[1,2;3,3]"       # 19 = 7 mod 12
+    assert str(hecke_signature(23)) == "[2,2;]"          # 23 = 11 mod 12
+    assert str(hecke_signature(11)) == "[1,2;]"
+    assert str(hecke_signature(37)) == "[2,2;2,2,3,3]"
 
 
 def test_hecke_signature_rejects_composites():
@@ -136,9 +137,12 @@ def test_hecke_bredon_table():
         assert (str(a), str(b)) == (h0, h1)
 
 
-def test_hecke_genus_is_always_zero():
-    for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 101, 199]:
-        assert hecke_signature(p).g == 0
+def test_hecke_genus_matches_published_x0_genera():
+    # genera of the modular curves X_0(p), independent of the formula
+    published = {2: 0, 3: 0, 5: 0, 7: 0, 13: 0, 11: 1, 23: 2, 37: 2, 47: 4, 97: 7, 101: 8}
+    for p, genus in published.items():
+        assert hecke_signature(p).g == genus, p
+        assert hecke_signature(p).s == 2, p
 
 
 # -- primality --------------------------------------------------------------------
@@ -164,3 +168,12 @@ def test_is_prime_large_values():
     assert not is_prime(2**61 + 1)
     assert is_prime(10**18 + 9)
     assert not is_prime(10**18 + 7)
+    assert is_prime(2**64 - 59)  # the largest prime below 2**64
+
+
+def test_is_prime_refuses_beyond_proven_range():
+    # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to all
+    # twelve bases; the base set is only proven below 2**64
+    for n in [2**64, 2**64 + 13, 3317044064679887385961981]:
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            is_prime(n)

@@ -1,17 +1,17 @@
 """Assembling K- and KO-groups from Bredon homology."""
 
+import random
+
 import pytest
 
 from equiko.bredon import bredon_homology, sl3_datum
-from equiko.exactlinalg import FinAbGroup
+from equiko.exactlinalg import FinAbGroup, tensor_z2, tor_z2
 from equiko.groups import GroupId
 from equiko.ko_assembly import (
     KO_POINT,
     GradedGroup,
     collapse_complex,
     ensure_ko_hypothesis,
-    ko_column_collapse,
-    ko_e2_page,
     ko_from_bredon,
     kunneth_times_z2,
 )
@@ -68,68 +68,41 @@ def test_collapse_rejects_high_homology():
         collapse_complex([Z, ZERO, ZERO, Z])
 
 
-# -- the KO page -------------------------------------------------------------------
-
-
-def test_page_rows_for_free_homology():
-    page = ko_e2_page([Z, Z])
-    # rows q = 0, 4 mod 8 carry the homology itself
-    assert page.entry(0, 0) == Z and page.entry(1, 0) == Z
-    assert page.entry(0, 4) == Z and page.entry(1, 4) == Z
-    # rows q = 1, 2 mod 8 carry mod-2 reductions
-    assert page.entry(0, 1) == Z2
-    assert page.entry(1, 2) == Z2
-    assert page.entry(0, 3) == ZERO
-    assert page.entry(1, 5) == ZERO
-
-
-def test_page_tor_contribution():
-    # torsion in degree p-1 contributes to column p in rows 1 and 2
-    h = [FinAbGroup.of(0, [2]), ZERO]
-    page = ko_e2_page(h)
-    assert page.entry(0, 1) == Z2  # tensor from H0
-    assert page.entry(1, 1) == Z2  # tor from H0
-    assert page.entry(1, 0) == ZERO
-
-
-def test_page_positions_bounded():
-    page = ko_e2_page([FinAbGroup.free(8), ZERO, ZERO, ZERO])
-    positions = page.nonzero_positions()
-    assert all(p == 0 for p, _ in positions)
+# -- KO from column 0 --------------------------------------------------------------
 
 
 def test_page_row_structure_invariant():
-    import random
-
-    from equiko.exactlinalg import tensor_z2, tor_z2
-
+    # raises exactly when the page has a column p >= 1: some H_p (p >= 1) is
+    # nonzero, or H_0 has even torsion (its Tor term sits in column 1)
     rng = random.Random(1618)
-    for _ in range(30):
+    accepted = rejected = 0
+    for _ in range(200):
         h = [
             FinAbGroup.of(
                 rng.randint(0, 3),
-                [rng.choice([2, 3, 4, 6]) for _ in range(rng.randint(0, 2))],
+                [rng.choice([2, 3, 4, 6, 9]) for _ in range(rng.randint(0, 2))],
             )
-            for _ in range(rng.randint(1, 4))
+            for _ in range(rng.randint(0, 4))
         ]
-        page = ko_e2_page(h)
-        for p in range(len(h) + 1):
-            h_p = h[p] if p < len(h) else ZERO
-            h_below = h[p - 1] if 0 <= p - 1 < len(h) else ZERO
-            assert page.entry(p, 0) == h_p
-            assert page.entry(p, 4) == h_p
-            for q in (3, 5, 6, 7):
-                assert page.entry(p, q) == ZERO
-            expected = FinAbGroup.of(
-                0,
-                list(tensor_z2(h_p).torsion) + list(tor_z2(h_below).torsion),
-            )
-            assert page.entry(p, 1) == expected
-            assert page.entry(p, 2) == expected
+        if rng.random() < 0.5:
+            h[1:] = [ZERO] * len(h[1:])
+        if any(not g.is_zero() for g in h[1:]) or (h and not tor_z2(h[0]).is_zero()):
+            with pytest.raises(ValueError, match="column"):
+                ko_from_bredon(h)
+            rejected += 1
+            continue
+        h0 = h[0] if h else ZERO
+        gg = ko_from_bredon(h)
+        assert [gg.entry(n) for n in range(8)] == [
+            h0, tensor_z2(h0), tensor_z2(h0), ZERO, h0, ZERO, ZERO, ZERO,
+        ]
+        assert not gg.extension_ambiguous
+        accepted += 1
+    assert accepted > 20 and rejected > 20
 
 
 def test_column_collapse_single_column():
-    gg = ko_column_collapse(ko_e2_page([FinAbGroup.free(8), ZERO, ZERO, ZERO]))
+    gg = ko_from_bredon([FinAbGroup.free(8), ZERO, ZERO, ZERO])
     assert [str(gg.entry(n)) for n in range(8)] == [
         "Z^8",
         "Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2",
@@ -137,11 +110,22 @@ def test_column_collapse_single_column():
         "0", "Z^8", "0", "0", "0",
     ]
     assert not gg.extension_ambiguous
+    assert [ko_from_bredon([]).entry(n) for n in range(8)] == [ZERO] * 8
+
+
+def test_page_tor_contribution():
+    # Tor(Z/2, Z/2) lands in column 1; odd torsion has no Tor term
+    with pytest.raises(ValueError, match="column"):
+        ko_from_bredon([Z2])
+    gg = ko_from_bredon([FinAbGroup.of(0, [3])])
+    assert [str(gg.entry(n)) for n in range(8)] == [
+        "Z/3", "0", "0", "0", "Z/3", "0", "0", "0",
+    ]
 
 
 def test_column_collapse_rejects_two_columns():
     with pytest.raises(ValueError) as err:
-        ko_column_collapse(ko_e2_page([Z, Z]))
+        ko_from_bredon([Z, Z])
     assert "column" in str(err.value)
 
 

@@ -1,55 +1,34 @@
-"""Representation rings and induction/degree-change maps."""
+"""Induction matrices between representation rings."""
 
 import pytest
 
-from equiko.exactlinalg import IntMatrix
-from equiko.groups import GroupId
-from equiko.reprings import (
-    COMPLEX,
-    QUATERNIONIC,
-    REAL,
-    InductionMap,
-    cyclic_induction,
-    degree_map,
-    induction_from_trivial,
-    rep_ring,
-)
+from equiko.groups import GroupId, complex_irreducible_count
+from equiko.reprings import cyclic_induction, induction_from_trivial
 
 
 def test_ranks_by_class_count():
-    assert rep_ring(GroupId.trivial()).rank == 1
-    assert rep_ring(GroupId.cyclic(6)).rank == 6
-    assert rep_ring(GroupId.klein4()).rank == 4
-    assert rep_ring(GroupId.dihedral(4)).rank == 5
-    assert rep_ring(GroupId.dihedral(6)).rank == 6
-    assert rep_ring(GroupId.sym4()).rank == 5
-    assert rep_ring(GroupId.times_z2(GroupId.sym4())).rank == 10
-
-
-def test_real_rings_only_when_tables_coincide():
-    assert rep_ring(GroupId.sym4(), REAL).rank == 5
-    assert rep_ring(GroupId.dihedral(6), QUATERNIONIC).rank == 6
-    with pytest.raises(ValueError):
-        rep_ring(GroupId.cyclic(3), REAL)
-    with pytest.raises(ValueError):
-        rep_ring(GroupId.cyclic(4), QUATERNIONIC)
+    # test_groups covers the catalogue itself; here the Z/2 products and a
+    # cyclic order with no table
+    assert complex_irreducible_count(GroupId.times_z2(GroupId.sym4())) == 10
+    assert complex_irreducible_count(GroupId.times_z2(GroupId.cyclic(3))) == 6
+    assert complex_irreducible_count(GroupId.cyclic(1000)) == 1000
 
 
 def test_induction_from_trivial_is_regular_representation():
     # to Z/m the trivial character induces the regular representation,
     # one copy of each of the m characters
     ind = induction_from_trivial(5)
-    assert ind.source.rank == 1 and ind.target.rank == 5
-    assert ind.matrix.row_list() == [[1], [1], [1], [1], [1]]
+    assert (ind.rows, ind.cols) == (complex_irreducible_count(GroupId.cyclic(5)), 1)
+    assert ind.row_list() == [[1], [1], [1], [1], [1]]
 
 
 def test_cyclic_induction_pattern():
     ind = cyclic_induction(2, 6)
-    assert ind.matrix.row_list() == [
+    assert ind.row_list() == [
         [1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1],
     ]
-    assert cyclic_induction(1, 3).matrix.row_list() == [[1], [1], [1]]
-    assert cyclic_induction(3, 3).matrix.row_list() == [
+    assert cyclic_induction(1, 3).row_list() == [[1], [1], [1]]
+    assert cyclic_induction(3, 3).row_list() == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1],
     ]
 
@@ -61,8 +40,8 @@ def test_cyclic_induction_requires_divisibility():
 
 def test_cyclic_induction_transitivity():
     # inducing Z/2 -> Z/4 -> Z/8 equals inducing Z/2 -> Z/8 directly
-    via = cyclic_induction(4, 8).matrix @ cyclic_induction(2, 4).matrix
-    assert via.row_list() == cyclic_induction(2, 8).matrix.row_list()
+    via = cyclic_induction(4, 8) @ cyclic_induction(2, 4)
+    assert via.row_list() == cyclic_induction(2, 8).row_list()
 
 
 def test_induction_preserves_total_dimension():
@@ -71,37 +50,5 @@ def test_induction_preserves_total_dimension():
     for d, m in [(1, 6), (2, 6), (3, 6), (2, 8), (5, 10)]:
         ind = cyclic_induction(d, m)
         for j in range(d):
-            col_sum = sum(ind.matrix.entry(i, j) for i in range(m))
+            col_sum = sum(ind.entry(i, j) for i in range(m))
             assert col_sum == m // d
-
-
-def test_induction_map_validation():
-    src = rep_ring(GroupId.trivial())
-    tgt = rep_ring(GroupId.cyclic(2))
-    with pytest.raises(ValueError):
-        InductionMap(src, tgt, IntMatrix.from_rows([[1], [-1]]))
-    with pytest.raises(ValueError):
-        InductionMap(src, tgt, IntMatrix.from_rows([[1]]))
-
-
-def test_degree_maps_are_scaled_identities():
-    for gid in [GroupId.trivial(), GroupId.dihedral(4), GroupId.sym4()]:
-        n = rep_ring(gid).rank
-        assert degree_map("nu", gid).row_list() == IntMatrix.identity(n).row_list()
-        assert degree_map("sigma", gid).row_list() == IntMatrix.identity(n).row_list()
-        two = IntMatrix.identity(n).scaled(2)
-        assert degree_map("rho", gid).row_list() == two.row_list()
-        assert degree_map("eta", gid).row_list() == two.row_list()
-
-
-def test_degree_map_composition_is_multiplication_by_two():
-    gid = GroupId.dihedral(6)
-    comp = degree_map("rho", gid) @ degree_map("nu", gid)
-    assert comp.row_list() == IntMatrix.identity(6).scaled(2).row_list()
-
-
-def test_degree_maps_require_coinciding_tables():
-    with pytest.raises(ValueError):
-        degree_map("nu", GroupId.cyclic(3))
-    with pytest.raises(ValueError):
-        degree_map("bogus", GroupId.sym4())
