@@ -96,8 +96,13 @@ def parse_induction_spec(spec: str) -> tuple[str, GroupId | None, GroupId | None
     raise DatumError(f"malformed induction spec {spec!r}")
 
 
+@lru_cache(maxsize=256)
 def _resolve_spec(spec: str, source: GroupId, target: GroupId) -> IntMatrix:
-    """Check an induction spec against actual stabilisers; return its matrix."""
+    """Check an induction spec against actual stabilisers; return its matrix.
+
+    Memoized: validation, `expand` and graphs of groups resolve the same
+    terms, and the returned matrix is immutable.  Errors are not cached.
+    """
     kind, spec_source, spec_target = parse_induction_spec(spec)
     if kind == "id":
         if source != target:
@@ -266,7 +271,8 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
 
 
 def bredon_homology(datum: GammaCWDatum) -> list[FinAbGroup]:
-    """Bredon homology in degrees 0..dimension, by Smith normal form."""
+    """Bredon homology in degrees 0..dimension, from the invariant factors of
+    each boundary (one transform-free elimination per boundary)."""
     return all_homology(expand(datum))
 
 

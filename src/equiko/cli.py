@@ -6,8 +6,9 @@ Gamma-CW files (complex), and the full regression sweep (verify).  Output is
 deterministic: identical invocations produce identical bytes.
 
 Exit codes: 0 success; 1 domain error (composite prime, prime beyond the
-proven range 2**64, failed hypothesis, invalid lift); 2 parse error
-(malformed signature or file); 3 verification failure.
+proven range 2**64, failed hypothesis, invalid lift); 2 invalid input
+(malformed or non-hyperbolic signature, malformed file, descending prime
+range); 3 verification failure.
 """
 
 from __future__ import annotations
@@ -85,9 +86,14 @@ def _cmd_fuchsian(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # An impossible lift stays a domain error (exit 1) on any signature.
+    datum = bredon.lifted_fuchsian_datum(sig) if args.lift else None
+    if not sig.is_hyperbolic():
+        print(f"error: signature {sig} is not hyperbolic: orbifold Euler "
+              "characteristic 2-2g-s-sum(1-1/m_j) >= 0", file=sys.stderr)
+        return 2
     inputs = {"signature": str(sig), "lift": bool(args.lift)}
-    if args.lift:
-        datum = bredon.lifted_fuchsian_datum(sig)
+    if datum is not None:
         k0, k1 = ko_assembly.collapse_complex(bredon.bredon_homology(datum))
     else:
         k0, k1 = fuchsian.equivariant_k(sig)
@@ -161,6 +167,9 @@ def _cmd_verify(args) -> int:
         print(f"error: --primes expects A..B, got {args.primes!r}", file=sys.stderr)
         return 2
     lo, hi = int(m.group(1)), int(m.group(2))
+    if lo > hi:
+        print(f"error: --primes expects A <= B, got {args.primes!r}", file=sys.stderr)
+        return 2
     results = verify_mod.verify_all(lo, hi)
     passed = all(r.passed for r in results)
     if args.format == "json":

@@ -4,7 +4,8 @@ Everything downstream (Bredon chain complexes, K- and KO-group assembly)
 reduces to three primitives implemented here:
 
 * immutable integer matrices with exact arithmetic,
-* Smith normal form with recorded unimodular transforms,
+* Smith normal form: with recorded unimodular transforms as public API,
+  and as a transform-free elimination to invariant factors for homology,
 * finitely generated abelian groups in invariant-factor canonical form.
 
 All arithmetic uses Python's arbitrary-precision integers; there is no
@@ -311,8 +312,87 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     )
 
 
-def matrix_rank(m: IntMatrix) -> int:
-    return smith_normal_form(m).rank
+def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
+    """The invariant factors of `m`, i.e. `smith_normal_form(m).d`, without transforms.
+
+    The elimination follows `smith_normal_form` step for step -- pivot of
+    minimal absolute value, then the same divisibility repair -- on a
+    row-list copy of `m` alone.  A unit pivot ends the pivot scan and needs
+    no divisibility scan, and updates skip zero multipliers and zero
+    entries, so the 0/±1 boundaries of Bredon complexes clear in close to
+    one pass over their nonzero entries.
+
+    >>> _smith_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    (2, 4)
+    """
+    nrows, ncols = m.rows, m.cols
+    a = m.row_list()
+    factors = []
+    t = 0
+    bound = min(nrows, ncols)
+    while t < bound:
+        # Locate a pivot of minimal absolute value in the untouched block.
+        best, best_abs = None, 0
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                x = row[j]
+                if x and (best is None or abs(x) < best_abs):
+                    best, best_abs = (i, j), abs(x)
+                    if best_abs == 1:
+                        break
+            if best_abs == 1:
+                break
+        if best is None:
+            break
+        bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            # Rows above t are zero from column t on; only the block moves.
+            for i in range(t, nrows):
+                row = a[i]
+                row[t], row[bj] = row[bj], row[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        prow = a[t]
+        p = prow[t]
+
+        dirty = False
+        pivot_row = [(j, prow[j]) for j in range(t, ncols) if prow[j]]
+        for i in range(t + 1, nrows):
+            row = a[i]
+            if row[t]:
+                q = row[t] // p
+                if q:
+                    for j, x in pivot_row:
+                        row[j] -= q * x
+                if row[t]:
+                    dirty = True
+        # Column operations leave column t alone, so its support is fixed.
+        pivot_col = [row for row in a[t:] if row[t]]
+        for j in range(t + 1, ncols):
+            if prow[j]:
+                q = prow[j] // p
+                if q:
+                    for row in pivot_col:
+                        row[j] -= q * row[t]
+                if prow[j]:
+                    dirty = True
+        if dirty:
+            # Some remainder is now strictly smaller than the pivot; re-pick.
+            continue
+
+        if p != 1:
+            # Enforce divisibility of the rest of the block by the pivot.
+            offender = next(
+                (row for row in a[t + 1:] if any(x % p for x in row[t + 1:])), None
+            )
+            if offender is not None:
+                a[t] = [x + y for x, y in zip(prow, offender)]
+                continue
+        factors.append(p)
+        t += 1
+    return tuple(factors)
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -493,28 +573,35 @@ class IntChainComplex:
         )
 
 
-def homology(c: IntChainComplex, n: int) -> FinAbGroup:
-    """H_n(c) = ker(d out of degree n) / im(d into degree n).
+def _homology_group(rank: int, out_factors, in_factors) -> FinAbGroup:
+    """The homology of a degree of chain rank `rank` from the invariant
+    factors of its outgoing and incoming differentials.
 
     The image of the incoming differential sits inside the kernel of the
-    outgoing one (saturated, since chain groups are free), so the torsion of
-    H_n is exactly the set of invariant factors > 1 of the incoming matrix,
-    and the free rank is rank C_n minus the two matrix ranks.
+    outgoing one (saturated, since chain groups are free), so the torsion is
+    exactly the incoming factors > 1 -- already a divisibility chain -- and
+    the free rank is `rank` minus the two matrix ranks.
     """
+    return FinAbGroup(
+        rank - len(out_factors) - len(in_factors), tuple(d for d in in_factors if d > 1)
+    )
+
+
+def homology(c: IntChainComplex, n: int) -> FinAbGroup:
+    """H_n(c) = ker(d out of degree n) / im(d into degree n)."""
     i = n - c.bottom_degree
     if i < 0 or i >= len(c.ranks):
         return FinAbGroup.zero()
-    out_rank = matrix_rank(c.boundaries[i - 1]) if i >= 1 else 0
-    if i < len(c.boundaries):
-        snf_in = smith_normal_form(c.boundaries[i])
-        in_rank = snf_in.rank
-        torsion = [d for d in snf_in.d if d > 1]
-    else:
-        in_rank = 0
-        torsion = []
-    return FinAbGroup.of(c.ranks[i] - out_rank - in_rank, torsion)
+    out_factors = _smith_factors(c.boundaries[i - 1]) if i >= 1 else ()
+    in_factors = _smith_factors(c.boundaries[i]) if i < len(c.boundaries) else ()
+    return _homology_group(c.ranks[i], out_factors, in_factors)
 
 
 def all_homology(c: IntChainComplex) -> list[FinAbGroup]:
-    """Homology in every degree of the complex, bottom degree first."""
-    return [homology(c, c.bottom_degree + i) for i in range(len(c.ranks))]
+    """Homology in every degree of the complex, bottom degree first.
+
+    Each boundary is eliminated once; degree i reads the factors of the
+    boundaries out of and into it.
+    """
+    factors = [()] + [_smith_factors(b) for b in c.boundaries] + [()]
+    return [_homology_group(r, factors[i], factors[i + 1]) for i, r in enumerate(c.ranks)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 
 from .exactlinalg import FinAbGroup
 
@@ -57,6 +58,19 @@ class Signature:
 
     def is_cocompact(self) -> bool:
         return self.s == 0
+
+    def is_hyperbolic(self) -> bool:
+        """Whether the orbifold Euler characteristic 2-2g-s-sum(1-1/m_j) is < 0.
+
+        Only hyperbolic signatures belong to Fuchsian groups.  The test is
+        exact: the characteristic is scaled by the lcm of the periods.
+
+        >>> [parse_signature(t).is_hyperbolic() for t in ("[0,0;2,3,7]", "[0,0;2,3,6]")]
+        [True, False]
+        """
+        scale = lcm(*self.periods)
+        chi = (2 - 2 * self.g - self.s - len(self.periods)) * scale
+        return chi + sum(scale // m for m in self.periods) < 0
 
     def __str__(self) -> str:
         return f"[{self.g},{self.s};{','.join(str(m) for m in self.periods)}]"

@@ -187,6 +187,26 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     assert run(capsys, "verify", "--primes", "zzz")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # orbifold Euler characteristic >= 0: sphere, spindle, torus, annulus, pillowcase
+        ("[0,0;]",), ("[0,0;2,3]",), ("[1,0;]",), ("[0,2;]",), ("[0,0;2,2,2,2]",),
+        ("[0,2;]", "--lift"), ("[0,1;2,2]", "--lift"),
+    ],
+)
+def test_fuchsian_refuses_non_hyperbolic_signatures(capsys, argv):
+    code, out, err = run(capsys, "fuchsian", "--signature", *argv)
+    assert (code, out) == (2, "")
+    assert "not hyperbolic" in err
+
+
+def test_verify_refuses_descending_prime_range(capsys):
+    code, out, err = run(capsys, "verify", "--primes", "200..2")
+    assert (code, out) == (2, "")
+    assert err == "error: --primes expects A <= B, got '200..2'\n"
+
+
 def test_errors_go_to_stderr(capsys):
     code, out, err = run(capsys, "hecke", "-p", "15")
     assert out == "" and "not prime" in err

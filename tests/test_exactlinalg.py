@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiko import exactlinalg
+from equiko.bredon import bredon_homology, fuchsian_noncocompact_datum
 from equiko.exactlinalg import (
     ChainComplexError,
     FinAbGroup,
@@ -20,6 +22,7 @@ from equiko.exactlinalg import (
     tensor_z2,
     tor_z2,
 )
+from equiko.fuchsian import parse_signature
 
 Z = FinAbGroup.free(1)
 
@@ -155,6 +158,119 @@ def test_snf_roundtrip_property(r, c, seed):
     # invariant factors are positive and form a divisibility chain
     for a, b in zip(res.d, res.d[1:]):
         assert a > 0 and b % a == 0
+
+
+# -- invariant factors without transforms ----------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 2, 9, 40]),
+    st.sampled_from([0.2, 0.6, 1.0]),
+)
+def test_smith_factors_match_snf_and_minor_gcds(r, c, seed, bound, density):
+    # bound 0 gives zero matrices; r or c 0 gives the empty shapes
+    rng = random.Random(seed)
+    m = IntMatrix(r, c, tuple(
+        rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(r * c)
+    ))
+    factors = exactlinalg._smith_factors(m)
+    assert factors == smith_normal_form(m).d
+    assert list(factors) == _minor_gcd_chain(m)
+
+
+def _unimodular_pair(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """A random unimodular n x n matrix and its inverse, from elementary moves."""
+    p = IntMatrix.identity(n).row_list()
+    inv = IntMatrix.identity(n).row_list()
+    for _ in range(4 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            # P <- S P and P^-1 <- P^-1 S for the swap S of i and j
+            p[i], p[j] = p[j], p[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
+        else:
+            # P <- (1 + c e_ij) P and P^-1 <- P^-1 (1 - c e_ij)
+            c = rng.choice([-2, -1, 1, 2])
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+            for row in inv:
+                row[j] -= c * row[i]
+    return IntMatrix.from_rows(p, cols=n), IntMatrix.from_rows(inv, cols=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(-2, 2), st.integers(0, 2**32 - 1))
+def test_all_homology_on_complexes_with_known_homology(top, bottom, seed):
+    # A direct sum of free summands Z in degree n and elementary complexes
+    # Z --k--> Z from degree n + 1 to n, which add Z/k to H_n, written in a
+    # random basis of every chain group.
+    rng = random.Random(seed)
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    pieces = [(n, rng.choice([1, 1, 2, 3, 4, 6, 12])) for n in range(top)
+              for _ in range(rng.randint(0, 3))]
+    basis = [[] for _ in range(top + 1)]  # per degree: ("free",), ("src", p), ("dst", p)
+    for n, count in enumerate(free):
+        basis[n] += [("free",)] * count
+    for p, (n, _) in enumerate(pieces):
+        basis[n].append(("dst", p))
+        basis[n + 1].append(("src", p))
+    ranks = [len(b) for b in basis]
+    bases = [_unimodular_pair(rng, r) for r in ranks]
+    boundaries = []
+    for n in range(1, top + 1):
+        d = IntMatrix.from_rows(
+            [[pieces[src[1]][1] if src[0] == "src" and dst == ("dst", src[1]) else 0
+              for src in basis[n]] for dst in basis[n - 1]],
+            cols=ranks[n],
+        )
+        boundaries.append(bases[n - 1][0] @ d @ bases[n][1])
+    c = IntChainComplex(tuple(ranks), tuple(boundaries), bottom_degree=bottom)
+    expected = [
+        FinAbGroup.of(free[n], [k for m, k in pieces if m == n]) for n in range(top + 1)
+    ]
+    assert all_homology(c) == expected
+    assert [homology(c, bottom + n) for n in range(top + 1)] == expected
+
+
+# -- the homology path ---------------------------------------------------------------
+
+
+def _count_eliminations(monkeypatch) -> list[tuple[int, int]]:
+    """Make SNF with transforms raise; record the shape of every kernel call."""
+
+    def refuse(m):
+        raise AssertionError("homology must not build SNF transforms")
+
+    kernel = exactlinalg._smith_factors
+    shapes = []
+
+    def counting(m):
+        shapes.append((m.rows, m.cols))
+        return kernel(m)
+
+    monkeypatch.setattr(exactlinalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(exactlinalg, "_smith_factors", counting)
+    return shapes
+
+
+def test_all_homology_eliminates_each_boundary_once(monkeypatch):
+    shapes = _count_eliminations(monkeypatch)
+    # cellular chains of RP^3: Z <-0- Z <-2- Z <-0- Z
+    d1, d2, d3 = IntMatrix.zero(1, 1), IntMatrix.from_rows([[2]]), IntMatrix.zero(1, 1)
+    c = IntChainComplex(ranks=(1, 1, 1, 1), boundaries=(d1, d2, d3))
+    assert [str(g) for g in all_homology(c)] == ["Z", "Z/2", "0", "Z"]
+    assert len(shapes) == len(c.boundaries)
+
+
+def test_bredon_homology_eliminates_each_boundary_once(monkeypatch):
+    shapes = _count_eliminations(monkeypatch)
+    datum = fuchsian_noncocompact_datum(parse_signature("[0,2;997,991]"))
+    assert [str(g) for g in bredon_homology(datum)] == ["Z^1987", "Z"]
+    assert shapes == [(1989, 3)]
 
 
 # -- FinAbGroup ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fuchsian signatures, closed-form homology, and Hecke-type signatures."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,24 @@ def test_period_validation():
         Signature(0, 0, (1,))  # periods must be >= 2
     with pytest.raises(ValueError):
         Signature(-1, 0, ())
+
+
+def test_is_hyperbolic_at_the_euclidean_boundary():
+    # orbifold Euler characteristic exactly 0: the euclidean signatures
+    for text in ("[0,0;2,3,6]", "[0,0;2,4,4]", "[0,0;3,3,3]", "[0,0;2,2,2,2]",
+                 "[1,0;]", "[0,2;]", "[0,1;2,2]"):
+        assert not parse_signature(text).is_hyperbolic(), text
+    for text in ("[0,0;2,3,7]", "[0,0;2,4,5]", "[0,1;2,3]", "[0,3;]", "[1,1;]", "[2,0;]"):
+        assert parse_signature(text).is_hyperbolic(), text
+
+
+def test_is_hyperbolic_against_fractions():
+    rng = random.Random(31)
+    for _ in range(300):
+        sig = Signature(rng.randint(0, 2), rng.randint(0, 3),
+                        tuple(rng.randint(2, 9) for _ in range(rng.randint(0, 5))))
+        chi = 2 - 2 * sig.g - sig.s - sum(1 - Fraction(1, m) for m in sig.periods)
+        assert sig.is_hyperbolic() == (chi < 0), sig
 
 
 def test_modular_signature():
