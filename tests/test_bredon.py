@@ -1,5 +1,6 @@
 """Gamma-CW data, chain expansion, and Bredon homology."""
 
+import hashlib
 import random
 
 import pytest
@@ -16,8 +17,14 @@ from equiko.bredon import (
     sl3_datum,
 )
 from equiko.exactlinalg import ChainComplexError, IntMatrix
-from equiko.fuchsian import MODULAR_SIGNATURE, Signature, bredon_closed_form
-from equiko.groups import GroupId
+from equiko.fuchsian import (
+    MODULAR_SIGNATURE,
+    Signature,
+    bredon_closed_form,
+    hecke_signature,
+    parse_signature,
+)
+from equiko.groups import GroupId, parse_name
 
 
 # -- expansion -------------------------------------------------------------------
@@ -58,6 +65,82 @@ def test_expand_induction_spec():
     c = expand(datum)
     assert c.ranks == (5, 1)
     assert c.boundaries[0].row_list() == [[-1], [1], [1], [1], [1]]
+
+
+def _mixed_induction_datum():
+    # every induction kind of the catalogue: Z2->Z6 (twice into one block),
+    # Z3->Z6, triv->Zm(5), and id on S4, D4 and Z2xS4
+    g = parse_name
+    return GammaCWDatum.build(
+        "mixed",
+        [
+            [("z", g("1")), ("c5", g("Zm(5)")), ("c6", g("Z6")),
+             ("s", g("S4")), ("d", g("D4")), ("w", g("Z2xS4"))],
+            [("a", g("Z2")), ("b", g("Z3")), ("y", g("1")),
+             ("es", g("S4")), ("ed", g("D4")), ("ew", g("Z2xS4"))],
+            [("t", g("Z2")), ("u", g("Z2xS4"))],
+        ],
+        {
+            1: {
+                "a": [(1, "c6", "Z2->Z6"), (1, "c6", "Z2->Z6")],
+                "b": [(-1, "c6", "Z3->Z6")],
+                "y": [(1, "c5", "triv->Zm(5)"), (-1, "z", "id")],
+                "es": [(1, "s", "id")],
+                "ed": [(-1, "d", "id")],
+                "ew": [(1, "w", "id")],
+            },
+            2: {
+                "t": [(1, "a", "id"), (-1, "a", "id")],
+                "u": [(-1, "ew", "id"), (1, "ew", "id")],
+            },
+        },
+    )
+
+
+def _pinned_data():
+    yield "sl3", sl3_datum()
+    for text in ["[0,0;2,3,7]", "[2,0;2,2]", "[1,0;2,4]"]:
+        yield text, fuchsian_cocompact_datum(parse_signature(text))
+    open_sigs = [MODULAR_SIGNATURE, parse_signature("[0,2;997,991]"),
+                 parse_signature("[0,3;4,6,12]")]
+    for sig in open_sigs:
+        yield str(sig), fuchsian_noncocompact_datum(sig)
+    for p in (2, 3, 13, 17, 19, 23, 97):
+        yield f"hecke{p}", fuchsian_noncocompact_datum(hecke_signature(p))
+    for sig in [MODULAR_SIGNATURE, parse_signature("[1,2;2,3]")]:
+        yield f"lift{sig}", lifted_fuchsian_datum(sig)
+    yield "mixed", _mixed_induction_datum()
+
+
+# sha256 of repr((ranks, [(rows, cols, entries) per boundary])) of `expand`
+_EXPANSION_DIGESTS = {
+    "sl3": "fccf1cbd6fa9140206d90570445d8e6a5cb86562fcc8b3a4938762e93aaa7c5c",
+    "[0,0;2,3,7]": "43654ec44a085832bc3706ef1fd31d616c7db3960fdd150eee56400c8364da6b",
+    "[2,0;2,2]": "cdea33f308773bc4c963680d164a31823ab573b71959fb9c8075087b616e0c23",
+    "[1,0;2,4]": "4712aa3e8c6f123c5d29884b8edb2c0f8c2676878f754d7e27baa8226b78f82b",
+    "[0,1;2,3]": "39f16200a473b77e22decc2d54323ff4a2d19eebb5a17a44e0c3c448c7de0dd3",
+    "[0,2;997,991]": "a0a4323558f35914bc955487da8f98dc15c816f31426852921286e9d83f5a9d9",
+    "[0,3;4,6,12]": "df6092db20761f0d3810521c3f518b64098c21d3b680559b9c0982c968e2d348",
+    "hecke2": "49f2be0505dc6fb8aa7c0637cad385cfb23d4a1dc16bef51d761a1823716c057",
+    "hecke3": "1d116d457dd07a2ace6cae1acd64539caaa49a2f8426ce6b47336e11d11b76d3",
+    "hecke13": "fe50e742e302cb5cab28f28501ba5a0c8501b6c3a07be1cc2cab7287f2433a47",
+    "hecke17": "ff8b9fe82e005b20d9917cba756d029849dfed7ce3d865cf88f3b122c40a76a3",
+    "hecke19": "b679227085aa5172514f5d067d26d6eb3bd8ac8cdb3f0cc42fc5355989c2c810",
+    "hecke23": "799ab23041305c72c551f2e3638438ccc8bc9b2c4abb3afc6ae754e48a82fcd5",
+    "hecke97": "48db6c156e335f3ad4cd425b86c1b71e67c34f086e2a83314d3b49c8f039933b",
+    "lift[0,1;2,3]": "de3e3c90f50b33668f3e7f6119565c51aef76b2cf02eb420a95b824cb5c60c5d",
+    "lift[1,2;2,3]": "65f725e74ea8373de9ffe50f7f83aa6f5111b5db724f476df156790bc9732b36",
+    "mixed": "8e0f92c8e9462f0ad69f58395d6372d07d05363c31d67fe816a1ceab8fd89a60",
+}
+
+
+def test_expansion_digests_are_pinned():
+    got = {}
+    for name, datum in _pinned_data():
+        c = expand(datum)
+        key = (c.ranks, [(b.rows, b.cols, b.entries) for b in c.boundaries])
+        got[name] = hashlib.sha256(repr(key).encode()).hexdigest()
+    assert got == _EXPANSION_DIGESTS
 
 
 def test_matrix_mode_boundary():
