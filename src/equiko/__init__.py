@@ -33,7 +33,6 @@ from .groups import (
     fs_indicator,
     parse_name,
 )
-from .reprings import cyclic_induction, induction_from_trivial
 from .fuchsian import (
     MODULAR_SIGNATURE,
     Signature,
@@ -106,7 +105,6 @@ __all__ = [
     "cstar_k_p11",
     "cstar_ko_p11",
     "cyclic_fs_indicator",
-    "cyclic_induction",
     "direct_sum",
     "ensure_ko_hypothesis",
     "equivariant_k",
@@ -119,7 +117,6 @@ __all__ = [
     "hecke_bredon",
     "hecke_signature",
     "homology",
-    "induction_from_trivial",
     "is_prime",
     "ko_from_bredon",
     "kunneth_times_z2",

@@ -1,13 +1,13 @@
 """Bredon homology of Gamma-CW complexes with representation-ring coefficients.
 
 A `GammaCWDatum` records one cell per orbit together with its stabiliser
-(one of the catalogue groups) and, for every positive dimension, either a
-signed term list describing how each cell's boundary hits lower cells
-through catalogued inductions, or a raw integer matrix.  `expand` turns this
-into an honest integer chain complex: the chain group in degree n is the
-direct sum of the complex representation rings of the n-cell stabilisers,
-and each boundary block is sign * (induction matrix).  Homology is then
-Smith-normal-form arithmetic, never a table lookup.
+(one of the catalogue groups) and, for every positive dimension, either
+per-cell tuples of signed terms describing how each cell's boundary hits
+lower cells through catalogued inductions, or a raw integer matrix.
+`expand` turns this into an honest integer chain complex: the chain group in
+degree n is the direct sum of the complex representation rings of the
+n-cell stabilisers, and each boundary block is sign * (induction matrix).
+Homology is then Smith-normal-form arithmetic, never a table lookup.
 
 Three families of data are built here:
 
@@ -28,7 +28,6 @@ from functools import lru_cache
 from .exactlinalg import FinAbGroup, IntChainComplex, IntMatrix, all_homology
 from .fuchsian import Signature
 from .groups import GroupId, complex_irreducible_count, parse_name
-from .reprings import cyclic_induction, induction_from_trivial
 
 
 class DatumError(ValueError):
@@ -59,18 +58,14 @@ class BoundaryTerm:
             raise DatumError(f"boundary coefficients must be +1 or -1, got {self.sign}")
 
 
-@dataclass(frozen=True)
-class TermBoundary:
-    """Boundaries of one dimension as term lists, aligned with the cell order."""
-
-    terms: tuple[tuple[BoundaryTerm, ...], ...]
+# The boundary out of one dimension: a raw matrix on the chain groups, or one
+# tuple of terms per cell, aligned with the cell order.
+Boundary = IntMatrix | tuple[tuple[BoundaryTerm, ...], ...]
 
 
-@dataclass(frozen=True)
-class MatrixBoundary:
-    """Boundaries of one dimension as an explicit matrix on chain groups."""
-
-    matrix: IntMatrix
+def _cyclic_or_trivial(gid: GroupId) -> bool:
+    # the trivial group is Z/1 and may stand on either side of an induction
+    return gid.kind in ("cyclic", "trivial")
 
 
 def parse_induction_spec(spec: str) -> tuple[str, GroupId | None, GroupId | None]:
@@ -85,50 +80,44 @@ def parse_induction_spec(spec: str) -> tuple[str, GroupId | None, GroupId | None
     if "->" in spec:
         left, right = (part.strip() for part in spec.split("->", 1))
         target = parse_name(right)
-        if target.kind != "cyclic":
+        if not _cyclic_or_trivial(target):
             raise DatumError(f"induction target in {spec!r} must be cyclic")
         if left == "triv":
             return ("triv", None, target)
         source = parse_name(left)
-        if source.kind != "cyclic":
+        if not _cyclic_or_trivial(source):
             raise DatumError(f"induction source in {spec!r} must be cyclic")
         return ("cyclic", source, target)
     raise DatumError(f"malformed induction spec {spec!r}")
 
 
-@lru_cache(maxsize=256)
-def _resolve_spec(spec: str, source: GroupId, target: GroupId) -> IntMatrix:
-    """Check an induction spec against actual stabilisers; return its matrix.
-
-    Memoized: validation, `expand` and graphs of groups resolve the same
-    terms, and the returned matrix is immutable.  Errors are not cached.
-    """
+def _check_spec(spec: str, source: GroupId, target: GroupId) -> None:
+    """Check an induction spec against the stabilisers it connects."""
     kind, spec_source, spec_target = parse_induction_spec(spec)
     if kind == "id":
         if source != target:
             raise DatumError(
                 f"'id' between different stabilisers {source.name()} and {target.name()}"
             )
-        return IntMatrix.identity(complex_irreducible_count(source))
+        return
     if spec_target != target:
         raise DatumError(
             f"spec {spec!r} targets {spec_target.name()} but the cell has "
             f"stabiliser {target.name()}"
         )
     if kind == "triv":
-        if not source.is_trivial_group():
+        if source.kind != "trivial":
             raise DatumError(
                 f"spec {spec!r} needs a trivial stabiliser, found {source.name()}"
             )
-        return induction_from_trivial(target.m)
+        return
     if spec_source != source:
         raise DatumError(
             f"spec {spec!r} starts at {spec_source.name()} but the cell has "
             f"stabiliser {source.name()}"
         )
-    if target.m % source.m != 0:
+    if target.order() % source.order() != 0:
         raise DatumError(f"spec {spec!r} is not a subgroup inclusion")
-    return cyclic_induction(source.m, target.m)
 
 
 @dataclass(frozen=True)
@@ -136,14 +125,14 @@ class GammaCWDatum:
     """A finite Gamma-CW structure with catalogue stabilisers.
 
     `cells[n]` lists the n-cells; `boundaries[n-1]` describes the boundary
-    map out of dimension n (term lists or a raw matrix).  Data whose
-    boundaries are only unimodularly equivalent to the geometric ones is
-    flagged `snf_equivalent`; homology is unaffected.
+    map out of dimension n (per-cell term tuples or a raw matrix).  Data
+    whose boundaries are only unimodularly equivalent to the geometric ones
+    is flagged `snf_equivalent`; homology is unaffected.
     """
 
     name: str
     cells: tuple[tuple[Cell, ...], ...]
-    boundaries: tuple[TermBoundary | MatrixBoundary, ...]
+    boundaries: tuple[Boundary, ...]
     snf_equivalent: bool = False
 
     def __post_init__(self):
@@ -159,29 +148,29 @@ class GammaCWDatum:
             if len(set(labels)) != len(labels):
                 raise DatumError(f"duplicate cell labels in dimension {dim}")
         for n, b in enumerate(self.boundaries, start=1):
-            if isinstance(b, MatrixBoundary):
+            if isinstance(b, IntMatrix):
                 rows = sum(c.rank() for c in self.cells[n - 1])
                 cols = sum(c.rank() for c in self.cells[n])
-                if (b.matrix.rows, b.matrix.cols) != (rows, cols):
+                if (b.rows, b.cols) != (rows, cols):
                     raise DatumError(
                         f"matrix for the boundary out of dimension {n} is "
-                        f"{b.matrix.rows}x{b.matrix.cols}, expected {rows}x{cols}"
+                        f"{b.rows}x{b.cols}, expected {rows}x{cols}"
                     )
                 continue
-            if len(b.terms) != len(self.cells[n]):
+            if len(b) != len(self.cells[n]):
                 raise DatumError(
                     f"dimension {n} has {len(self.cells[n])} cells but "
-                    f"{len(b.terms)} term lists"
+                    f"{len(b)} term lists"
                 )
             below = {c.label: c.stabiliser for c in self.cells[n - 1]}
-            for cell, terms in zip(self.cells[n], b.terms):
+            for cell, terms in zip(self.cells[n], b):
                 for term in terms:
                     if term.target not in below:
                         raise DatumError(
                             f"boundary of {cell.label!r} hits unknown "
                             f"{n - 1}-cell {term.target!r}"
                         )
-                    _resolve_spec(term.spec, cell.stabiliser, below[term.target])
+                    _check_spec(term.spec, cell.stabiliser, below[term.target])
 
     @classmethod
     def build(cls, name, cells, boundaries, snf_equivalent=False) -> "GammaCWDatum":
@@ -198,7 +187,7 @@ class GammaCWDatum:
         for n in range(1, len(cell_layers)):
             raw = boundaries.get(n)
             if isinstance(raw, IntMatrix):
-                packed.append(MatrixBoundary(raw))
+                packed.append(raw)
                 continue
             raw = raw or {}
             unknown = set(raw) - {c.label for c in cell_layers[n]}
@@ -207,11 +196,9 @@ class GammaCWDatum:
                     f"boundary given for unknown {n}-cells {sorted(unknown)}"
                 )
             packed.append(
-                TermBoundary(
-                    tuple(
-                        tuple(BoundaryTerm(*t) for t in raw.get(c.label, ()))
-                        for c in cell_layers[n]
-                    )
+                tuple(
+                    tuple(BoundaryTerm(*t) for t in raw.get(c.label, ()))
+                    for c in cell_layers[n]
                 )
             )
         return cls(name, cell_layers, tuple(packed), snf_equivalent)
@@ -236,37 +223,48 @@ class GammaCWDatum:
 def expand(datum: GammaCWDatum) -> IntChainComplex:
     """Expand a datum into the integer chain complex of representation rings.
 
-    Shapes, targets and specs were checked when the datum was built.
+    A term `sign * target : spec` induces from the cell's stabiliser, with
+    d irreducibles, to the target's, with m.  Every catalogued induction
+    (`id`, `triv->Zm`, `Zd->Zm`) is one rule: by Frobenius reciprocity the
+    character j goes to the characters j, j + d, j + 2d, ... of the target.
+    So the term adds `sign` at row `row_off + k`, column `col_off + j` for
+    every k = j (mod d), where the offsets place the two cells in their
+    chain groups.  Shapes, targets and specs were checked when the datum was
+    built.
+
+    >>> datum = GammaCWDatum.build(
+    ...     "edge", [[("v", GroupId.cyclic(6))], [("e", GroupId.cyclic(2))]],
+    ...     {1: {"e": [(1, "v", "Z2->Z6")]}})
+    >>> expand(datum).boundaries[0].row_list()
+    [[1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1]]
     """
-    ranks = datum.ranks()
-    offsets: list[dict[str, tuple[int, GroupId]]] = []
+    ranks = []
+    offsets: list[dict[str, tuple[int, int]]] = []  # label -> (offset, rank)
     for layer in datum.cells:
-        table: dict[str, tuple[int, GroupId]] = {}
+        table: dict[str, tuple[int, int]] = {}
         pos = 0
         for c in layer:
-            table[c.label] = (pos, c.stabiliser)
-            pos += c.rank()
+            rank = c.rank()
+            table[c.label] = (pos, rank)
+            pos += rank
         offsets.append(table)
+        ranks.append(pos)
 
     matrices = []
-    for n in range(1, len(datum.cells)):
-        b = datum.boundaries[n - 1]
-        rows, cols = ranks[n - 1], ranks[n]
-        if isinstance(b, MatrixBoundary):
-            matrices.append(b.matrix)
+    for n, b in enumerate(datum.boundaries, start=1):
+        if isinstance(b, IntMatrix):
+            matrices.append(b)
             continue
-        block = [[0] * cols for _ in range(rows)]
-        for cell, terms in zip(datum.cells[n], b.terms):
-            col_off, source = offsets[n][cell.label]
+        rows, cols = ranks[n - 1], ranks[n]
+        entries = [0] * (rows * cols)
+        for cell, terms in zip(datum.cells[n], b):
+            col_off, d = offsets[n][cell.label]
             for term in terms:
-                row_off, target = offsets[n - 1][term.target]
-                ind = _resolve_spec(term.spec, source, target)
-                for i in range(ind.rows):
-                    for j in range(ind.cols):
-                        block[row_off + i][col_off + j] += term.sign * ind.entry(i, j)
-        matrices.append(
-            IntMatrix(rows, cols, tuple(x for row in block for x in row))
-        )
+                row_off, m = offsets[n - 1][term.target]
+                for j in range(d):
+                    for k in range(j, m, d):
+                        entries[(row_off + k) * cols + col_off + j] += term.sign
+        matrices.append(IntMatrix(rows, cols, tuple(entries)))
     return IntChainComplex(tuple(ranks), tuple(matrices))
 
 
@@ -323,10 +321,6 @@ def sl3_datum() -> GammaCWDatum:
 # Fuchsian data
 
 
-def _cyclic_name(m: int) -> str:
-    return GroupId.cyclic(m).name()
-
-
 def fuchsian_cocompact_datum(sig: Signature) -> GammaCWDatum:
     """Fundamental-polygon datum for a cocompact signature [g, 0; m_1..m_r].
 
@@ -349,7 +343,7 @@ def fuchsian_cocompact_datum(sig: Signature) -> GammaCWDatum:
         label = f"y{j + 1}"
         edges.append((label, GroupId.trivial()))
         edge_bounds[label] = [
-            (1, f"c{j + 1}", f"triv->{_cyclic_name(m)}"),
+            (1, f"c{j + 1}", f"triv->{GroupId.cyclic(m).name()}"),
             (-1, "z", "id"),
         ]
     face_terms = []
@@ -395,7 +389,7 @@ class GraphOfGroupsDatum:
                         f"edge {e.label!r} ends at unknown vertex {vertex_label!r}"
                     )
                 # Raises if the edge group does not embed as specified.
-                _resolve_spec(spec, e.group, by_label[vertex_label].stabiliser)
+                _check_spec(spec, e.group, by_label[vertex_label].stabiliser)
 
     def to_cw_datum(self) -> GammaCWDatum:
         edge_bounds = {
@@ -412,6 +406,25 @@ class GraphOfGroupsDatum:
         )
 
 
+def _fuchsian_graph(
+    name: str, sig: Signature, free: GroupId, cones: list[GroupId], via: str
+) -> GraphOfGroupsDatum:
+    # A vertex z with group `free` carrying 2g + s - 1 loops, and one pendant
+    # edge with group `free` from z into each cone vertex, embedded there by
+    # the spec `via->cone`.
+    vertices = [Cell("z", free)]
+    vertices += [Cell(f"p{j + 1}", cone) for j, cone in enumerate(cones)]
+    edges = [
+        GraphEdge(f"l{i + 1}", free, ("z", "id"), ("z", "id"))
+        for i in range(2 * sig.g + sig.s - 1)
+    ]
+    edges += [
+        GraphEdge(f"d{j + 1}", free, (f"p{j + 1}", f"{via}->{cone.name()}"), ("z", "id"))
+        for j, cone in enumerate(cones)
+    ]
+    return GraphOfGroupsDatum(name, tuple(vertices), tuple(edges))
+
+
 def fuchsian_graph_of_groups(sig: Signature) -> GraphOfGroupsDatum:
     """Graph of groups for a finite-covolume signature [g, s >= 1; m_1..m_r].
 
@@ -420,25 +433,8 @@ def fuchsian_graph_of_groups(sig: Signature) -> GraphOfGroupsDatum:
     """
     if sig.is_cocompact():
         raise DatumError("graph-of-groups datum needs s >= 1")
-    vertices = [Cell("z", GroupId.trivial())]
-    vertices += [
-        Cell(f"p{j + 1}", GroupId.cyclic(m)) for j, m in enumerate(sig.periods)
-    ]
-    edges = []
-    for i in range(2 * sig.g + sig.s - 1):
-        edges.append(
-            GraphEdge(f"l{i + 1}", GroupId.trivial(), ("z", "id"), ("z", "id"))
-        )
-    for j, m in enumerate(sig.periods):
-        edges.append(
-            GraphEdge(
-                f"d{j + 1}",
-                GroupId.trivial(),
-                (f"p{j + 1}", f"triv->{_cyclic_name(m)}"),
-                ("z", "id"),
-            )
-        )
-    return GraphOfGroupsDatum(f"fuchsian{sig}", tuple(vertices), tuple(edges))
+    cones = [GroupId.cyclic(m) for m in sig.periods]
+    return _fuchsian_graph(f"fuchsian{sig}", sig, GroupId.trivial(), cones, "triv")
 
 
 def fuchsian_noncocompact_datum(sig: Signature) -> GammaCWDatum:
@@ -458,21 +454,7 @@ def lifted_fuchsian_datum(sig: Signature) -> GammaCWDatum:
         raise DatumError("the central extension datum needs s >= 1")
     if any(m not in (2, 3) for m in sig.periods):
         raise DatumError("lift is only defined for periods 2 and 3")
-    z2 = GroupId.cyclic(2)
-    vertices = [Cell("z", z2)]
-    vertices += [
-        Cell(f"p{j + 1}", GroupId.cyclic(2 * m)) for j, m in enumerate(sig.periods)
-    ]
-    edges = []
-    for i in range(2 * sig.g + sig.s - 1):
-        edges.append(GraphEdge(f"l{i + 1}", z2, ("z", "id"), ("z", "id")))
-    for j, m in enumerate(sig.periods):
-        edges.append(
-            GraphEdge(
-                f"d{j + 1}",
-                z2,
-                (f"p{j + 1}", f"Z2->{_cyclic_name(2 * m)}"),
-                ("z", "id"),
-            )
-        )
-    return GraphOfGroupsDatum(f"lift{sig}", tuple(vertices), tuple(edges)).to_cw_datum()
+    cones = [GroupId.cyclic(2 * m) for m in sig.periods]
+    return _fuchsian_graph(
+        f"lift{sig}", sig, GroupId.cyclic(2), cones, "Z2"
+    ).to_cw_datum()

@@ -33,12 +33,11 @@ from __future__ import annotations
 import re
 
 from .bredon import (
+    Boundary,
     BoundaryTerm,
     Cell,
     DatumError,
     GammaCWDatum,
-    MatrixBoundary,
-    TermBoundary,
     parse_induction_spec,
 )
 from .exactlinalg import IntMatrix
@@ -160,13 +159,13 @@ def parse_cw(text: str) -> GammaCWDatum:
         if n > top:
             raise CWFormatError(f"boundary section for dimension {n} has no cells")
 
-    boundaries: list[TermBoundary | MatrixBoundary] = []
+    boundaries: list[Boundary] = []
     for n in range(1, top + 1):
         labels = [c.label for c in layers[n]]
         if not labels:
             if n in term_sections or n in matrix_sections:
                 raise CWFormatError(f"dimension {n} has a boundary section but no cells")
-            boundaries.append(TermBoundary(()))
+            boundaries.append(())
             continue
         if n in matrix_sections:
             rows = matrix_sections[n]
@@ -177,7 +176,7 @@ def parse_cw(text: str) -> GammaCWDatum:
             if any(len(r) != ranks[n] for r in rows):
                 raise CWFormatError(f"[matrix.{n}] rows must have {ranks[n]} entries")
             flat = tuple(x for r in rows for x in r)
-            boundaries.append(MatrixBoundary(IntMatrix(ranks[n - 1], ranks[n], flat)))
+            boundaries.append(IntMatrix(ranks[n - 1], ranks[n], flat))
             continue
         if n not in term_sections:
             raise CWFormatError(f"no boundary given for dimension {n}")
@@ -194,11 +193,7 @@ def parse_cw(text: str) -> GammaCWDatum:
                 f"[boundary.{n}] is missing cells {missing} (write 'label =' for zero)"
             )
         boundaries.append(
-            TermBoundary(
-                tuple(
-                    tuple(BoundaryTerm(*t) for t in assigned[lbl]) for lbl in labels
-                )
-            )
+            tuple(tuple(BoundaryTerm(*t) for t in assigned[lbl]) for lbl in labels)
         )
 
     try:
@@ -222,13 +217,13 @@ def format_cw(datum: GammaCWDatum) -> str:
             continue
         b = datum.boundaries[n - 1]
         lines.append("")
-        if isinstance(b, MatrixBoundary):
+        if isinstance(b, IntMatrix):
             lines.append(f"[matrix.{n}]")
-            for row in b.matrix.row_list():
+            for row in b.row_list():
                 lines.append(" ".join(str(x) for x in row))
         else:
             lines.append(f"[boundary.{n}]")
-            for cell, terms in zip(datum.cells[n], b.terms):
+            for cell, terms in zip(datum.cells[n], b):
                 rendered = ", ".join(
                     f"{'+' if t.sign > 0 else '-'}1 * {t.target} : {t.spec}"
                     for t in terms

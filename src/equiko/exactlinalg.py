@@ -106,13 +106,6 @@ class IntMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
@@ -193,14 +186,6 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return len(self.d)
-
-    def diagonal_matrix(self, rows: int | None = None, cols: int | None = None) -> IntMatrix:
-        """The diagonal form itself; shape defaults to that of the input."""
-        if rows is None:
-            rows = self.left.rows
-        if cols is None:
-            cols = self.right.rows
-        return IntMatrix.diagonal(self.d, rows, cols)
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:

@@ -48,6 +48,8 @@ class GroupId:
         if self.kind == "cyclic":
             if self.m < 1:
                 raise UnsupportedGroupError("cyclic order must be >= 1")
+            if self.m == 1:
+                raise UnsupportedGroupError("Z/1 is the trivial group, tagged 'trivial'")
         elif self.kind == "dihedral":
             if self.m not in (3, 4, 6):
                 raise UnsupportedGroupError("dihedral parameter must be 3, 4 or 6")
@@ -69,7 +71,8 @@ class GroupId:
 
     @classmethod
     def cyclic(cls, m: int) -> "GroupId":
-        return cls("cyclic", m)
+        """Z/m; Z/1 is the trivial group and gets its tag."""
+        return cls.trivial() if m == 1 else cls("cyclic", m)
 
     @classmethod
     def klein4(cls) -> "GroupId":
@@ -101,9 +104,6 @@ class GroupId:
         if self.kind == "sym4":
             return 24
         return 2 * self.inner.order()
-
-    def is_trivial_group(self) -> bool:
-        return self.kind == "trivial" or (self.kind == "cyclic" and self.m == 1)
 
     def name(self) -> str:
         """Render the reference name used in input files (`parse_name` inverts).
@@ -321,7 +321,6 @@ def complex_irreducible_count(gid: GroupId) -> int:
 
 _BASE_TABLES: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {
     ("trivial", 0): ((1,),),
-    ("cyclic", 1): ((1,),),
     ("cyclic", 2): (
         (1, 1),
         (1, -1),

@@ -50,10 +50,6 @@ class GradedGroup:
     def is_ambiguous(self, n: int) -> bool:
         return n % self.period in self.extension_ambiguous
 
-    @classmethod
-    def k_pair(cls, k0: FinAbGroup, k1: FinAbGroup) -> "GradedGroup":
-        return cls(2, (k0, k1))
-
 
 _Z = FinAbGroup.free(1)
 _Z2 = FinAbGroup.of(0, [2])

@@ -198,7 +198,8 @@ def test_criterion_09_property_suites():
                 [[rng.randint(-25, 25) for _ in range(c)] for _ in range(r)]
             )
             res = smith_normal_form(m)
-            assert (res.left @ m @ res.right).row_list() == res.diagonal_matrix().row_list()
+            diagonal = IntMatrix.diagonal(res.d, m.rows, m.cols)
+            assert (res.left @ m @ res.right).row_list() == diagonal.row_list()
             assert res.left.determinant() in (1, -1)
             assert res.right.determinant() in (1, -1)
             for a, b in zip(res.d, res.d[1:]):

@@ -196,3 +196,20 @@ def test_empty_boundary_line_allowed():
     )
     h = bredon_homology(datum)
     assert [str(g) for g in h] == ["Z", "Z"]
+
+
+def test_zm1_is_the_trivial_group():
+    # Z/1 is the trivial group: an 'id' edge from a 1-cell joins a Zm(1) vertex
+    datum = parse_cw(
+        """
+        name = x
+        [cells.0]
+        z = Zm(1)
+        [cells.1]
+        e = 1
+        [boundary.1]
+        e = +1 * z : id, -1 * z : id
+        """
+    )
+    assert [c.stabiliser.name() for c in datum.cells[0]] == ["1"]
+    assert [str(g) for g in bredon_homology(datum)] == ["Z", "Z"]

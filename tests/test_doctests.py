@@ -12,12 +12,11 @@ from equiko import (
     fuchsian,
     groups,
     ko_assembly,
-    reprings,
     verify,
 )
 
 MODULES = [
-    equiko, exactlinalg, groups, reprings, fuchsian, bredon, cwfile,
+    equiko, exactlinalg, groups, fuchsian, bredon, cwfile,
     ko_assembly, arithmetic_k, verify, cli,
 ]
 

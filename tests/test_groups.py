@@ -71,6 +71,23 @@ def test_bad_identifiers_rejected():
         parse_name("")
 
 
+
+def test_cyclic_order_one_is_the_trivial_group():
+    # one tag per group: Z/1 is spelled GroupId.trivial() everywhere
+    assert GroupId.cyclic(1) == GroupId.trivial()
+    assert parse_name("Zm(1)") == GroupId.trivial()
+    with pytest.raises(UnsupportedGroupError):
+        GroupId("cyclic", 1)
+
+
+def test_ranks_by_class_count():
+    # test_known_class_counts covers the catalogue itself; here the Z/2
+    # products and a cyclic order with no table
+    assert complex_irreducible_count(GroupId.times_z2(GroupId.sym4())) == 10
+    assert complex_irreducible_count(GroupId.times_z2(GroupId.cyclic(3))) == 6
+    assert complex_irreducible_count(GroupId.cyclic(1000)) == 1000
+
+
 # -- multiplication tables and conjugacy ----------------------------------------
 
 

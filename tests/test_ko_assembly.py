@@ -33,7 +33,7 @@ def test_ko_point_values():
 
 
 def test_k_pair_periodicity():
-    gg = GradedGroup.k_pair(FinAbGroup.free(3), Z)
+    gg = GradedGroup(2, (FinAbGroup.free(3), Z))
     assert gg.entry(0) == FinAbGroup.free(3)
     assert gg.entry(7) == Z
     assert gg.entry(10) == FinAbGroup.free(3)

@@ -1,54 +1,64 @@
-"""Induction matrices between representation rings."""
+"""Induction between representation rings, read off the blocks of `expand`."""
 
 import pytest
 
-from equiko.groups import GroupId, complex_irreducible_count
-from equiko.reprings import cyclic_induction, induction_from_trivial
+from equiko.bredon import DatumError, GammaCWDatum, expand
+from equiko.groups import GroupId, parse_name
 
 
-def test_ranks_by_class_count():
-    # test_groups covers the catalogue itself; here the Z/2 products and a
-    # cyclic order with no table
-    assert complex_irreducible_count(GroupId.times_z2(GroupId.sym4())) == 10
-    assert complex_irreducible_count(GroupId.times_z2(GroupId.cyclic(3))) == 6
-    assert complex_irreducible_count(GroupId.cyclic(1000)) == 1000
+def _block(spec):
+    # one edge with the spec's source group, hitting one vertex with its
+    # target group; the boundary is the induction matrix itself
+    source, target = (parse_name(g) for g in spec.replace("triv", "1").split("->"))
+    datum = GammaCWDatum.build(
+        "block",
+        [[("v", target)], [("e", source)]],
+        {1: {"e": [(1, "v", spec)]}},
+    )
+    return expand(datum).boundaries[0]
 
 
 def test_induction_from_trivial_is_regular_representation():
     # to Z/m the trivial character induces the regular representation,
     # one copy of each of the m characters
-    ind = induction_from_trivial(5)
-    assert (ind.rows, ind.cols) == (complex_irreducible_count(GroupId.cyclic(5)), 1)
+    ind = _block("triv->Zm(5)")
+    assert (ind.rows, ind.cols) == (5, 1)
     assert ind.row_list() == [[1], [1], [1], [1], [1]]
 
 
 def test_cyclic_induction_pattern():
-    ind = cyclic_induction(2, 6)
-    assert ind.row_list() == [
+    assert _block("Z2->Z6").row_list() == [
         [1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1],
     ]
-    assert cyclic_induction(1, 3).row_list() == [[1], [1], [1]]
-    assert cyclic_induction(3, 3).row_list() == [
+    assert _block("Z3->Z6").row_list() == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+    ]
+    assert _block("triv->Z3").row_list() == [[1], [1], [1]]
+    # Z/1 is the trivial group, also as the source of a cyclic inclusion
+    assert _block("Zm(1)->Z3").row_list() == [[1], [1], [1]]
+    assert _block("Z3->Z3").row_list() == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1],
     ]
 
 
 def test_cyclic_induction_requires_divisibility():
-    with pytest.raises(ValueError):
-        cyclic_induction(4, 6)
+    with pytest.raises(DatumError):
+        _block("Z4->Z6")
 
 
 def test_cyclic_induction_transitivity():
     # inducing Z/2 -> Z/4 -> Z/8 equals inducing Z/2 -> Z/8 directly
-    via = cyclic_induction(4, 8) @ cyclic_induction(2, 4)
-    assert via.row_list() == cyclic_induction(2, 8).row_list()
+    via = _block("Z4->Zm(8)") @ _block("Z2->Z4")
+    assert via.row_list() == _block("Z2->Zm(8)").row_list()
 
 
 def test_induction_preserves_total_dimension():
     # a character of Z/d (dimension 1) induces a representation of Z/m of
     # dimension m/d, so every column of the matrix sums to the index
     for d, m in [(1, 6), (2, 6), (3, 6), (2, 8), (5, 10)]:
-        ind = cyclic_induction(d, m)
+        source = GroupId.cyclic(d).name() if d > 1 else "triv"
+        ind = _block(f"{source}->{GroupId.cyclic(m).name()}")
+        assert (ind.rows, ind.cols) == (m, d)
         for j in range(d):
             col_sum = sum(ind.entry(i, j) for i in range(m))
             assert col_sum == m // d
