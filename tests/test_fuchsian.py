@@ -47,6 +47,14 @@ def test_period_validation():
         Signature(-1, 0, ())
 
 
+def test_periods_from_a_one_shot_iterable():
+    sig = Signature(0, 0, (m for m in (2, 3, 7)))
+    assert sig.periods == (2, 3, 7)
+    assert str(sig) == "[0,0;2,3,7]"
+    with pytest.raises(ValueError):
+        Signature(0, 0, (m for m in (2, 1)))
+
+
 def test_is_hyperbolic_at_the_euclidean_boundary():
     # orbifold Euler characteristic exactly 0: the euclidean signatures
     for text in ("[0,0;2,3,6]", "[0,0;2,4,4]", "[0,0;3,3,3]", "[0,0;2,2,2,2]",
