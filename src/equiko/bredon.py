@@ -68,11 +68,13 @@ def _cyclic_or_trivial(gid: GroupId) -> bool:
     return gid.kind in ("cyclic", "trivial")
 
 
+@lru_cache(maxsize=256)
 def parse_induction_spec(spec: str) -> tuple[str, GroupId | None, GroupId | None]:
     """Split an induction spec into (kind, source, target).
 
     Kinds: "id"; "triv" (induction from the trivial group, target cyclic);
-    "cyclic" (induction along a cyclic inclusion).
+    "cyclic" (induction along a cyclic inclusion).  Results are memoized on
+    the spec string; a malformed spec raises on every call.
     """
     spec = spec.strip()
     if spec == "id":
@@ -163,14 +165,24 @@ class GammaCWDatum:
                     f"{len(b)} term lists"
                 )
             below = {c.label: c.stabiliser for c in self.cells[n - 1]}
+            # A spec check depends only on the spec and the two stabilisers,
+            # so each distinct triple is checked once.  Keying on the identity
+            # of the stabilisers spares hashing a GroupId per term; equal but
+            # distinct GroupId objects are merely checked again.
+            checked = set()
             for cell, terms in zip(self.cells[n], b):
+                source = cell.stabiliser
                 for term in terms:
-                    if term.target not in below:
+                    target = below.get(term.target)
+                    if target is None:
                         raise DatumError(
                             f"boundary of {cell.label!r} hits unknown "
                             f"{n - 1}-cell {term.target!r}"
                         )
-                    _check_spec(term.spec, cell.stabiliser, below[term.target])
+                    key = (term.spec, id(source), id(target))
+                    if key not in checked:
+                        _check_spec(term.spec, source, target)
+                        checked.add(key)
 
     @classmethod
     def build(cls, name, cells, boundaries, snf_equivalent=False) -> "GammaCWDatum":
@@ -406,27 +418,33 @@ class GraphOfGroupsDatum:
         )
 
 
+# Every loop at z is bounded by z - z through the identity; all loops share it.
+_LOOP_TERMS = (BoundaryTerm(1, "z", "id"), BoundaryTerm(-1, "z", "id"))
+
+
 def _fuchsian_graph(
     name: str, sig: Signature, free: GroupId, cones: list[GroupId], via: str
-) -> GraphOfGroupsDatum:
+) -> GammaCWDatum:
     # A vertex z with group `free` carrying 2g + s - 1 loops, and one pendant
     # edge with group `free` from z into each cone vertex, embedded there by
-    # the spec `via->cone`.
-    vertices = [Cell("z", free)]
-    vertices += [Cell(f"p{j + 1}", cone) for j, cone in enumerate(cones)]
-    edges = [
-        GraphEdge(f"l{i + 1}", free, ("z", "id"), ("z", "id"))
-        for i in range(2 * sig.g + sig.s - 1)
-    ]
-    edges += [
-        GraphEdge(f"d{j + 1}", free, (f"p{j + 1}", f"{via}->{cone.name()}"), ("z", "id"))
+    # the spec `via->cone`.  Equal cones share one GroupId object, so datum
+    # validation checks each spec once.
+    shared: dict[GroupId, GroupId] = {}
+    cones = [shared.setdefault(cone, cone) for cone in cones]
+    vertices = (Cell("z", free),)
+    vertices += tuple(Cell(f"p{j + 1}", cone) for j, cone in enumerate(cones))
+    loops = 2 * sig.g + sig.s - 1
+    edges = tuple(Cell(f"l{i + 1}", free) for i in range(loops))
+    edges += tuple(Cell(f"d{j + 1}", free) for j in range(len(cones)))
+    terms = (_LOOP_TERMS,) * loops + tuple(
+        (BoundaryTerm(1, f"p{j + 1}", f"{via}->{cone.name()}"), _LOOP_TERMS[1])
         for j, cone in enumerate(cones)
-    ]
-    return GraphOfGroupsDatum(name, tuple(vertices), tuple(edges))
+    )
+    return GammaCWDatum(name, (vertices, edges), (terms,))
 
 
-def fuchsian_graph_of_groups(sig: Signature) -> GraphOfGroupsDatum:
-    """Graph of groups for a finite-covolume signature [g, s >= 1; m_1..m_r].
+def fuchsian_noncocompact_datum(sig: Signature) -> GammaCWDatum:
+    """The 1-dimensional datum of a finite-covolume signature [g, s >= 1; m_1..m_r].
 
     One free vertex carrying 2g + s - 1 loops, plus one pendant edge from it
     into each cone vertex Z/m_j.
@@ -437,9 +455,21 @@ def fuchsian_graph_of_groups(sig: Signature) -> GraphOfGroupsDatum:
     return _fuchsian_graph(f"fuchsian{sig}", sig, GroupId.trivial(), cones, "triv")
 
 
-def fuchsian_noncocompact_datum(sig: Signature) -> GammaCWDatum:
-    """The 1-dimensional datum of the finite-covolume graph of groups."""
-    return fuchsian_graph_of_groups(sig).to_cw_datum()
+def fuchsian_graph_of_groups(sig: Signature) -> GraphOfGroupsDatum:
+    """Graph of groups for a finite-covolume signature [g, s >= 1; m_1..m_r].
+
+    The cells and terms of `fuchsian_noncocompact_datum`, as vertices and edges.
+    """
+    datum = fuchsian_noncocompact_datum(sig)
+    vertices, edges = datum.cells
+    return GraphOfGroupsDatum(
+        datum.name,
+        vertices,
+        tuple(
+            GraphEdge(e.label, e.stabiliser, (head.target, head.spec), (tail.target, tail.spec))
+            for e, (head, tail) in zip(edges, datum.boundaries[0])
+        ),
+    )
 
 
 def lifted_fuchsian_datum(sig: Signature) -> GammaCWDatum:
@@ -455,6 +485,4 @@ def lifted_fuchsian_datum(sig: Signature) -> GammaCWDatum:
     if any(m not in (2, 3) for m in sig.periods):
         raise DatumError("lift is only defined for periods 2 and 3")
     cones = [GroupId.cyclic(2 * m) for m in sig.periods]
-    return _fuchsian_graph(
-        f"lift{sig}", sig, GroupId.cyclic(2), cones, "Z2"
-    ).to_cw_datum()
+    return _fuchsian_graph(f"lift{sig}", sig, GroupId.cyclic(2), cones, "Z2")

@@ -162,6 +162,7 @@ def parse_cw(text: str) -> GammaCWDatum:
     boundaries: list[Boundary] = []
     for n in range(1, top + 1):
         labels = [c.label for c in layers[n]]
+        known = set(labels)
         if not labels:
             if n in term_sections or n in matrix_sections:
                 raise CWFormatError(f"dimension {n} has a boundary section but no cells")
@@ -182,7 +183,7 @@ def parse_cw(text: str) -> GammaCWDatum:
             raise CWFormatError(f"no boundary given for dimension {n}")
         assigned = dict()
         for label, terms in term_sections[n]:
-            if label not in labels:
+            if label not in known:
                 raise CWFormatError(f"[boundary.{n}] mentions unknown cell {label!r}")
             if label in assigned:
                 raise CWFormatError(f"[boundary.{n}] assigns {label!r} twice")

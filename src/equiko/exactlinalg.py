@@ -52,8 +52,11 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        for e in self.entries:
-            _check_int(e)
+        # one C-level pass over the types; the per-entry check runs only when
+        # some entry is not an exact int, and gives the same accept/reject
+        if not set(map(type, self.entries)) <= {int}:
+            for e in self.entries:
+                _check_int(e)
 
     @classmethod
     def from_rows(cls, data, cols: int | None = None) -> "IntMatrix":

@@ -40,9 +40,9 @@ class Signature:
     def __post_init__(self):
         if self.g < 0 or self.s < 0:
             raise ValueError("genus and cusp count must be nonnegative")
+        object.__setattr__(self, "periods", tuple(self.periods))
         if any(m < 2 for m in self.periods):
             raise ValueError("periods must be >= 2")
-        object.__setattr__(self, "periods", tuple(self.periods))
 
     def __eq__(self, other):
         if not isinstance(other, Signature):

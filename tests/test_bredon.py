@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from equiko import bredon, exactlinalg
 from equiko.bredon import (
     DatumError,
     GammaCWDatum,
@@ -180,6 +181,27 @@ def test_spec_group_mismatch_rejected():
         )
 
 
+# 1,000 valid loops at a free vertex z, then one edge whose last term does not
+# match its stabilisers: a wrong target, or a wrong source under a spec ("id")
+# that every loop has already used
+_BAD_LAST_TERMS = [
+    ("1", (1, "c", "triv->Z4"), "spec 'triv->Z4' targets Z4 but the cell has stabiliser Z3"),
+    ("Z2", (-1, "z", "id"), "'id' between different stabilisers Z2 and 1"),
+]
+
+
+@pytest.mark.parametrize("group, term, message", _BAD_LAST_TERMS)
+def test_mismatched_last_term_after_many_loops_rejected(group, term, message):
+    loops = {f"l{i}": [(1, "z", "id"), (-1, "z", "id")] for i in range(1000)}
+    cells = [
+        [("z", GroupId.trivial()), ("c", GroupId.cyclic(3))],
+        [(label, GroupId.trivial()) for label in loops] + [("y", parse_name(group))],
+    ]
+    with pytest.raises(DatumError) as exc:
+        GammaCWDatum.build("bad", cells, {1: {**loops, "y": [term]}})
+    assert str(exc.value) == message
+
+
 def test_matrix_shape_mismatch_rejected():
     with pytest.raises((DatumError, ChainComplexError)):
         GammaCWDatum.build(
@@ -251,6 +273,46 @@ def test_graph_of_groups_shape():
     # one free vertex + three cone vertices; 2g+s-1 = 3 loops + 3 pendants
     assert len(graph.vertices) == 4
     assert len(graph.edges) == 6
+
+
+def test_datum_equals_its_graph_of_groups():
+    sigs = [MODULAR_SIGNATURE, parse_signature("[0,2;997,991]"),
+            parse_signature("[0,3;4,6,12]")]
+    sigs += [hecke_signature(p) for p in (2, 3, 13, 17, 19, 23, 97)]
+    rng = random.Random(2718)
+    for _ in range(50):
+        periods = tuple(rng.randint(2, 9) for _ in range(rng.randint(0, 4)))
+        sigs.append(Signature(rng.randint(0, 3), rng.randint(1, 4), periods))
+    for sig in sigs:
+        graph = fuchsian_graph_of_groups(sig)
+        assert fuchsian_noncocompact_datum(sig) == graph.to_cw_datum()
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace `module.name` by a wrapper that records each call's arguments."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("build", [fuchsian_noncocompact_datum, lifted_fuchsian_datum])
+@pytest.mark.parametrize("p", [1993, 1997, 1999])  # periods 2,2,3,3 / 2,2 / 3,3
+def test_hecke_datum_checks_each_spec_once(monkeypatch, build, p):
+    sig = hecke_signature(p)
+    spec_checks = _count_calls(monkeypatch, bredon, "_check_spec")
+    datum = build(sig)
+    int_checks = _count_calls(monkeypatch, exactlinalg, "_check_int")
+    expand(datum)
+    assert len(datum.cells[1]) == 2 * sig.g + sig.s - 1 + len(sig.periods)
+    assert len(datum.cells[1]) > 300
+    assert len(spec_checks) <= 3
+    assert int_checks == []
 
 
 def test_modular_group_datum():

@@ -182,6 +182,24 @@ def test_parse_error_bad_spec():
     )
 
 
+@pytest.mark.parametrize("group, term, message", [
+    ("1", "+1 * c : triv->Z4", "spec 'triv->Z4' targets Z4 but the cell has stabiliser Z3"),
+    ("Z2", "-1 * z : id", "'id' between different stabilisers Z2 and 1"),
+])
+def test_mismatched_last_term_after_many_loops(group, term, message):
+    loops = [f"l{i}" for i in range(1000)]
+    text = "\n".join(
+        ["name = bad", "[cells.0]", "z = 1", "c = Z3", "[cells.1]"]
+        + [f"{label} = 1" for label in loops]
+        + [f"y = {group}", "[boundary.1]"]
+        + [f"{label} = +1 * z : id, -1 * z : id" for label in loops]
+        + [f"y = {term}"]
+    )
+    with pytest.raises(CWFormatError) as exc:
+        parse_cw(text)
+    assert str(exc.value) == message
+
+
 def test_empty_boundary_line_allowed():
     datum = parse_cw(
         """

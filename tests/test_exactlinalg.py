@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Smith normal form, groups, chain homology."""
 
+import enum
 import math
 import random
 from itertools import combinations, product
@@ -35,6 +36,16 @@ def test_matrix_construction_and_access():
     assert (m.rows, m.cols) == (2, 3)
     assert m.entry(1, 2) == 6
     assert m.row_list() == [[1, 2, 3], [4, 5, 6]]
+
+
+def test_matrix_entries_must_be_python_ints():
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="expected a Python int"):
+            IntMatrix(2, 1, (0, bad))
+    one = enum.IntEnum("Unit", "ONE")
+    big = 2**200 + 1
+    m = IntMatrix(1, 3, (one.ONE, big, -big))
+    assert m.entries == (1, big, -big)
 
 
 def test_matrix_ragged_rows_rejected():
