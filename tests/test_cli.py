@@ -207,6 +207,21 @@ def test_verify_refuses_descending_prime_range(capsys):
     assert err == "error: --primes expects A <= B, got '200..2'\n"
 
 
+@pytest.mark.parametrize("primes", ["24..28", "0..1", "90..96", "1..1"])
+def test_verify_refuses_prime_range_without_primes(capsys, primes):
+    # the prime sweeps would pass vacuously on an empty range
+    code, out, err = run(capsys, "verify", "--primes", primes)
+    assert (code, out) == (2, "")
+    assert err == f"error: --primes range {primes!r} contains no prime\n"
+
+
+def test_verify_accepts_a_one_prime_range(capsys):
+    code, out, err = run(capsys, "verify", "--primes", "2..2")
+    assert (code, err) == (0, "")
+    assert "PASS hecke: 1 primes, chain = closed form; table rows match\n" in out
+    assert "PASS mayer-vietoris: four-term exactness holds for 1 primes\n" in out
+
+
 def test_errors_go_to_stderr(capsys):
     code, out, err = run(capsys, "hecke", "-p", "15")
     assert out == "" and "not prime" in err
