@@ -170,6 +170,10 @@ def _cmd_verify(args) -> int:
     if lo > hi:
         print(f"error: --primes expects A <= B, got {args.primes!r}", file=sys.stderr)
         return 2
+    if not any(fuchsian.is_prime(p) for p in range(lo, hi + 1)):
+        # the prime sweeps would pass with nothing swept
+        print(f"error: --primes range {args.primes!r} contains no prime", file=sys.stderr)
+        return 2
     results = verify_mod.verify_all(lo, hi)
     passed = all(r.passed for r in results)
     if args.format == "json":
