@@ -4,8 +4,9 @@ Everything downstream (Bredon chain complexes, K- and KO-group assembly)
 reduces to three primitives implemented here:
 
 * immutable integer matrices with exact arithmetic,
-* Smith normal form: with recorded unimodular transforms as public API,
-  and as a transform-free elimination to invariant factors for homology,
+* Smith normal form by one elimination: on the matrix alone it gives the
+  invariant factors for homology; on the matrix bordered by identities it
+  also records the unimodular transforms,
 * finitely generated abelian groups in invariant-factor canonical form.
 
 All arithmetic uses Python's arbitrary-precision integers; there is no
@@ -194,127 +195,40 @@ class SNFResult:
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Smith normal form with unimodular transforms.
 
-    Pivots are chosen by minimal absolute value over the untouched block,
-    which keeps intermediate entries small in practice.  Row operations are
-    mirrored into `left`, column operations into `right`, so the identity
-    left @ m @ right == diag(d) holds exactly.
+    The matrix is bordered, [m | I] over [I | 0], and the bordered rows run
+    through the same elimination as homology, restricted to the block of
+    `m`: row operations carry into the right-hand identity, which becomes
+    `left`, and column operations into the lower one, which becomes `right`.
+    So left @ m @ right == diag(d) holds exactly.
 
     >>> res = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> res.d
     (2, 4)
     """
     nrows, ncols = m.rows, m.cols
-    a = m.row_list()
-    left = IntMatrix.identity(nrows).row_list()
-    right = IntMatrix.identity(ncols).row_list()
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in right:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        adst, asrc = a[dst], a[src]
-        for j in range(ncols):
-            adst[j] += c * asrc[j]
-        ldst, lsrc = left[dst], left[src]
-        for j in range(nrows):
-            ldst[j] += c * lsrc[j]
-
-    def add_col(dst, src, c):
-        # col_dst += c * col_src
-        for row in a:
-            row[dst] += c * row[src]
-        for row in right:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    t = 0
-    bound = min(nrows, ncols)
-    while t < bound:
-        # Locate a pivot of minimal absolute value in the untouched block.
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if a[t][t] < 0:
-            negate_row(t)
-        p = a[t][t]
-
-        dirty = False
-        for i in range(t + 1, nrows):
-            if a[i][t]:
-                q = a[i][t] // p
-                if q:
-                    add_row(i, t, -q)
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, ncols):
-            if a[t][j]:
-                q = a[t][j] // p
-                if q:
-                    add_col(j, t, -q)
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            # Some remainder is now strictly smaller than the pivot; re-pick.
-            continue
-
-        # Row and column t are clear.  Enforce divisibility of the rest of
-        # the block by the pivot before moving on.
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        t += 1
-
-    d = tuple(a[k][k] for k in range(bound) if a[k][k] != 0)
+    a = [row + [int(i == k) for k in range(nrows)] for i, row in enumerate(m.row_list())]
+    a += IntMatrix.identity(ncols).row_list()
+    d = _eliminate(a, nrows, ncols)
     return SNFResult(
         d=d,
-        left=IntMatrix.from_rows(left, cols=nrows),
-        right=IntMatrix.from_rows(right, cols=ncols),
+        left=IntMatrix.from_rows([row[ncols:] for row in a[:nrows]], cols=nrows),
+        right=IntMatrix.from_rows(a[nrows:], cols=ncols),
     )
 
 
-def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
-    """The invariant factors of `m`, i.e. `smith_normal_form(m).d`, without transforms.
+def _eliminate(a: list[list[int]], nrows: int, ncols: int) -> tuple[int, ...]:
+    """Diagonalise the top-left `nrows` x `ncols` block of the rows `a` in place;
+    return its invariant factors.
 
-    The elimination follows `smith_normal_form` step for step -- pivot of
-    minimal absolute value, then the same divisibility repair -- on a
-    row-list copy of `m` alone.  A unit pivot ends the pivot scan and needs
-    no divisibility scan, and updates skip zero multipliers and zero
-    entries, so the 0/±1 boundaries of Bredon complexes clear in close to
-    one pass over their nonzero entries.
-
-    >>> _smith_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    (2, 4)
+    Pivots have minimal absolute value in the untouched block, and a unit
+    pivot ends the scan.  Row operations act on the block rows over their
+    full width; column operations act on the block columns of every row.
+    So rows of `a` below the block, or columns right of it, record the
+    transforms (see `smith_normal_form`), and without them the block is the
+    whole matrix.  A unit pivot needs no divisibility scan, and updates skip
+    zero multipliers and zero entries, so the 0/±1 boundaries of Bredon
+    complexes clear in close to one pass over their nonzero entries.
     """
-    nrows, ncols = m.rows, m.cols
-    a = m.row_list()
     factors = []
     t = 0
     bound = min(nrows, ncols)
@@ -336,9 +250,8 @@ def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
         bi, bj = best
         a[t], a[bi] = a[bi], a[t]
         if bj != t:
-            # Rows above t are zero from column t on; only the block moves.
-            for i in range(t, nrows):
-                row = a[i]
+            # Block rows above t are zero from column t on; the rest move.
+            for row in a[t:]:
                 row[t], row[bj] = row[bj], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
@@ -346,9 +259,8 @@ def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
         p = prow[t]
 
         dirty = False
-        pivot_row = [(j, prow[j]) for j in range(t, ncols) if prow[j]]
-        for i in range(t + 1, nrows):
-            row = a[i]
+        pivot_row = [(j, prow[j]) for j in range(t, len(prow)) if prow[j]]
+        for row in a[t + 1:nrows]:
             if row[t]:
                 q = row[t] // p
                 if q:
@@ -373,7 +285,8 @@ def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
         if p != 1:
             # Enforce divisibility of the rest of the block by the pivot.
             offender = next(
-                (row for row in a[t + 1:] if any(x % p for x in row[t + 1:])), None
+                (row for row in a[t + 1:nrows] if any(x % p for x in row[t + 1:ncols])),
+                None,
             )
             if offender is not None:
                 a[t] = [x + y for x, y in zip(prow, offender)]
@@ -381,6 +294,15 @@ def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
         factors.append(p)
         t += 1
     return tuple(factors)
+
+
+def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
+    """The invariant factors of `m`, i.e. `smith_normal_form(m).d`, without transforms.
+
+    >>> _smith_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    (2, 4)
+    """
+    return _eliminate(m.row_list(), m.rows, m.cols)
 
 
 def _factorize(n: int) -> dict[int, int]:

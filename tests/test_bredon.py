@@ -144,6 +144,20 @@ def test_expansion_digests_are_pinned():
     assert got == _EXPANSION_DIGESTS
 
 
+def test_snf_round_trips_on_expanded_boundaries():
+    # the transforms come from the homology kernel run on the bordered matrix
+    data = [sl3_datum(), _mixed_induction_datum()]
+    data += [fuchsian_noncocompact_datum(hecke_signature(p)) for p in (13, 23)]
+    data.append(lifted_fuchsian_datum(hecke_signature(13)))
+    for datum in data:
+        for b in expand(datum).boundaries:
+            res = exactlinalg.smith_normal_form(b)
+            assert res.d == exactlinalg._smith_factors(b)
+            assert res.left.determinant() in (1, -1)
+            assert res.right.determinant() in (1, -1)
+            assert res.left @ b @ res.right == IntMatrix.diagonal(res.d, b.rows, b.cols)
+
+
 def test_matrix_mode_boundary():
     # a raw degree-2 map: the Moore space with H0 = Z/2
     datum = GammaCWDatum.build(

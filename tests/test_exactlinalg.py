@@ -277,6 +277,26 @@ def test_all_homology_eliminates_each_boundary_once(monkeypatch):
     assert len(shapes) == len(c.boundaries)
 
 
+def test_one_elimination_serves_snf_and_homology(monkeypatch):
+    kernel = exactlinalg._eliminate
+    calls = []
+
+    def spy(a, nrows, ncols):
+        calls.append((len(a), len(a[0]) if a else 0, nrows, ncols))
+        return kernel(a, nrows, ncols)
+
+    monkeypatch.setattr(exactlinalg, "_eliminate", spy)
+    m = IntMatrix.from_rows([[0, 0, 6], [4, 0, 0]])
+    assert smith_normal_form(m).d == (2, 12)
+    # bordered: [m | I_2] over I_3, diagonalised in its 2 x 3 block
+    assert calls == [(5, 5, 2, 3)]
+    calls.clear()
+    d1, d2, d3 = IntMatrix.zero(1, 1), IntMatrix.from_rows([[2]]), IntMatrix.zero(1, 1)
+    c = IntChainComplex(ranks=(1, 1, 1, 1), boundaries=(d1, d2, d3))
+    assert [str(g) for g in all_homology(c)] == ["Z", "Z/2", "0", "Z"]
+    assert calls == [(1, 1, 1, 1)] * 3
+
+
 def test_bredon_homology_eliminates_each_boundary_once(monkeypatch):
     shapes = _count_eliminations(monkeypatch)
     datum = fuchsian_noncocompact_datum(parse_signature("[0,2;997,991]"))
