@@ -45,6 +45,24 @@ def test_terms_and_comments():
     assert [str(g) for g in h] == ["Z^3", "0"]
 
 
+@pytest.mark.parametrize("vertex, edge", [("Z2", "Z2x1"), ("Z2xZ2", "Z2xZm(2)")])
+def test_id_joins_a_group_to_its_product_name(vertex, edge):
+    # Z2 x 1 is Z/2 and Z2 x Z2 the Klein group, whichever name a file uses
+    datum = parse_cw(
+        f"""
+        name = loop
+        [cells.0]
+        v = {vertex}
+        [cells.1]
+        e = {edge}
+        [boundary.1]
+        e = +1 * v : id, -1 * v : id
+        """
+    )
+    h0, h1 = bredon_homology(datum)
+    assert h0 == h1 and h0.free_rank == datum.ranks()[0]
+
+
 def test_roundtrip_builtin_data():
     data = [
         sl3_datum(),

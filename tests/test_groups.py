@@ -48,8 +48,21 @@ def test_specific_names():
     assert GroupId.dihedral(4).name() == "D4"
     assert GroupId.sym4().name() == "S4"
     assert GroupId.times_z2(GroupId.sym4()).name() == "Z2xS4"
-    # the product Z2 x Z2 built as a product is the Klein group by another name
-    assert GroupId.times_z2(GroupId.cyclic(2)).name() == "Z2xZm(2)"
+    # Z2 x 1 and Z2 x Z2 built as products are Z/2 and the Klein group
+    assert GroupId.times_z2(GroupId.trivial()).name() == "Z2"
+    assert GroupId.times_z2(GroupId.cyclic(2)).name() == "Z2xZ2"
+
+
+def test_each_group_has_one_tag():
+    assert GroupId.times_z2(GroupId.trivial()) == GroupId.cyclic(2)
+    assert GroupId.times_z2(GroupId.cyclic(2)) == GroupId.klein4()
+    assert GroupId.times_z2(GroupId.times_z2(GroupId.trivial())) == GroupId.klein4()
+    for inner in (GroupId.trivial(), GroupId.cyclic(2)):
+        with pytest.raises(UnsupportedGroupError, match="tagged"):
+            GroupId("z2x", inner=inner)
+    # the old names of the second tags parse to the canonical ones
+    assert parse_name("Z2x1") == GroupId.cyclic(2)
+    assert parse_name("Z2xZm(2)") == GroupId.klein4()
 
 
 def test_orders():
