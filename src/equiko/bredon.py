@@ -215,10 +215,6 @@ class GammaCWDatum:
             )
         return cls(name, cell_layers, tuple(packed), snf_equivalent)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.cells) - 1
-
     def ranks(self) -> tuple[int, ...]:
         return tuple(sum(c.rank() for c in layer) for layer in self.cells)
 
@@ -281,7 +277,7 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
 
 
 def bredon_homology(datum: GammaCWDatum) -> list[FinAbGroup]:
-    """Bredon homology in degrees 0..dimension, from the invariant factors of
+    """Bredon homology in degrees 0 to the top cell degree, from the invariant factors of
     each boundary (one transform-free elimination per boundary)."""
     return all_homology(expand(datum))
 

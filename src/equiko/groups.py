@@ -35,7 +35,8 @@ class GroupId:
 
     `m` is the order parameter for cyclic groups and the gonality for
     dihedral groups (the dihedral group D_n here has order 2n); `inner` is
-    the non-Z/2 factor of a direct product, at most one level deep.
+    the other factor of a direct product with Z/2, at most one level deep
+    and of order at least 3, so that each group has one tag.
     """
 
     kind: str
@@ -60,6 +61,10 @@ class GroupId:
                 raise UnsupportedGroupError("product needs an inner factor")
             if self.inner.kind == "z2x":
                 raise UnsupportedGroupError("products with Z/2 nest at most once")
+            if self.inner.order() <= 2:
+                raise UnsupportedGroupError(
+                    f"Z/2 x {self.inner.name()} has its own tag; build it with times_z2"
+                )
         elif self.inner is not None:
             raise UnsupportedGroupError(f"{self.kind} takes no inner factor")
 
@@ -88,6 +93,11 @@ class GroupId:
 
     @classmethod
     def times_z2(cls, inner: "GroupId") -> "GroupId":
+        """Z/2 x inner; Z/2 x 1 and Z/2 x Z/2 get the tags of Z/2 and the Klein group."""
+        if inner.kind == "trivial":
+            return cls.cyclic(2)
+        if inner == cls.cyclic(2):
+            return cls.klein4()
         return cls("z2x", inner=inner)
 
     # -- basic attributes --------------------------------------------------
@@ -123,11 +133,7 @@ class GroupId:
             return f"D{self.m}"
         if self.kind == "sym4":
             return "S4"
-        inner = self.inner
-        if inner.kind == "cyclic" and inner.m == 2:
-            # "Z2xZ2" is reserved for the Klein group tag.
-            return "Z2xZm(2)"
-        return "Z2x" + inner.name()
+        return "Z2x" + self.inner.name()
 
 
 def parse_name(text: str) -> GroupId:
@@ -136,6 +142,8 @@ def parse_name(text: str) -> GroupId:
     >>> parse_name("Z6") == GroupId.cyclic(6)
     True
     >>> parse_name("Z2xS4") == GroupId.times_z2(GroupId.sym4())
+    True
+    >>> parse_name("Z2xZm(2)") == GroupId.klein4()
     True
     """
     text = text.strip()

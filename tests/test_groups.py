@@ -58,7 +58,7 @@ def test_each_group_has_one_tag():
     assert GroupId.times_z2(GroupId.cyclic(2)) == GroupId.klein4()
     assert GroupId.times_z2(GroupId.times_z2(GroupId.trivial())) == GroupId.klein4()
     for inner in (GroupId.trivial(), GroupId.cyclic(2)):
-        with pytest.raises(UnsupportedGroupError, match="tagged"):
+        with pytest.raises(UnsupportedGroupError, match="has its own tag"):
             GroupId("z2x", inner=inner)
     # the old names of the second tags parse to the canonical ones
     assert parse_name("Z2x1") == GroupId.cyclic(2)
