@@ -277,8 +277,8 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
 
 
 def bredon_homology(datum: GammaCWDatum) -> list[FinAbGroup]:
-    """Bredon homology in degrees 0 to the top cell degree, from the invariant factors of
-    each boundary (one transform-free elimination per boundary)."""
+    """Bredon homology in every degree of the datum, from the invariant factors
+    of each boundary (one transform-free elimination per boundary)."""
     return all_homology(expand(datum))
 
 
