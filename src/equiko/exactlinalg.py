@@ -195,18 +195,18 @@ class SNFResult:
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Smith normal form with unimodular transforms.
 
-    The matrix is bordered, [m | I] over [I | 0], and the bordered rows run
-    through the same elimination as homology, restricted to the block of
-    `m`: row operations carry into the right-hand identity, which becomes
-    `left`, and column operations into the lower one, which becomes `right`.
-    So left @ m @ right == diag(d) holds exactly.
+    Runs the elimination of homology on `m` bordered by identities: each
+    row of `m` is followed by a row of I_rows, and I_cols is stacked below.
+    Only the block of `m` is diagonalised; its row operations turn the
+    right-hand identity into `left` and its column operations turn the lower
+    one into `right`, so left @ m @ right == diag(d) holds exactly.
 
     >>> res = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> res.d
     (2, 4)
     """
     nrows, ncols = m.rows, m.cols
-    a = [row + [int(i == k) for k in range(nrows)] for i, row in enumerate(m.row_list())]
+    a = [row + unit for row, unit in zip(m.row_list(), IntMatrix.identity(nrows).row_list())]
     a += IntMatrix.identity(ncols).row_list()
     d = _eliminate(a, nrows, ncols)
     return SNFResult(
