@@ -188,6 +188,24 @@ def test_parse_errors_exit_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "boundaries",
+    [
+        "[matrix.1]\n1\n[matrix.2]\n1\n",
+        "[boundary.1]\ne = +1 * v : id\n[boundary.2]\nf = +1 * e : id\n",
+    ],
+    ids=["matrix", "terms"],
+)
+def test_file_whose_boundaries_do_not_compose_to_zero_exits_two(capsys, tmp_path, boundaries):
+    # d1 d2 = 1 on one trivial cell per dimension: a malformed file, not a domain error
+    path = tmp_path / "dd.cw"
+    path.write_text("name = dd\n[cells.0]\nv = 1\n[cells.1]\ne = 1\n[cells.2]\nf = 1\n"
+                    + boundaries)
+    code, out, err = run(capsys, "complex", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: composite of differentials through degree 1 is nonzero\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # orbifold Euler characteristic >= 0: sphere, spindle, torus, annulus, pillowcase
