@@ -7,8 +7,9 @@ deterministic: identical invocations produce identical bytes.
 
 Exit codes: 0 success; 1 domain error (composite prime, prime beyond the
 proven range 2**64, failed hypothesis, invalid lift); 2 invalid input
-(malformed or non-hyperbolic signature, malformed file, descending prime
-range); 3 verification failure.
+(malformed or non-hyperbolic signature, malformed file or one whose
+boundaries do not compose to zero, descending or prime-free prime range);
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 
 from . import arithmetic_k, bredon, cwfile, fuchsian, ko_assembly
 from . import verify as verify_mod
+from .exactlinalg import ChainComplexError
 from .groups import GroupId
 
 BOTT_NOTE = "remaining groups by Bott periodicity"
@@ -140,7 +142,11 @@ def _cmd_complex(args) -> int:
     if args.emit:
         print(cwfile.format_cw(datum), end="")
         return 0
-    h = bredon.bredon_homology(datum)
+    try:
+        h = bredon.bredon_homology(datum)
+    except ChainComplexError as exc:  # d o d != 0: a malformed file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     groups = {f"H{n}": str(g) for n, g in enumerate(h)}
     lines = [f"name = {datum.name}"]
     lines += [f"H{n} = {g}" for n, g in enumerate(h)]
