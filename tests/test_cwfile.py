@@ -45,9 +45,13 @@ def test_terms_and_comments():
     assert [str(g) for g in h] == ["Z^3", "0"]
 
 
-@pytest.mark.parametrize("vertex, edge", [("Z2", "Z2x1"), ("Z2xZ2", "Z2xZm(2)")])
+@pytest.mark.parametrize("vertex, edge", [
+    ("Z2", "Z2x1"), ("Z2xZ2", "Z2xZm(2)"), ("Z6", "Z2xZ3"), ("Zm(10)", "Z2xZm(5)"),
+    ("D6", "Z2xD3"),
+])
 def test_id_joins_a_group_to_its_product_name(vertex, edge):
-    # Z2 x 1 is Z/2 and Z2 x Z2 the Klein group, whichever name a file uses
+    # Z2 x 1 is Z/2, Z2 x Z2 the Klein group, Z2 x Z/m for odd m is Z/2m and
+    # Z2 x D3 is D6, whichever name a file uses
     datum = parse_cw(
         f"""
         name = loop

@@ -57,12 +57,22 @@ def test_each_group_has_one_tag():
     assert GroupId.times_z2(GroupId.trivial()) == GroupId.cyclic(2)
     assert GroupId.times_z2(GroupId.cyclic(2)) == GroupId.klein4()
     assert GroupId.times_z2(GroupId.times_z2(GroupId.trivial())) == GroupId.klein4()
-    for inner in (GroupId.trivial(), GroupId.cyclic(2)):
+    # Z/2 x Z/m is Z/2m for odd m, and Z/2 x D3 is D6
+    assert GroupId.times_z2(GroupId.cyclic(3)) == GroupId.cyclic(6)
+    assert GroupId.times_z2(GroupId.cyclic(5)) == GroupId.cyclic(10)
+    assert GroupId.times_z2(GroupId.dihedral(3)) == GroupId.dihedral(6)
+    # Z/2 x Z/4 is not cyclic and keeps the product tag
+    assert GroupId.times_z2(GroupId.cyclic(4)).kind == "z2x"
+    for inner in (GroupId.trivial(), GroupId.cyclic(2), GroupId.cyclic(3),
+                  GroupId.cyclic(5), GroupId.dihedral(3)):
         with pytest.raises(UnsupportedGroupError, match="has its own tag"):
             GroupId("z2x", inner=inner)
     # the old names of the second tags parse to the canonical ones
     assert parse_name("Z2x1") == GroupId.cyclic(2)
     assert parse_name("Z2xZm(2)") == GroupId.klein4()
+    assert parse_name("Z2xZ3") == GroupId.cyclic(6)
+    assert parse_name("Z2xZm(5)") == GroupId.cyclic(10)
+    assert parse_name("Z2xD3") == GroupId.dihedral(6)
 
 
 def test_orders():
