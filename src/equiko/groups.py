@@ -36,7 +36,8 @@ class GroupId:
     `m` is the order parameter for cyclic groups and the gonality for
     dihedral groups (the dihedral group D_n here has order 2n); `inner` is
     the other factor of a direct product with Z/2, at most one level deep
-    and of order at least 3, so that each group has one tag.
+    and never one whose product has a tag of its own (`_own_product_tag`),
+    so that each group has one tag.
     """
 
     kind: str
@@ -61,7 +62,7 @@ class GroupId:
                 raise UnsupportedGroupError("product needs an inner factor")
             if self.inner.kind == "z2x":
                 raise UnsupportedGroupError("products with Z/2 nest at most once")
-            if self.inner.order() <= 2:
+            if _own_product_tag(self.inner) is not None:
                 raise UnsupportedGroupError(
                     f"Z/2 x {self.inner.name()} has its own tag; build it with times_z2"
                 )
@@ -93,12 +94,9 @@ class GroupId:
 
     @classmethod
     def times_z2(cls, inner: "GroupId") -> "GroupId":
-        """Z/2 x inner; Z/2 x 1 and Z/2 x Z/2 get the tags of Z/2 and the Klein group."""
-        if inner.kind == "trivial":
-            return cls.cyclic(2)
-        if inner == cls.cyclic(2):
-            return cls.klein4()
-        return cls("z2x", inner=inner)
+        """Z/2 x inner, under the group's one tag (see `_own_product_tag`)."""
+        own = _own_product_tag(inner)
+        return cls("z2x", inner=inner) if own is None else own
 
     # -- basic attributes --------------------------------------------------
 
@@ -120,8 +118,8 @@ class GroupId:
 
         >>> GroupId.dihedral(4).name()
         'D4'
-        >>> GroupId.times_z2(GroupId.cyclic(5)).name()
-        'Z2xZm(5)'
+        >>> GroupId.times_z2(GroupId.cyclic(8)).name()
+        'Z2xZm(8)'
         """
         if self.kind == "trivial":
             return "1"
@@ -136,6 +134,19 @@ class GroupId:
         return "Z2x" + self.inner.name()
 
 
+def _own_product_tag(inner: GroupId) -> GroupId | None:
+    """The tag of Z/2 x inner when that group has one outside the "z2x" kind:
+    Z/2 x 1 is Z/2, Z/2 x Z/2 the Klein group, Z/2 x Z/m for odd m is Z/2m
+    and Z/2 x D3 is D6."""
+    if inner.kind == "trivial" or inner.kind == "cyclic" and inner.m % 2:
+        return GroupId.cyclic(2 * inner.order())
+    if inner == GroupId.cyclic(2):
+        return GroupId.klein4()
+    if inner == GroupId.dihedral(3):
+        return GroupId.dihedral(6)
+    return None
+
+
 def parse_name(text: str) -> GroupId:
     """Parse a group reference name.
 
@@ -144,6 +155,8 @@ def parse_name(text: str) -> GroupId:
     >>> parse_name("Z2xS4") == GroupId.times_z2(GroupId.sym4())
     True
     >>> parse_name("Z2xZm(2)") == GroupId.klein4()
+    True
+    >>> parse_name("Z2xD3") == GroupId.dihedral(6)
     True
     """
     text = text.strip()

@@ -214,11 +214,11 @@ def test_non_integral_tables_refused():
 
 
 def test_product_table_is_kronecker():
-    inner = GroupId.dihedral(3)
+    inner = GroupId.dihedral(4)  # Z/2 x D3 is D6, whose table is not a product
     prod = GroupId.times_z2(inner)
     ti, tp = character_table(inner), character_table(prod)
     assert len(tp.rows) == 2 * len(ti.rows)
-    assert sum(d * d for d in tp.degrees()) == 12
+    assert sum(d * d for d in tp.degrees()) == 16
 
 
 # -- indicators ------------------------------------------------------------------
