@@ -187,6 +187,14 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     assert run(capsys, "verify", "--primes", "zzz")[0] == 2
 
 
+def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+    path = tmp_path / "latin1.cw"
+    path.write_bytes(b"name = caf\xe9\n[cells.0]\nv = 1\n")
+    code, out, err = run(capsys, "complex", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "utf-8" in err
+
+
 @pytest.mark.parametrize(
     "boundaries",
     [

@@ -120,6 +120,15 @@ def test_parse_error_duplicate_label():
     )
 
 
+@pytest.mark.parametrize("header, message", [
+    ("name = x\nname = y\n", "line 2: duplicate header key 'name'"),
+    ("name = x\nsnf_equivalent = true\nsnf_equivalent = false\n",
+     "line 3: duplicate header key 'snf_equivalent'"),
+])
+def test_parse_error_duplicate_header_key(header, message):
+    _expect_error(header + "[cells.0]\nv = 1\n", message)
+
+
 def test_parse_error_gap_in_dimensions():
     _expect_error(
         "name = x\n[cells.0]\nv = 1\n[cells.2]\nf = 1\n", "contiguous"
