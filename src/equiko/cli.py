@@ -7,8 +7,9 @@ deterministic: identical invocations produce identical bytes.
 
 Exit codes: 0 success; 1 domain error (composite prime, prime beyond the
 proven range 2**64, failed hypothesis, invalid lift); 2 invalid input
-(malformed or non-hyperbolic signature, malformed file or one whose
-boundaries do not compose to zero, descending or prime-free prime range);
+(malformed or non-hyperbolic signature; unreadable, undecodable or malformed
+file, or one whose boundaries do not compose to zero; descending or
+prime-free prime range);
 3 verification failure.
 """
 
@@ -135,7 +136,7 @@ def _cmd_complex(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     datum = cwfile.parse_cw(text)

@@ -1,8 +1,8 @@
 """Text format for Gamma-CW data.
 
 A file is UTF-8 text; `#` starts a comment, blank lines are ignored.  A
-`name = ...` line (and optionally `snf_equivalent = true`) precedes the
-sections.  Cells are declared per dimension:
+`name = ...` line (and optionally `snf_equivalent = true`), each key once,
+precedes the sections.  Cells are declared per dimension:
 
     [cells.0]
     z = 1            # label = stabiliser name
@@ -78,8 +78,7 @@ def _parse_terms(body: str, lineno: int) -> tuple[tuple[int, str, str], ...]:
 
 def parse_cw(text: str) -> GammaCWDatum:
     """Parse a Gamma-CW file into a datum (labels, stabilisers, boundaries)."""
-    name: str | None = None
-    snf_equivalent = False
+    header: dict[str, str] = {}
     cells: dict[int, list[tuple[str, GroupId]]] = {}
     term_sections: dict[int, list[tuple[str, tuple]]] = {}
     matrix_sections: dict[int, list[list[int]]] = {}
@@ -110,14 +109,13 @@ def parse_cw(text: str) -> GammaCWDatum:
             if "=" not in line:
                 raise CWFormatError(f"line {lineno}: expected 'key = value', got {line!r}")
             key, _, value = (x.strip() for x in line.partition("="))
-            if key == "name":
-                name = value
-            elif key == "snf_equivalent":
-                if value not in ("true", "false"):
-                    raise CWFormatError(f"line {lineno}: snf_equivalent must be true/false")
-                snf_equivalent = value == "true"
-            else:
+            if key not in ("name", "snf_equivalent"):
                 raise CWFormatError(f"line {lineno}: unknown header key {key!r}")
+            if key in header:
+                raise CWFormatError(f"line {lineno}: duplicate header key {key!r}")
+            if key == "snf_equivalent" and value not in ("true", "false"):
+                raise CWFormatError(f"line {lineno}: snf_equivalent must be true/false")
+            header[key] = value
             continue
         kind, n = current
         if kind == "cells":
@@ -143,7 +141,7 @@ def parse_cw(text: str) -> GammaCWDatum:
                 raise CWFormatError(f"line {lineno}: bad matrix row {line!r}") from exc
             matrix_sections[n].append(row)
 
-    if name is None:
+    if "name" not in header:
         raise CWFormatError("missing 'name = ...' header line")
     if not cells:
         raise CWFormatError("no [cells.N] sections found")
@@ -198,7 +196,8 @@ def parse_cw(text: str) -> GammaCWDatum:
         )
 
     try:
-        return GammaCWDatum(name, tuple(layers), tuple(boundaries), snf_equivalent)
+        return GammaCWDatum(header["name"], tuple(layers), tuple(boundaries),
+                            header.get("snf_equivalent") == "true")
     except DatumError as exc:
         raise CWFormatError(str(exc)) from exc
 
