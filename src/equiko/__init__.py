@@ -16,7 +16,6 @@ from .exactlinalg import (
     SNFResult,
     all_homology,
     direct_sum,
-    homology,
     smith_normal_form,
     tensor_z2,
     tor_z2,
@@ -37,7 +36,6 @@ from .fuchsian import (
     MODULAR_SIGNATURE,
     Signature,
     bredon_closed_form,
-    equivariant_k,
     hecke_bredon,
     hecke_signature,
     is_prime,
@@ -107,7 +105,6 @@ __all__ = [
     "cyclic_fs_indicator",
     "direct_sum",
     "ensure_ko_hypothesis",
-    "equivariant_k",
     "expand",
     "format_cw",
     "fs_indicator",
@@ -116,7 +113,6 @@ __all__ = [
     "fuchsian_noncocompact_datum",
     "hecke_bredon",
     "hecke_signature",
-    "homology",
     "is_prime",
     "ko_from_bredon",
     "kunneth_times_z2",

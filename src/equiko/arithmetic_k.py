@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlinalg import FinAbGroup, direct_sum
-from .fuchsian import hecke_bredon, hecke_loop_rank, hecke_signature, is_prime
+from .fuchsian import hecke_bredon, hecke_signature, is_prime
 from .ko_assembly import KO_POINT, GradedGroup, collapse_complex
 
 
@@ -134,7 +134,7 @@ def _require_11_mod_12(p: int) -> int:
         raise ValueError(
             f"the C*-algebra decomposition needs p = 11 mod 12, got p = {p}"
         )
-    return hecke_loop_rank(p)  # the wedge has this many 2-spheres
+    return hecke_bredon(p)[1].free_rank  # the wedge has this many 2-spheres
 
 
 def cstar_k_p11(p: int) -> tuple[FinAbGroup, FinAbGroup]:
@@ -175,4 +175,4 @@ def cstar_ko_p11(p: int) -> GradedGroup:
         sphere_cell = KO_POINT.entry(n - 2)
         parts.extend([sphere_cell] * b)
         groups.append(direct_sum(*parts))
-    return GradedGroup(8, tuple(groups), frozenset({1, 3, 4}))
+    return GradedGroup(tuple(groups), frozenset({1, 3, 4}))

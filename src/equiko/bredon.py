@@ -215,9 +215,6 @@ class GammaCWDatum:
             )
         return cls(name, cell_layers, tuple(packed), snf_equivalent)
 
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(sum(c.rank() for c in layer) for layer in self.cells)
-
     def stabilisers(self) -> list[GroupId]:
         """All stabilisers, deduplicated, in order of first appearance."""
         seen: list[GroupId] = []

@@ -96,11 +96,8 @@ def _cmd_fuchsian(args) -> int:
               "characteristic 2-2g-s-sum(1-1/m_j) >= 0", file=sys.stderr)
         return 2
     inputs = {"signature": str(sig), "lift": bool(args.lift)}
-    if datum is not None:
-        k0, k1 = ko_assembly.collapse_complex(bredon.bredon_homology(datum))
-    else:
-        k0, k1 = fuchsian.equivariant_k(sig)
-    groups, lines = _k_payload(k0, k1)
+    h = fuchsian.bredon_closed_form(sig) if datum is None else bredon.bredon_homology(datum)
+    groups, lines = _k_payload(*ko_assembly.collapse_complex(h))
     return _print_doc(args, inputs, groups, lines)
 
 

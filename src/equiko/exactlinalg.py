@@ -80,10 +80,6 @@ class IntMatrix:
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def diagonal(cls, diag, rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         """rows x cols matrix with `diag` on the main diagonal, zero elsewhere.
 
@@ -186,10 +182,6 @@ class SNFResult:
                 raise ValueError("invariant factors must be positive")
             if i and self.d[i - 1] != 0 and x % self.d[i - 1] != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
-
-    @property
-    def rank(self) -> int:
-        return len(self.d)
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
@@ -444,16 +436,14 @@ def tor_z2(g: FinAbGroup) -> FinAbGroup:
 class IntChainComplex:
     """A bounded chain complex of finitely generated free abelian groups.
 
-    `ranks[i]` is the rank of the chain group in degree `bottom_degree + i`;
-    `boundaries[i]` is the matrix of the differential from degree
-    `bottom_degree + i + 1` down to `bottom_degree + i` (columns index the
-    higher degree).  The composite of consecutive differentials must vanish;
-    this is checked on construction.
+    `ranks[i]` is the rank of the chain group in degree i; `boundaries[i]`
+    is the matrix of the differential from degree i + 1 down to degree i
+    (columns index the higher degree).  The composite of consecutive
+    differentials must vanish; this is checked on construction.
     """
 
     ranks: tuple[int, ...]
     boundaries: tuple[IntMatrix, ...]
-    bottom_degree: int = 0
 
     def __post_init__(self):
         if not self.ranks:
@@ -467,51 +457,32 @@ class IntChainComplex:
         for i, b in enumerate(self.boundaries):
             if (b.rows, b.cols) != (self.ranks[i], self.ranks[i + 1]):
                 raise ChainComplexError(
-                    f"boundary into degree {self.bottom_degree + i} has shape "
+                    f"boundary into degree {i} has shape "
                     f"{b.rows}x{b.cols}, expected {self.ranks[i]}x{self.ranks[i + 1]}"
                 )
         for i in range(len(self.boundaries) - 1):
             if not (self.boundaries[i] @ self.boundaries[i + 1]).is_zero():
                 raise ChainComplexError(
-                    f"composite of differentials through degree "
-                    f"{self.bottom_degree + i + 1} is nonzero"
+                    f"composite of differentials through degree {i + 1} is nonzero"
                 )
 
     def euler_characteristic(self) -> int:
-        return sum(
-            (-1) ** (self.bottom_degree + i) * r for i, r in enumerate(self.ranks)
-        )
-
-
-def _homology_group(rank: int, out_factors, in_factors) -> FinAbGroup:
-    """The homology of a degree of chain rank `rank` from the invariant
-    factors of its outgoing and incoming differentials.
-
-    The image of the incoming differential sits inside the kernel of the
-    outgoing one (saturated, since chain groups are free), so the torsion is
-    exactly the incoming factors > 1 -- already a divisibility chain -- and
-    the free rank is `rank` minus the two matrix ranks.
-    """
-    return FinAbGroup(
-        rank - len(out_factors) - len(in_factors), tuple(d for d in in_factors if d > 1)
-    )
-
-
-def homology(c: IntChainComplex, n: int) -> FinAbGroup:
-    """H_n(c) = ker(d out of degree n) / im(d into degree n)."""
-    i = n - c.bottom_degree
-    if i < 0 or i >= len(c.ranks):
-        return FinAbGroup.zero()
-    out_factors = _smith_factors(c.boundaries[i - 1]) if i >= 1 else ()
-    in_factors = _smith_factors(c.boundaries[i]) if i < len(c.boundaries) else ()
-    return _homology_group(c.ranks[i], out_factors, in_factors)
+        return sum((-1) ** i * r for i, r in enumerate(self.ranks))
 
 
 def all_homology(c: IntChainComplex) -> list[FinAbGroup]:
-    """Homology in every degree of the complex, bottom degree first.
+    """Homology in every degree of the complex, degree 0 first.
 
-    Each boundary is eliminated once; degree i reads the factors of the
-    boundaries out of and into it.
+    Each boundary is eliminated once; degree i reads the invariant factors of
+    the boundaries out of and into it.  The image of the incoming
+    differential sits inside the kernel of the outgoing one (saturated, since
+    chain groups are free), so the torsion is exactly the incoming factors
+    > 1 -- already a divisibility chain -- and the free rank is the chain
+    rank minus the two matrix ranks.
     """
     factors = [()] + [_smith_factors(b) for b in c.boundaries] + [()]
-    return [_homology_group(r, factors[i], factors[i + 1]) for i, r in enumerate(c.ranks)]
+    return [
+        FinAbGroup(r - len(factors[i]) - len(factors[i + 1]),
+                   tuple(d for d in factors[i + 1] if d > 1))
+        for i, r in enumerate(c.ranks)
+    ]

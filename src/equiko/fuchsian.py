@@ -118,20 +118,6 @@ def bredon_closed_form(sig: Signature) -> list[FinAbGroup]:
     return [h0, FinAbGroup.free(2 * sig.g + sig.s - 1)]
 
 
-def equivariant_k(sig: Signature) -> tuple[FinAbGroup, FinAbGroup]:
-    """Equivariant K-homology of the classifying space for proper actions.
-
-    Collapse of the Bredon closed form: K_0 collects degrees 0 and 2, K_1 is
-    degree 1.
-
-    >>> tuple(str(g) for g in equivariant_k(parse_signature("[1,0;]")))
-    ('Z^2', 'Z^2')
-    """
-    h = bredon_closed_form(sig)
-    k0_rank = h[0].free_rank + (h[2].free_rank if len(h) > 2 else 0)
-    return FinAbGroup.free(k0_rank), FinAbGroup.free(h[1].free_rank)
-
-
 # ---------------------------------------------------------------------------
 # Congruence subgroups of the modular group
 
@@ -196,9 +182,3 @@ def hecke_bredon(p: int) -> tuple[FinAbGroup, FinAbGroup]:
     """
     h = bredon_closed_form(hecke_signature(p))
     return h[0], h[1]
-
-
-def hecke_loop_rank(p: int) -> int:
-    """Rank of degree-1 Bredon homology of Gamma_0(p): the loop count 2g+s-1."""
-    sig = hecke_signature(p)
-    return 2 * sig.g + sig.s - 1

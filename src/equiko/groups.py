@@ -338,7 +338,7 @@ def complex_irreducible_count(gid: GroupId) -> int:
 # Rows are irreducible characters (trivial first), columns are conjugacy
 # classes in the catalogue order.  Only groups whose characters are all
 # integer-valued appear here; cyclic groups of order >= 3 are handled
-# symbolically by CyclicCharacter instead.
+# symbolically, their character j by its index (`cyclic_fs_indicator`).
 
 _BASE_TABLES: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {
     ("trivial", 0): ((1,),),
@@ -439,7 +439,7 @@ def character_table(gid: GroupId) -> CharacterTable:
 
     Raises UnsupportedGroupError for cyclic groups of order >= 3 (and their
     Z/2-products): those characters are not integer-valued and are handled
-    in closed form by CyclicCharacter.
+    in closed form by `cyclic_fs_indicator`.
     """
     if not has_integer_table(gid):
         raise UnsupportedGroupError(
@@ -494,33 +494,21 @@ def fs_indicator(g: FiniteGroupData, chi) -> int:
     return total // g.order
 
 
-@dataclass(frozen=True)
-class CyclicCharacter:
-    """The character j of Z/m, g^k -> exp(2*pi*i*j*k/m), handled symbolically.
+def cyclic_fs_indicator(m: int, j: int) -> int:
+    """Indicator of the character j of Z/m, g^k -> exp(2*pi*i*j*k/m): 1 when
+    m divides 2j, else 0.
 
-    Numeric character values never appear; everything we need (restriction,
-    induction, indicators) is index arithmetic on j.
+    Numeric character values never appear; the indicator is index arithmetic
+    on j.  Summing the character over the squares g^(2k) gives m exactly
+    when it kills every square, i.e. when 2j vanishes mod m; otherwise the
+    sum of roots of unity is zero.  No value is ever -1: cyclic groups have
+    no quaternionic characters.
     """
-
-    m: int
-    j: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("cyclic order must be >= 1")
-        if not (0 <= self.j < self.m):
-            raise ValueError("character index out of range")
-
-
-def cyclic_fs_indicator(chi: CyclicCharacter) -> int:
-    """Indicator of a cyclic character: 1 when m divides 2j, else 0.
-
-    Summing chi over the squares g^(2k) gives m exactly when chi kills every
-    square, i.e. when 2j vanishes mod m; otherwise the sum of roots of unity
-    is zero.  No value is ever -1: cyclic groups have no quaternionic
-    characters.
-    """
-    return 1 if (2 * chi.j) % chi.m == 0 else 0
+    if m < 1:
+        raise ValueError("cyclic order must be >= 1")
+    if not (0 <= j < m):
+        raise ValueError("character index out of range")
+    return 1 if (2 * j) % m == 0 else 0
 
 
 def all_tables_coincide(gid: GroupId) -> bool:
@@ -532,9 +520,7 @@ def all_tables_coincide(gid: GroupId) -> bool:
     (true exactly for orders 1 and 2), factorwise for products.
     """
     if gid.kind == "cyclic" and gid.m >= 3:
-        return all(
-            cyclic_fs_indicator(CyclicCharacter(gid.m, j)) == 1 for j in range(gid.m)
-        )
+        return all(cyclic_fs_indicator(gid.m, j) == 1 for j in range(gid.m))
     if gid.kind == "z2x" and not has_integer_table(gid):
         # The Z/2 factor only tensors each character by a sign character,
         # which never changes an indicator.

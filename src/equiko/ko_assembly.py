@@ -26,29 +26,26 @@ from .groups import GroupId, all_tables_coincide
 
 @dataclass(frozen=True)
 class GradedGroup:
-    """A periodic graded family of abelian groups (period 2 for K, 8 for KO).
+    """A graded family of abelian groups of period 8, as KO-homology is.
 
-    `extension_ambiguous` lists the degrees (mod period) where the group is
-    only determined up to an abelian extension of the stated factors.
+    `extension_ambiguous` lists the degrees (mod 8) where the group is only
+    determined up to an abelian extension of the stated factors.
     """
 
-    period: int
     groups: tuple[FinAbGroup, ...]
     extension_ambiguous: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.period not in (2, 8):
-            raise ValueError("period must be 2 or 8")
-        if len(self.groups) != self.period:
-            raise ValueError(f"need exactly {self.period} groups")
-        if any(not (0 <= d < self.period) for d in self.extension_ambiguous):
+        if len(self.groups) != 8:
+            raise ValueError("need exactly 8 groups")
+        if any(not (0 <= d < 8) for d in self.extension_ambiguous):
             raise ValueError("ambiguous degrees must lie in one period")
 
     def entry(self, n: int) -> FinAbGroup:
-        return self.groups[n % self.period]
+        return self.groups[n % 8]
 
     def is_ambiguous(self, n: int) -> bool:
-        return n % self.period in self.extension_ambiguous
+        return n % 8 in self.extension_ambiguous
 
 
 _Z = FinAbGroup.free(1)
@@ -56,7 +53,7 @@ _Z2 = FinAbGroup.of(0, [2])
 _0 = FinAbGroup.zero()
 
 #: KO_q(point) for q = 0..7, repeating with period 8.
-KO_POINT = GradedGroup(8, (_Z, _Z2, _Z2, _0, _Z, _0, _0, _0))
+KO_POINT = GradedGroup((_Z, _Z2, _Z2, _0, _Z, _0, _0, _0))
 
 
 def collapse_complex(h) -> tuple[FinAbGroup, FinAbGroup]:
@@ -138,4 +135,4 @@ def ko_from_bredon(h) -> GradedGroup:
         )
     h0 = h[0] if h else _0
     mod2 = tensor_z2(h0)
-    return GradedGroup(8, (h0, mod2, mod2, _0, h0, _0, _0, _0))
+    return GradedGroup((h0, mod2, mod2, _0, h0, _0, _0, _0))

@@ -246,7 +246,7 @@ def check_sl_doubling() -> str:
 
 def check_cstar() -> str:
     for p in CSTAR_PRIMES:
-        b = fuchsian.hecke_loop_rank(p)
+        b = fuchsian.hecke_bredon(p)[1].free_rank
         k0, k1 = arithmetic_k.cstar_k_p11(p)
         _eq((k0.free_rank, k0.torsion, str(k1)), (7 + b, (), "0"), f"C* K for p={p}")
         psl = arithmetic_k.psl_zp_k(p)

@@ -9,12 +9,12 @@ from equiko.fuchsian import (
     MODULAR_SIGNATURE,
     Signature,
     bredon_closed_form,
-    equivariant_k,
     hecke_bredon,
     hecke_signature,
     is_prime,
     parse_signature,
 )
+from equiko.ko_assembly import collapse_complex
 
 
 # -- signatures ------------------------------------------------------------------
@@ -102,11 +102,11 @@ def test_closed_form_modular_group():
 
 
 def test_equivariant_k_from_closed_form():
-    k0, k1 = equivariant_k(parse_signature("[0,0;2,3,7]"))
+    k0, k1 = collapse_complex(bredon_closed_form(parse_signature("[0,0;2,3,7]")))
     assert (str(k0), str(k1)) == ("Z^11", "0")
-    k0, k1 = equivariant_k(MODULAR_SIGNATURE)
+    k0, k1 = collapse_complex(bredon_closed_form(MODULAR_SIGNATURE))
     assert (str(k0), str(k1)) == ("Z^4", "0")
-    k0, k1 = equivariant_k(parse_signature("[2,3;4,5]"))
+    k0, k1 = collapse_complex(bredon_closed_form(parse_signature("[2,3;4,5]")))
     # H0 = 1 + 3 + 4 = Z^8, H1 = Z^(2*2+3-1) = Z^6
     assert (str(k0), str(k1)) == ("Z^8", "Z^6")
 

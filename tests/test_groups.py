@@ -5,7 +5,6 @@ import cmath
 import pytest
 
 from equiko.groups import (
-    CyclicCharacter,
     GroupId,
     UnsupportedGroupError,
     all_tables_coincide,
@@ -260,17 +259,20 @@ def test_cyclic_indicator_against_floating_point_sum():
                 cmath.exp(2 * cmath.pi * 1j * j * (2 * k) / m) for k in range(m)
             )
             numeric = total / m
-            expected = cyclic_fs_indicator(CyclicCharacter(m, j))
+            expected = cyclic_fs_indicator(m, j)
             assert abs(numeric.real - expected) < 1e-9
             assert abs(numeric.imag) < 1e-9
 
 
 def test_cyclic_indicator_examples():
-    assert cyclic_fs_indicator(CyclicCharacter(1, 0)) == 1
-    assert cyclic_fs_indicator(CyclicCharacter(2, 1)) == 1
-    assert cyclic_fs_indicator(CyclicCharacter(3, 1)) == 0
-    assert cyclic_fs_indicator(CyclicCharacter(4, 2)) == 1
-    assert cyclic_fs_indicator(CyclicCharacter(4, 1)) == 0
+    assert cyclic_fs_indicator(1, 0) == 1
+    assert cyclic_fs_indicator(2, 1) == 1
+    assert cyclic_fs_indicator(3, 1) == 0
+    assert cyclic_fs_indicator(4, 2) == 1
+    assert cyclic_fs_indicator(4, 1) == 0
+    for m, j in ((0, 0), (3, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            cyclic_fs_indicator(m, j)
 
 
 # -- table coincidence ------------------------------------------------------------

@@ -32,18 +32,13 @@ def test_ko_point_values():
     assert KO_POINT.entry(-4) == Z
 
 
-def test_k_pair_periodicity():
-    gg = GradedGroup(2, (FinAbGroup.free(3), Z))
-    assert gg.entry(0) == FinAbGroup.free(3)
-    assert gg.entry(7) == Z
-    assert gg.entry(10) == FinAbGroup.free(3)
-
-
 def test_graded_group_validation():
     with pytest.raises(ValueError):
-        GradedGroup(5, (Z,) * 5)
+        GradedGroup((Z,) * 2)
     with pytest.raises(ValueError):
-        GradedGroup(8, (Z,) * 3)
+        GradedGroup((Z,) * 3)
+    with pytest.raises(ValueError):
+        GradedGroup((Z,) * 8, frozenset({8}))
 
 
 # -- collapse ----------------------------------------------------------------------
