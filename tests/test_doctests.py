@@ -1,6 +1,7 @@
-"""Run the usage examples embedded in the library docstrings."""
+"""Run the usage examples embedded in the library docstrings and the README."""
 
 import doctest
+from pathlib import Path
 
 import equiko
 from equiko import (
@@ -28,3 +29,10 @@ def test_doctests():
         assert result.failed == 0, f"doctest failure in {mod.__name__}"
         attempted += result.attempted
     assert attempted >= 15  # the examples exist and actually ran
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted >= 8  # the library tour ran
