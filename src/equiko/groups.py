@@ -138,7 +138,7 @@ def _own_product_tag(inner: GroupId) -> GroupId | None:
     """The tag of Z/2 x inner when that group has one outside the "z2x" kind:
     Z/2 x 1 is Z/2, Z/2 x Z/2 the Klein group, Z/2 x Z/m for odd m is Z/2m
     and Z/2 x D3 is D6."""
-    if inner.kind == "trivial" or inner.kind == "cyclic" and inner.m % 2:
+    if inner.kind == "trivial" or (inner.kind == "cyclic" and inner.m % 2):
         return GroupId.cyclic(2 * inner.order())
     if inner == GroupId.cyclic(2):
         return GroupId.klein4()
