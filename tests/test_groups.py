@@ -213,7 +213,7 @@ def test_non_integral_tables_refused():
 
 
 def test_product_table_is_kronecker():
-    inner = GroupId.dihedral(4)  # Z/2 x D3 is D6, whose table is not a product
+    inner = GroupId.dihedral(4)  # Z/2 x D3 is tagged D6, not built as a product
     prod = GroupId.times_z2(inner)
     ti, tp = character_table(inner), character_table(prod)
     assert len(tp.rows) == 2 * len(ti.rows)
