@@ -21,32 +21,35 @@ summand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .exactlinalg import FinAbGroup, direct_sum
 from .fuchsian import hecke_bredon, hecke_signature, is_prime
 from .ko_assembly import KO_POINT, GradedGroup, collapse_complex
 
 
-@dataclass(frozen=True)
-class ClassCount:
+class ClassCount(Value):
     """Conjugacy classes of finite-order elements in PSL_2(Z[1/p])."""
 
-    identity: int
-    order2: int
-    order3: int
+    __slots__ = ("identity", "order2", "order3")
+
+    def __init__(self, identity: int, order2: int, order3: int):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "order2", order2)
+        object.__setattr__(self, "order3", order3)
 
     @property
     def total(self) -> int:
         return self.identity + self.order2 + self.order3
 
 
-@dataclass(frozen=True)
-class MaximalSubgroupList:
+class MaximalSubgroupList(Value):
     """Conjugacy classes of maximal finite subgroups (all Z/2 or Z/3 here)."""
 
-    z2_classes: int
-    z3_classes: int
+    __slots__ = ("z2_classes", "z3_classes")
+
+    def __init__(self, z2_classes: int, z3_classes: int):
+        object.__setattr__(self, "z2_classes", z2_classes)
+        object.__setattr__(self, "z3_classes", z3_classes)
 
 
 def class_count_psl(p: int) -> ClassCount:

@@ -22,9 +22,9 @@ Three families of data are built here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value
 from .exactlinalg import FinAbGroup, IntChainComplex, IntMatrix, all_homology
 from .fuchsian import Signature
 from .groups import GroupId, complex_irreducible_count, parse_name
@@ -34,28 +34,30 @@ class DatumError(ValueError):
     """Raised when Gamma-CW data is internally inconsistent."""
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Value):
     """One orbit of cells: a label and the stabiliser of a representative."""
 
-    label: str
-    stabiliser: GroupId
+    __slots__ = ("label", "stabiliser")
+
+    def __init__(self, label: str, stabiliser: GroupId):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "stabiliser", stabiliser)
 
     def rank(self) -> int:
         return complex_irreducible_count(self.stabiliser)
 
 
-@dataclass(frozen=True)
-class BoundaryTerm:
+class BoundaryTerm(Value):
     """One signed summand `sign * target : spec` of a cell boundary."""
 
-    sign: int
-    target: str
-    spec: str
+    __slots__ = ("sign", "target", "spec")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DatumError(f"boundary coefficients must be +1 or -1, got {self.sign}")
+    def __init__(self, sign: int, target: str, spec: str):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "spec", spec)
+        if sign not in (1, -1):
+            raise DatumError(f"boundary coefficients must be +1 or -1, got {sign}")
 
 
 # The boundary out of one dimension: a raw matrix on the chain groups, or one
@@ -122,8 +124,7 @@ def _check_spec(spec: str, source: GroupId, target: GroupId) -> None:
         raise DatumError(f"spec {spec!r} is not a subgroup inclusion")
 
 
-@dataclass(frozen=True)
-class GammaCWDatum:
+class GammaCWDatum(Value):
     """A finite Gamma-CW structure with catalogue stabilisers.
 
     `cells[n]` lists the n-cells; `boundaries[n-1]` describes the boundary
@@ -132,12 +133,18 @@ class GammaCWDatum:
     is flagged `snf_equivalent`; homology is unaffected.
     """
 
-    name: str
-    cells: tuple[tuple[Cell, ...], ...]
-    boundaries: tuple[Boundary, ...]
-    snf_equivalent: bool = False
+    __slots__ = ("name", "cells", "boundaries", "snf_equivalent")
+
+    def __init__(self, name: str, cells: tuple[tuple[Cell, ...], ...],
+                 boundaries: tuple[Boundary, ...], snf_equivalent: bool = False):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "snf_equivalent", snf_equivalent)
+        self.__post_init__()
 
     def __post_init__(self):
+        # validation; `bench/tracer.py` times it by wrapping this name
         if not self.cells:
             raise DatumError("a datum needs at least dimension 0")
         if len(self.boundaries) != len(self.cells) - 1:
@@ -361,29 +368,36 @@ def fuchsian_cocompact_datum(sig: Signature) -> GammaCWDatum:
     )
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(Value):
     """An edge of a graph of groups; `head` gets +1, `tail` gets -1.
 
     Each endpoint is (vertex label, induction spec) for the embedding of the
     edge group into that vertex group.
     """
 
-    label: str
-    group: GroupId
-    head: tuple[str, str]
-    tail: tuple[str, str]
+    __slots__ = ("label", "group", "head", "tail")
+
+    def __init__(self, label: str, group: GroupId, head: tuple[str, str],
+                 tail: tuple[str, str]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
 
 
-@dataclass(frozen=True)
-class GraphOfGroupsDatum:
+class GraphOfGroupsDatum(Value):
     """A finite graph of catalogue groups, expandable as a 1-dimensional datum."""
 
-    name: str
-    vertices: tuple[Cell, ...]
-    edges: tuple[GraphEdge, ...]
+    __slots__ = ("name", "vertices", "edges")
+
+    def __init__(self, name: str, vertices: tuple[Cell, ...], edges: tuple[GraphEdge, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
+        # validation; `bench/tracer.py` times it by wrapping this name
         by_label = {v.label: v for v in self.vertices}
         if len(by_label) != len(self.vertices):
             raise DatumError("duplicate vertex labels")

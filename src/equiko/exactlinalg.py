@@ -16,7 +16,7 @@ matrices is harmless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import Value
 
 
 class ChainComplexError(ValueError):
@@ -29,8 +29,7 @@ def _check_int(x) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """An immutable rows x cols integer matrix, stored row-major.
 
     Zero rows or columns are allowed; empty matrices behave as the unique
@@ -42,21 +41,20 @@ class IntMatrix:
     True
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         # one C-level pass over the types; the per-entry check runs only when
         # some entry is not an exact int, and gives the same accept/reject
-        if not set(map(type, self.entries)) <= {int}:
-            for e in self.entries:
+        if not set(map(type, entries)) <= {int}:
+            for e in entries:
                 _check_int(e)
 
     @classmethod
@@ -164,23 +162,23 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.row_list())
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Value):
     """Smith normal form data: left @ m @ right == diagonal(d), padded with zeros.
 
     `left` and `right` are unimodular (determinant ±1); `d` is the tuple of
     positive invariant factors, each dividing the next.
     """
 
-    d: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
+    __slots__ = ("d", "left", "right")
 
-    def __post_init__(self):
-        for i, x in enumerate(self.d):
+    def __init__(self, d: tuple[int, ...], left: IntMatrix, right: IntMatrix):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        for i, x in enumerate(d):
             if x <= 0:
                 raise ValueError("invariant factors must be positive")
-            if i and self.d[i - 1] != 0 and x % self.d[i - 1] != 0:
+            if i and d[i - 1] != 0 and x % d[i - 1] != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
 
 
@@ -349,8 +347,7 @@ def _invariant_factors(orders) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Value):
     """A finitely generated abelian group in canonical form.
 
     `free_rank` copies of Z plus cyclic factors Z/d with each torsion order
@@ -363,18 +360,19 @@ class FinAbGroup:
     False
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        _check_int(self.free_rank)
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        _check_int(free_rank)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for i, d in enumerate(self.torsion):
+        for i, d in enumerate(torsion):
             _check_int(d)
             if d < 2:
                 raise ValueError("torsion orders must be >= 2")
-            if i and d % self.torsion[i - 1] != 0:
+            if i and d % torsion[i - 1] != 0:
                 raise ValueError("torsion orders must form a divisibility chain")
 
     @classmethod
@@ -432,8 +430,7 @@ def tor_z2(g: FinAbGroup) -> FinAbGroup:
     return FinAbGroup.of(0, [2] * count)
 
 
-@dataclass(frozen=True)
-class IntChainComplex:
+class IntChainComplex(Value):
     """A bounded chain complex of finitely generated free abelian groups.
 
     `ranks[i]` is the rank of the chain group in degree i; `boundaries[i]`
@@ -442,26 +439,27 @@ class IntChainComplex:
     differentials must vanish; this is checked on construction.
     """
 
-    ranks: tuple[int, ...]
-    boundaries: tuple[IntMatrix, ...]
+    __slots__ = ("ranks", "boundaries")
 
-    def __post_init__(self):
-        if not self.ranks:
+    def __init__(self, ranks: tuple[int, ...], boundaries: tuple[IntMatrix, ...]):
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "boundaries", boundaries)
+        if not ranks:
             raise ChainComplexError("a chain complex needs at least one degree")
-        if any(r < 0 for r in self.ranks):
+        if any(r < 0 for r in ranks):
             raise ChainComplexError("chain group ranks must be nonnegative")
-        if len(self.boundaries) != len(self.ranks) - 1:
+        if len(boundaries) != len(ranks) - 1:
             raise ChainComplexError(
-                f"expected {len(self.ranks) - 1} boundary maps, got {len(self.boundaries)}"
+                f"expected {len(ranks) - 1} boundary maps, got {len(boundaries)}"
             )
-        for i, b in enumerate(self.boundaries):
-            if (b.rows, b.cols) != (self.ranks[i], self.ranks[i + 1]):
+        for i, b in enumerate(boundaries):
+            if (b.rows, b.cols) != (ranks[i], ranks[i + 1]):
                 raise ChainComplexError(
                     f"boundary into degree {i} has shape "
-                    f"{b.rows}x{b.cols}, expected {self.ranks[i]}x{self.ranks[i + 1]}"
+                    f"{b.rows}x{b.cols}, expected {ranks[i]}x{ranks[i + 1]}"
                 )
-        for i in range(len(self.boundaries) - 1):
-            if not (self.boundaries[i] @ self.boundaries[i + 1]).is_zero():
+        for i in range(len(boundaries) - 1):
+            if not (boundaries[i] @ boundaries[i + 1]).is_zero():
                 raise ChainComplexError(
                     f"composite of differentials through degree {i + 1} is nonzero"
                 )

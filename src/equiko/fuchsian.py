@@ -19,29 +19,29 @@ depends only on p mod 12.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import lcm
 
+from ._value import Value
 from .exactlinalg import FinAbGroup
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """A signature [g, s; m_1, ..., m_r]; equality treats periods as a multiset.
 
     >>> Signature(0, 0, (3, 2)) == parse_signature("[0,0;2,3]")
     True
     """
 
-    g: int
-    s: int
-    periods: tuple[int, ...] = ()
+    __slots__ = ("g", "s", "periods")
 
-    def __post_init__(self):
-        if self.g < 0 or self.s < 0:
+    def __init__(self, g: int, s: int, periods: tuple[int, ...] = ()):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "s", s)
+        if g < 0 or s < 0:
             raise ValueError("genus and cusp count must be nonnegative")
-        object.__setattr__(self, "periods", tuple(self.periods))
-        if any(m < 2 for m in self.periods):
+        periods = tuple(periods)  # a one-shot iterable is read once
+        object.__setattr__(self, "periods", periods)
+        if any(m < 2 for m in periods):
             raise ValueError("periods must be >= 2")
 
     def __eq__(self, other):

@@ -18,8 +18,9 @@ corrupted entry cannot survive to a computation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._value import Value
 
 
 class UnsupportedGroupError(ValueError):
@@ -29,8 +30,7 @@ class UnsupportedGroupError(ValueError):
 _KINDS = ("trivial", "cyclic", "klein4", "dihedral", "sym4", "z2x")
 
 
-@dataclass(frozen=True)
-class GroupId:
+class GroupId(Value):
     """Symbolic tag for a catalogue group.
 
     `m` is the order parameter for cyclic groups and the gonality for
@@ -40,34 +40,35 @@ class GroupId:
     so that each group has one tag.
     """
 
-    kind: str
-    m: int = 0
-    inner: "GroupId | None" = None
+    __slots__ = ("kind", "m", "inner")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise UnsupportedGroupError(f"unknown group kind {self.kind!r}")
-        if self.kind == "cyclic":
-            if self.m < 1:
+    def __init__(self, kind: str, m: int = 0, inner: "GroupId | None" = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "inner", inner)
+        if kind not in _KINDS:
+            raise UnsupportedGroupError(f"unknown group kind {kind!r}")
+        if kind == "cyclic":
+            if m < 1:
                 raise UnsupportedGroupError("cyclic order must be >= 1")
-            if self.m == 1:
+            if m == 1:
                 raise UnsupportedGroupError("Z/1 is the trivial group, tagged 'trivial'")
-        elif self.kind == "dihedral":
-            if self.m not in (3, 4, 6):
+        elif kind == "dihedral":
+            if m not in (3, 4, 6):
                 raise UnsupportedGroupError("dihedral parameter must be 3, 4 or 6")
-        elif self.m != 0:
-            raise UnsupportedGroupError(f"{self.kind} takes no integer parameter")
-        if self.kind == "z2x":
-            if self.inner is None:
+        elif m != 0:
+            raise UnsupportedGroupError(f"{kind} takes no integer parameter")
+        if kind == "z2x":
+            if inner is None:
                 raise UnsupportedGroupError("product needs an inner factor")
-            if self.inner.kind == "z2x":
+            if inner.kind == "z2x":
                 raise UnsupportedGroupError("products with Z/2 nest at most once")
-            if _own_product_tag(self.inner) is not None:
+            if _own_product_tag(inner) is not None:
                 raise UnsupportedGroupError(
-                    f"Z/2 x {self.inner.name()} has its own tag; build it with times_z2"
+                    f"Z/2 x {inner.name()} has its own tag; build it with times_z2"
                 )
-        elif self.inner is not None:
-            raise UnsupportedGroupError(f"{self.kind} takes no inner factor")
+        elif inner is not None:
+            raise UnsupportedGroupError(f"{kind} takes no inner factor")
 
     # -- constructors ------------------------------------------------------
 
@@ -184,8 +185,7 @@ def parse_name(text: str) -> GroupId:
 # Concrete group structure
 
 
-@dataclass(frozen=True)
-class FiniteGroupData:
+class FiniteGroupData(Value):
     """Multiplication table plus derived conjugacy data for a catalogue group.
 
     Elements are integers 0..order-1 with 0 the identity.  `classes` are
@@ -193,15 +193,30 @@ class FiniteGroupData:
     is the index of the class containing the squares of class c.
     """
 
-    group: GroupId
-    order: int
-    mult: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    element_order: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    class_index: tuple[int, ...]
-    representatives: tuple[int, ...]
-    square_class: tuple[int, ...]
+    __slots__ = ("group", "order", "mult", "inverse", "element_order", "classes",
+                 "class_index", "representatives", "square_class")
+
+    def __init__(
+        self,
+        group: GroupId,
+        order: int,
+        mult: tuple[tuple[int, ...], ...],
+        inverse: tuple[int, ...],
+        element_order: tuple[int, ...],
+        classes: tuple[tuple[int, ...], ...],
+        class_index: tuple[int, ...],
+        representatives: tuple[int, ...],
+        square_class: tuple[int, ...],
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "element_order", element_order)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_index", class_index)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "square_class", square_class)
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
@@ -387,12 +402,14 @@ _BASE_TABLES: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(Value):
     """Integer character table; `rows[i][c]` is the i-th character on class c."""
 
-    group: GroupId
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("group", "rows")
+
+    def __init__(self, group: GroupId, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "rows", rows)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(row[0] for row in self.rows)

@@ -18,27 +18,27 @@ double; torsion in the input would break the shortcut and is rejected).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._value import Value
 from .exactlinalg import FinAbGroup, direct_sum, tensor_z2, tor_z2
 from .groups import GroupId, all_tables_coincide
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(Value):
     """A graded family of abelian groups of period 8, as KO-homology is.
 
     `extension_ambiguous` lists the degrees (mod 8) where the group is only
     determined up to an abelian extension of the stated factors.
     """
 
-    groups: tuple[FinAbGroup, ...]
-    extension_ambiguous: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ("groups", "extension_ambiguous")
 
-    def __post_init__(self):
-        if len(self.groups) != 8:
+    def __init__(self, groups: tuple[FinAbGroup, ...],
+                 extension_ambiguous: frozenset[int] = frozenset()):
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "extension_ambiguous", extension_ambiguous)
+        if len(groups) != 8:
             raise ValueError("need exactly 8 groups")
-        if any(not (0 <= d < 8) for d in self.extension_ambiguous):
+        if any(not (0 <= d < 8) for d in extension_ambiguous):
             raise ValueError("ambiguous degrees must lie in one period")
 
     def entry(self, n: int) -> FinAbGroup:

@@ -13,21 +13,23 @@ from __future__ import annotations
 import marshal
 import os
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
 from . import arithmetic_k, bredon, fuchsian, groups, ko_assembly
+from ._value import Value
 from .exactlinalg import FinAbGroup, IntMatrix, all_homology, smith_normal_form
 
 _SEED = 987123
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Value):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _eq(actual, expected, what: str) -> None:
