@@ -16,6 +16,8 @@ matrices is harmless.
 
 from __future__ import annotations
 
+from math import gcd
+
 from ._value import Value
 
 
@@ -295,56 +297,46 @@ def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
     return _eliminate(m.row_list(), m.rows, m.cols)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (orders here are small)."""
-    if n <= 0:
-        raise ValueError("can only factor positive integers")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _invariant_factors(orders) -> tuple[int, ...]:
     """Normalize a list of cyclic orders into an invariant-factor chain.
 
-    Splits each order into prime powers, then reassembles so that each
-    factor divides the next (largest factor collects the largest prime
-    powers).
+    This is the Smith form of the diagonal matrix of the orders, by pairwise
+    gcd and lcm: Z/f + Z/n = Z/gcd(f, n) + Z/lcm(f, n).  Each order meets
+    the chain built so far from its smallest factor up, leaving the gcd in
+    place and carrying the lcm; no order is ever factored.
 
     >>> _invariant_factors([2, 3])
     (6,)
     >>> _invariant_factors([2, 4, 3])
     (2, 12)
     """
-    by_prime: dict[int, list[int]] = {}
+    chain: list[tuple[int, int]] = []  # (factor > 1, copies), each dividing the next
     for n in orders:
         _check_int(n)
         if n < 1:
             raise ValueError(f"cyclic order must be >= 1, got {n}")
-        for p, e in _factorize(n).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    depth = max(len(v) for v in by_prime.values())
-    for v in by_prime.values():
-        v.sort(reverse=True)
-        v.extend([0] * (depth - len(v)))
-    factors = []
-    for k in range(depth):
-        f = 1
-        for p, v in by_prime.items():
-            f *= p ** v[k]
-        if f > 1:
-            factors.append(f)
-    factors.reverse()  # ascending divisibility chain
-    return tuple(factors)
+        if chain and chain[0][0] % n == 0:
+            # n divides every factor, so it only joins the bottom of the chain
+            if n > 1:
+                f, copies = chain[0]
+                chain[:1] = [(f, copies + 1)] if f == n else [(n, 1), (f, copies)]
+            continue
+        # Only the first copy of a factor f changes: the carried lcm is a
+        # multiple of f, so the other copies keep their place.
+        met = []
+        for f, copies in chain:
+            g = gcd(f, n)
+            met += [(g, 1), (f, copies - 1)]
+            n = f // g * n
+        met.append((n, 1))
+        chain = []
+        for f, copies in met:
+            if f == 1 or not copies:
+                continue
+            if chain and chain[-1][0] == f:
+                copies += chain.pop()[1]
+            chain.append((f, copies))
+    return tuple(f for f, copies in chain for _ in range(copies))
 
 
 class FinAbGroup(Value):

@@ -1,6 +1,10 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,18 @@ def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "complex", "--file", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_large_torsion_order_is_not_factored(tmp_path):
+    # (10^9 + 7)(10^9 + 9): trial division would run for minutes
+    path = tmp_path / "big.cw"
+    path.write_text("name = big\n[cells.0]\nv = 1\n[cells.1]\ne = 1\n"
+                    "[matrix.1]\n1000000016000000063\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "equiko.cli", "complex", "--file", str(path)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0
+    assert "H0 = Z/1000000016000000063\n" in done.stdout
 
 
 @pytest.mark.parametrize(

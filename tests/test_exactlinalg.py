@@ -324,6 +324,19 @@ def test_group_normalizes_to_invariant_factors():
     assert FinAbGroup.of(1, [1, 1]) == FinAbGroup.free(1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 720), max_size=8))
+def test_invariant_factors_are_the_smith_form_of_the_diagonal(orders):
+    smith = smith_normal_form(IntMatrix.diagonal(orders)).d
+    assert FinAbGroup.of(0, orders).torsion == tuple(d for d in smith if d > 1)
+
+
+def test_invariant_factors_of_many_equal_orders():
+    g = FinAbGroup.of(0, [2] * 50_000 + [3, 4])
+    assert g.torsion == (2,) * 50_000 + (12,)
+    assert direct_sum(g, g).torsion == (2,) * 100_000 + (12, 12)
+
+
 def test_group_rejects_bad_input():
     with pytest.raises(ValueError):
         FinAbGroup.of(-1, [])
