@@ -110,16 +110,28 @@ def test_without_fork_snf_runs_inline(monkeypatch):
     assert verify.verify_all(2, 30) == forked
 
 
-def test_verify_imports_no_process_machinery():
-    # a process pool's imports alone would show in start-up time and peak RSS
+def test_verify_imports_no_process_machinery(tmp_path):
+    # a process pool's imports alone would show in start-up time and peak RSS;
+    # `dataclasses` and the `inspect` it imports cost some 30 ms of every start
+    circle = tmp_path / "circle.cw"
+    circle.write_text("name = circle\n[cells.0]\nv = 1\n[cells.1]\ne = 1\n"
+                      "[boundary.1]\ne = +1 * v : id, -1 * v : id\n")
     code = (
         "import sys\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'pickle',"
+        " 'subprocess', 'dataclasses', 'inspect') if m in sys.modules))\n"
         "import equiko.cli as cli\n"
-        "cli.main(['verify', '--primes', '2..30'])\n"
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'pickle',"
-        " 'subprocess') if m in sys.modules))\n"
+        "loaded()\n"
+        f"for argv in (['sl3'], ['complex', '--file', {str(circle)!r}],"
+        " ['verify', '--primes', '2..30']):\n"
+        "    cli.main(argv)\n"
+        "    loaded()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(equiko.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[-2:] == ["13/13 checks passed", "[]"]
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("[")] == ["[]"] * 4
+    assert "name = circle" in lines
+    assert lines[-2:] == ["13/13 checks passed", "[]"]
