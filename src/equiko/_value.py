@@ -23,8 +23,7 @@ class Value:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         if len(cls.__slots__) < 2:  # attrgetter of one name gives no tuple
             raise TypeError(f"{cls.__name__} needs two or more fields")
         # the field values as one tuple, in `__init__` order
