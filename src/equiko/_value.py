@@ -2,8 +2,9 @@
 
 Frozen dataclasses would give these classes the same behaviour, but
 importing `dataclasses` pulls in `inspect`, and building each frozen
-dataclass execs its generated methods: together about 30 ms of every CLI
-start, most of equiko's import time.
+dataclass execs its generated methods: together about 27 ms of every CLI
+start on a 2-vCPU Xeon with Python 3.11, when `import equiko.cli` took
+39 ms in all.
 """
 
 from operator import attrgetter
