@@ -169,13 +169,15 @@ def cstar_ko_p11(p: int) -> GradedGroup:
     subs = maximal_subgroups(p)
     groups = []
     for n in range(8):
-        parts = []
-        for _ in range(subs.z2_classes):
-            parts.append(KO_POINT.entry(n))
-        for _ in range(subs.z3_classes):
-            parts.append(FinAbGroup.free(1) if n % 2 == 0 else FinAbGroup.zero())
-        parts.append(KO_POINT.entry(n))
-        sphere_cell = KO_POINT.entry(n - 2)
-        parts.extend([sphere_cell] * b)
-        groups.append(direct_sum(*parts))
+        # (summand, copies): the Z/2 classes and the trivial group, the Z/3
+        # classes, and the spheres.  Every torsion order of KO_*(pt) is 2, so
+        # the sum is Z^rank + (Z/2)^twos, built from the counts alone.
+        summands = (
+            (KO_POINT.entry(n), subs.z2_classes + 1),
+            (FinAbGroup.free(1 - n % 2), subs.z3_classes),
+            (KO_POINT.entry(n - 2), b),
+        )
+        rank = sum(g.free_rank * k for g, k in summands)
+        twos = sum(len(g.torsion) * k for g, k in summands)
+        groups.append(FinAbGroup(rank, (2,) * twos))
     return GradedGroup(tuple(groups), frozenset({1, 3, 4}))

@@ -55,7 +55,7 @@ def _k_payload(k0, k1) -> tuple[dict, list[str]]:
 def _ko_payload(gg) -> tuple[dict, list[str]]:
     groups = {f"KO{n}": str(gg.entry(n)) for n in range(8)}
     lines = [
-        f"KO{n} = {gg.entry(n)}" + (" (up to extension)" if gg.is_ambiguous(n) else "")
+        f"KO{n} = {groups[f'KO{n}']}" + (" (up to extension)" if gg.is_ambiguous(n) else "")
         for n in range(8)
     ]
     return groups, lines + [BOTT_NOTE]

@@ -16,7 +16,10 @@ matrices is harmless.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import islice
 from math import gcd
+from operator import mod
 
 from ._value import Value
 
@@ -187,11 +190,13 @@ class SNFResult(Value):
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Smith normal form with unimodular transforms.
 
-    Runs the elimination of homology on `m` bordered by identities: each
-    row of `m` is followed by a row of I_rows, and I_cols is stacked below.
-    Only the block of `m` is diagonalised; its row operations turn the
-    right-hand identity into `left` and its column operations turn the lower
-    one into `right`, so left @ m @ right == diag(d) holds exactly.
+    Runs the elimination of homology, `_eliminate`, on `m` bordered by
+    identities: I_rows to the right of `m` and I_cols below it.  Only the
+    block of `m` is diagonalised.  Its row operations act on the block rows
+    over their full width, so the right-hand border becomes `left`.  Its
+    column operations, which a row phase applies to the pivot row and to
+    the rows below the block (column t being clear inside the block), turn
+    the lower border into `right`.  So left @ m @ right == diag(d) exactly.
 
     >>> res = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> res.d
@@ -212,20 +217,39 @@ def _eliminate(a: list[list[int]], nrows: int, ncols: int) -> tuple[int, ...]:
     """Diagonalise the top-left `nrows` x `ncols` block of the rows `a` in place;
     return its invariant factors.
 
-    Pivots have minimal absolute value in the untouched block, and a unit
-    pivot ends the scan.  Row operations act on the block rows over their
-    full width; column operations act on the block columns of every row.
-    So rows of `a` below the block, or columns right of it, record the
-    transforms (see `smith_normal_form`), and without them the block is the
-    whole matrix.  A unit pivot needs no divisibility scan, and updates skip
-    zero multipliers and zero entries, so the 0/±1 boundaries of Bredon
-    complexes clear in close to one pass over their nonzero entries.
+    Row operations act on the block rows over their full width; column
+    operations act on the block columns of every row.  So rows of `a` below
+    the block, or columns right of it, record the transforms (see
+    `smith_normal_form`), and without them the block is the whole matrix.
+
+    Each position t starts from an entry of minimal absolute value in the
+    untouched block, the first in row-major order; a unit ends the scan.
+    Then it clears column t, then row t (Kannan and Bachem, SIAM J. Comput.
+    8(4), 1979).  Every multiplier is the quotient by the pivot p rounded to
+    the nearest integer, so every remainder has absolute value at most p / 2:
+
+    * the column phase subtracts multiples of the pivot row from the block
+      rows below it; if a remainder is left in column t, the row holding the
+      smallest one becomes the pivot row and the phase repeats;
+    * the row phase subtracts multiples of column t from the later block
+      columns.  Column t is zero below the pivot inside the block, so this
+      touches only the pivot row and the rows below the block.  If a
+      remainder is left in row t, the column holding the smallest one moves
+      to t and the column phase resumes;
+    * with row and column clear, a pivot other than 1 must divide the rest
+      of the block: a row that has an entry it does not divide is added to
+      row t, and the row phase resumes.
+
+    Only the first pivot at t comes from a scan of the block.  Every re-pick
+    takes a remainder, so it at least halves the pivot, and position t ends
+    after at most log2 of its first pivot re-picks.  Updates skip zero
+    multipliers and zero entries, and a unit pivot leaves no remainder, so
+    the 0/±1 boundaries of Bredon complexes clear in one column pass and one
+    row pass per pivot.
     """
     factors = []
-    t = 0
-    bound = min(nrows, ncols)
-    while t < bound:
-        # Locate a pivot of minimal absolute value in the untouched block.
+    border = a[nrows:]
+    for t in range(min(nrows, ncols)):
         best, best_abs = None, 0
         for i in range(t, nrows):
             row = a[i]
@@ -239,52 +263,58 @@ def _eliminate(a: list[list[int]], nrows: int, ncols: int) -> tuple[int, ...]:
                 break
         if best is None:
             break
-        bi, bj = best
+        bi, col = best
         a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            # Block rows above t are zero from column t on; the rest move.
-            for row in a[t:]:
-                row[t], row[bj] = row[bj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        prow = a[t]
-        p = prow[t]
-
-        dirty = False
-        pivot_row = [(j, prow[j]) for j in range(t, len(prow)) if prow[j]]
-        for row in a[t + 1:nrows]:
-            if row[t]:
-                q = row[t] // p
-                if q:
-                    for j, x in pivot_row:
-                        row[j] -= q * x
-                if row[t]:
-                    dirty = True
-        # Column operations leave column t alone, so its support is fixed.
-        pivot_col = [row for row in a[t:] if row[t]]
-        for j in range(t + 1, ncols):
-            if prow[j]:
-                q = prow[j] // p
-                if q:
-                    for row in pivot_col:
-                        row[j] -= q * row[t]
-                if prow[j]:
-                    dirty = True
-        if dirty:
-            # Some remainder is now strictly smaller than the pivot; re-pick.
-            continue
-
-        if p != 1:
-            # Enforce divisibility of the rest of the block by the pivot.
-            offender = next(
-                (row for row in a[t + 1:nrows] if any(x % p for x in row[t + 1:ncols])),
-                None,
-            )
-            if offender is not None:
-                a[t] = [x + y for x, y in zip(prow, offender)]
-                continue
+        while col is not None:
+            if col != t:
+                # Block rows above t are zero from column t on; the rest move.
+                for row in a[t:]:
+                    row[t], row[col] = row[col], row[t]
+            while True:
+                # Column phase.  A pivot from the scan or from a remainder
+                # may be negative.
+                if a[t][t] < 0:
+                    a[t] = [-x for x in a[t]]
+                prow = a[t]
+                p = prow[t]
+                half = p >> 1
+                pivot_row = [(j, x) for j, x in enumerate(prow) if x]
+                least, least_at = p, None
+                for i in range(t + 1, nrows):
+                    row = a[i]
+                    if row[t]:
+                        q = (row[t] + half) // p
+                        if q:
+                            for j, x in pivot_row:
+                                row[j] -= q * x
+                        if row[t] and abs(row[t]) < least:
+                            least, least_at = abs(row[t]), i
+                if least_at is None:
+                    break
+                a[t], a[least_at] = a[least_at], a[t]
+            # Row phase.  Column operations leave column t alone, so its
+            # support (the pivot and the border rows) is fixed.
+            pivot_col = [prow] + [row for row in border if row[t]]
+            while True:
+                least, col = p, None
+                for j in range(t + 1, ncols):
+                    if prow[j]:
+                        q = (prow[j] + half) // p
+                        if q:
+                            for row in pivot_col:
+                                row[j] -= q * row[t]
+                        if prow[j] and abs(prow[j]) < least:
+                            least, col = abs(prow[j]), j
+                if col is not None or p == 1:
+                    break
+                offender = next(
+                    (row for row in a[t + 1:nrows] if any(x % p for x in row[t + 1:ncols])),
+                    None,
+                )
+                if offender is None:
+                    break
+                prow[:] = [x + y for x, y in zip(prow, offender)]
         factors.append(p)
-        t += 1
     return tuple(factors)
 
 
@@ -360,6 +390,11 @@ class FinAbGroup(Value):
         _check_int(free_rank)
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+        # C-level passes over the chain; the per-order checks run only when
+        # one of them fails, and give the same accept/reject
+        if (set(map(type, torsion)) <= {int} and min(torsion, default=2) >= 2
+                and not any(map(mod, islice(torsion, 1, None), torsion))):
+            return
         for i, d in enumerate(torsion):
             _check_int(d)
             if d < 2:
@@ -389,7 +424,14 @@ class FinAbGroup(Value):
             terms.append("Z")
         elif self.free_rank > 1:
             terms.append(f"Z^{self.free_rank}")
-        terms.extend(f"Z/{d}" for d in self.torsion)
+        # The chain is nondecreasing, so the copies of one order form a run;
+        # a run renders as one repeated string, not one string per factor.
+        torsion, i = self.torsion, 0
+        while i < len(torsion):
+            end = bisect_right(torsion, torsion[i], i)
+            term = f"Z/{torsion[i]}"
+            terms.append(f"{term} + " * (end - i - 1) + term)
+            i = end
         return " + ".join(terms) if terms else "0"
 
     __repr__ = __str__

@@ -173,7 +173,8 @@ def parse_name(text: str) -> GroupId:
         return GroupId.times_z2(parse_name(text[3:]))
     if text.startswith("Zm(") and text.endswith(")"):
         body = text[3:-1]
-        if not body.isdigit():
+        # str.isdigit also accepts non-ASCII digits such as '²' and '٣'
+        if not (body.isascii() and body.isdigit()):
             raise UnsupportedGroupError(f"bad cyclic order in {text!r}")
         return GroupId.cyclic(int(body))
     if text in ("Z2", "Z3", "Z4", "Z6"):

@@ -11,7 +11,9 @@ from equiko.arithmetic_k import (
     psl_zp_k,
     sl_zp_k,
 )
-from equiko.fuchsian import hecke_bredon
+from equiko.exactlinalg import FinAbGroup, direct_sum
+from equiko.fuchsian import hecke_bredon, is_prime
+from equiko.ko_assembly import KO_POINT
 
 
 # -- conjugacy class counts ---------------------------------------------------------
@@ -152,6 +154,18 @@ def test_cstar_ko_scales_with_loop_rank():
     gg = cstar_ko_p11(23)
     assert str(gg.entry(6)) == "Z^7"
     assert str(gg.entry(3)) == "Z/2 + Z/2 + Z/2 + Z/2 + Z/2"
+
+
+def test_cstar_ko_equals_the_sum_of_its_summands():
+    # reference: one summand per class and per sphere, summed by direct_sum
+    for p in [p for p in range(11, 400, 12) if is_prime(p)]:
+        subs, b = maximal_subgroups(p), (p + 7) // 6
+        gg = cstar_ko_p11(p)
+        for n in range(8):
+            parts = ([KO_POINT.entry(n)] * (subs.z2_classes + 1)
+                     + [FinAbGroup.free(1 - n % 2)] * subs.z3_classes
+                     + [KO_POINT.entry(n - 2)] * b)
+            assert gg.entry(n) == direct_sum(*parts)
 
 
 def test_cstar_rejects_wrong_residue():

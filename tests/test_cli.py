@@ -188,6 +188,8 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.cw"
     bad.write_text("name = x\n[cells.0]\nv = Q8\n")
     assert run(capsys, "complex", "--file", str(bad))[0] == 2
+    bad.write_text("name = x\n[cells.0]\nz = Zm(²)\n")
+    assert run(capsys, "complex", "--file", str(bad))[0] == 2
     assert run(capsys, "verify", "--primes", "zzz")[0] == 2
 
 

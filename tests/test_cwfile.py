@@ -101,6 +101,13 @@ def test_parse_error_unknown_group():
     _expect_error("name = x\n[cells.0]\nv = Q8\n", "unknown group")
 
 
+@pytest.mark.parametrize("order", ["²", "٣"])
+def test_parse_error_non_ascii_cyclic_order(order):
+    # int() rejects '²' and reads '٣' as 3; both are malformed orders
+    _expect_error(f"name = x\n[cells.0]\nv = 1\nz = Zm({order})\n",
+                  f"line 4: bad cyclic order in 'Zm({order})'")
+
+
 def test_parse_error_reports_line_numbers():
     with pytest.raises(CWFormatError) as err:
         parse_cw("name = x\n[cells.0]\nv = Q8\n")

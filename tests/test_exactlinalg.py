@@ -137,14 +137,37 @@ def test_snf_rectangular():
     assert res.d == (2, 12)
 
 
+# One matrix per branch of the elimination: a column-phase re-pick, a
+# row-phase re-pick, a row remainder whose column re-enters the column phase,
+# the divisibility repair, negative pivots, and the empty shapes.
+_BRANCH_CASES = [
+    IntMatrix.from_rows([[2], [3]]),
+    IntMatrix.from_rows([[2, 3]]),
+    IntMatrix.from_rows([[2, 3], [0, 3]]),
+    IntMatrix.from_rows([[2, 0], [0, 3]]),
+    IntMatrix.from_rows([[-2, 4], [-6, -8]]),
+    IntMatrix(0, 3, ()),
+    IntMatrix(3, 0, ()),
+]
+
+
 def test_snf_matches_minor_gcd_oracle():
     rng = random.Random(20260819)
+    cases = list(_BRANCH_CASES)
     for _ in range(120):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
-        m = IntMatrix.from_rows(
+        cases.append(IntMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        )
-        assert list(smith_normal_form(m).d) == _minor_gcd_chain(m)
+        ))
+    for m in cases:
+        d = smith_normal_form(m).d
+        assert list(d) == _minor_gcd_chain(m)
+        assert exactlinalg._smith_factors(m) == d
+
+
+@pytest.mark.parametrize("m", _BRANCH_CASES, ids=str)
+def test_snf_roundtrip_on_branch_cases(m):
+    _assert_snf_roundtrip(m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -155,9 +178,12 @@ def test_snf_matches_minor_gcd_oracle():
 )
 def test_snf_roundtrip_property(r, c, seed):
     rng = random.Random(seed)
-    m = IntMatrix.from_rows(
+    _assert_snf_roundtrip(IntMatrix.from_rows(
         [[rng.randint(-30, 30) for _ in range(c)] for _ in range(r)]
-    )
+    ))
+
+
+def _assert_snf_roundtrip(m: IntMatrix) -> None:
     res = smith_normal_form(m)
     # transforms are unimodular
     assert res.left.determinant() in (1, -1)
@@ -212,16 +238,13 @@ def _unimodular_pair(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(p, cols=n), IntMatrix.from_rows(inv, cols=n)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_all_homology_on_complexes_with_known_homology(top, seed):
-    # A direct sum of free summands Z in degree n and elementary complexes
-    # Z --k--> Z from degree n + 1 to n, which add Z/k to H_n, written in a
-    # random basis of every chain group.
-    rng = random.Random(seed)
-    free = [rng.randint(0, 2) for _ in range(top + 1)]
-    pieces = [(n, rng.choice([1, 1, 2, 3, 4, 6, 12])) for n in range(top)
-              for _ in range(rng.randint(0, 3))]
+def _complex_with_known_homology(rng: random.Random, free: list[int], pieces):
+    """A direct sum of free[n] summands Z in degree n and elementary complexes
+    Z --k--> Z from degree n + 1 to n, one per (n, k) in `pieces`, which add
+    Z/k to H_n, written in a random basis of every chain group.  Returns the
+    complex and its homology.
+    """
+    top = len(free) - 1
     basis = [[] for _ in range(top + 1)]  # per degree: ("free",), ("src", p), ("dst", p)
     for n, count in enumerate(free):
         basis[n] += [("free",)] * count
@@ -242,7 +265,32 @@ def test_all_homology_on_complexes_with_known_homology(top, seed):
     expected = [
         FinAbGroup.of(free[n], [k for m, k in pieces if m == n]) for n in range(top + 1)
     ]
+    return c, expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_all_homology_on_complexes_with_known_homology(top, seed):
+    rng = random.Random(seed)
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    pieces = [(n, rng.choice([1, 1, 2, 3, 4, 6, 12])) for n in range(top)
+              for _ in range(rng.randint(0, 3))]
+    c, expected = _complex_with_known_homology(rng, free, pieces)
     assert all_homology(c) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_all_homology_on_dense_complexes_with_entry_growth(seed):
+    # About 30 pieces per degree, as in the dense [matrix.N] complexes: the
+    # boundaries are dense, pivots are re-picked many times per position and
+    # entries grow well past their input size during elimination.
+    rng = random.Random(seed)
+    free = [rng.randint(1, 3) for _ in range(3)]
+    pieces = [(n, rng.randint(1, 6)) for n in (0, 1) for _ in range(rng.randint(28, 32))]
+    c, expected = _complex_with_known_homology(rng, free, pieces)
+    assert all_homology(c) == expected
+    for b in c.boundaries:
+        assert exactlinalg._smith_factors(b) == smith_normal_form(b).d
 
 
 # -- the homology path ---------------------------------------------------------------
@@ -313,6 +361,7 @@ def test_group_rendering():
     assert str(FinAbGroup.free(5)) == "Z^5"
     assert str(FinAbGroup.of(0, [2])) == "Z/2"
     assert str(FinAbGroup.of(2, [2, 4])) == "Z^2 + Z/2 + Z/4"
+    assert str(FinAbGroup(1, (2, 2, 4, 4, 4, 12))) == "Z + Z/2 + Z/2 + Z/4 + Z/4 + Z/4 + Z/12"
 
 
 def test_group_normalizes_to_invariant_factors():
@@ -342,6 +391,13 @@ def test_group_rejects_bad_input():
         FinAbGroup.of(-1, [])
     with pytest.raises(ValueError):
         FinAbGroup.of(0, [0])
+    for torsion, message in [((2, 3), "divisibility"), ((1, 2), ">= 2"), ((4, 0), ">= 2"),
+                             ((2, -2), ">= 2"), ((2, True), "Python int"), ((2.0,), "Python int")]:
+        with pytest.raises(ValueError, match=message):
+            FinAbGroup(0, torsion)
+    # an int subclass fails the fast type check but passes the per-order one
+    two = enum.IntEnum("Two", "A B")
+    assert FinAbGroup(0, (two.B, 4)).torsion == (2, 4)
 
 
 def test_direct_sum():
