@@ -395,7 +395,7 @@ def test_group_rejects_bad_input():
                              ((2, -2), ">= 2"), ((2, True), "Python int"), ((2.0,), "Python int")]:
         with pytest.raises(ValueError, match=message):
             FinAbGroup(0, torsion)
-    # an int subclass fails the fast type check but passes the per-order one
+    # an int subclass is not of type int but passes the Python-int check
     two = enum.IntEnum("Two", "A B")
     assert FinAbGroup(0, (two.B, 4)).torsion == (2, 4)
 
