@@ -74,9 +74,9 @@ def _cyclic_or_trivial(gid: GroupId) -> bool:
 def parse_induction_spec(spec: str) -> tuple[str, GroupId | None, GroupId | None]:
     """Split an induction spec into (kind, source, target).
 
-    Kinds: "id"; "triv" (induction from the trivial group, target cyclic);
-    "cyclic" (induction along a cyclic inclusion).  Results are memoized on
-    the spec string; a malformed spec raises on every call.
+    Kinds: "id"; "cyclic" (induction along a cyclic inclusion, where the
+    source "triv" names the trivial group).  Results are memoized on the
+    spec string; a malformed spec raises on every call.
     """
     spec = spec.strip()
     if spec == "id":
@@ -86,9 +86,7 @@ def parse_induction_spec(spec: str) -> tuple[str, GroupId | None, GroupId | None
         target = parse_name(right)
         if not _cyclic_or_trivial(target):
             raise DatumError(f"induction target in {spec!r} must be cyclic")
-        if left == "triv":
-            return ("triv", None, target)
-        source = parse_name(left)
+        source = GroupId.trivial() if left == "triv" else parse_name(left)
         if not _cyclic_or_trivial(source):
             raise DatumError(f"induction source in {spec!r} must be cyclic")
         return ("cyclic", source, target)
@@ -109,12 +107,6 @@ def _check_spec(spec: str, source: GroupId, target: GroupId) -> None:
             f"spec {spec!r} targets {spec_target.name()} but the cell has "
             f"stabiliser {target.name()}"
         )
-    if kind == "triv":
-        if source.kind != "trivial":
-            raise DatumError(
-                f"spec {spec!r} needs a trivial stabiliser, found {source.name()}"
-            )
-        return
     if spec_source != source:
         raise DatumError(
             f"spec {spec!r} starts at {spec_source.name()} but the cell has "
@@ -409,20 +401,6 @@ class GraphOfGroupsDatum(Value):
                     )
                 # Raises if the edge group does not embed as specified.
                 _check_spec(spec, e.group, by_label[vertex_label].stabiliser)
-
-    def to_cw_datum(self) -> GammaCWDatum:
-        edge_bounds = {
-            e.label: [(1, e.head[0], e.head[1]), (-1, e.tail[0], e.tail[1])]
-            for e in self.edges
-        }
-        return GammaCWDatum.build(
-            self.name,
-            [
-                [(v.label, v.stabiliser) for v in self.vertices],
-                [(e.label, e.group) for e in self.edges],
-            ],
-            {1: edge_bounds},
-        )
 
 
 # Every loop at z is bounded by z - z through the identity; all loops share it.

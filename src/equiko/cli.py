@@ -9,7 +9,8 @@ Exit codes: 0 success; 1 domain error (composite prime, prime beyond the
 proven range 2**64, failed hypothesis, invalid lift); 2 invalid input
 (malformed or non-hyperbolic signature; unreadable, undecodable or malformed
 file, or one whose boundaries do not compose to zero; descending or
-prime-free prime range);
+prime-free prime range; an integer in digits other than ASCII 0-9, or with
+underscores, in a signature, a file, `-p` or `--primes`);
 3 verification failure.
 """
 
@@ -22,7 +23,7 @@ import sys
 
 from . import arithmetic_k, bredon, cwfile, fuchsian, ko_assembly
 from . import verify as verify_mod
-from .exactlinalg import ChainComplexError
+from .exactlinalg import ChainComplexError, ascii_int
 from .groups import GroupId
 
 BOTT_NOTE = "remaining groups by Bott periodicity"
@@ -162,7 +163,7 @@ def _cmd_complex(args) -> int:
     )
 
 
-_PRIMES_RE = re.compile(r"^(\d+)\.\.(\d+)$")
+_PRIMES_RE = re.compile(r"^([0-9]+)\.\.([0-9]+)$")
 
 
 def _cmd_verify(args) -> int:
@@ -204,7 +205,7 @@ def _cmd_verify(args) -> int:
 #: Command-line arguments by key: (flags, add_argument keywords).
 _ARGUMENTS = {
     "ko": (("--ko",), {"action": "store_true", "help": "compute KO instead of K"}),
-    "prime": (("-p", "--prime"), {"type": int, "required": True, "help": "a prime number"}),
+    "prime": (("-p", "--prime"), {"type": ascii_int, "required": True, "help": "a prime number"}),
     "signature": (("--signature",), {
         "required": True, "metavar": "[g,s;m1,...]",
         "help": 'signature, e.g. "[0,0;2,3,7]" or "[1,2;]"',

@@ -40,7 +40,7 @@ from .bredon import (
     GammaCWDatum,
     parse_induction_spec,
 )
-from .exactlinalg import IntMatrix
+from .exactlinalg import IntMatrix, ascii_int
 from .groups import GroupId, UnsupportedGroupError, parse_name
 
 
@@ -48,7 +48,7 @@ class CWFormatError(ValueError):
     """Raised for malformed Gamma-CW files."""
 
 
-_SECTION_RE = re.compile(r"^\[(cells|boundary|matrix)\.(\d+)\]$")
+_SECTION_RE = re.compile(r"^\[(cells|boundary|matrix)\.([0-9]+)\]$")
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TERM_RE = re.compile(r"^([+-]?1)\s*\*\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+)$")
 
@@ -136,7 +136,7 @@ def parse_cw(text: str) -> GammaCWDatum:
             term_sections[n].append((label.strip(), _parse_terms(body, lineno)))
         else:
             try:
-                row = [int(tok) for tok in line.split()]
+                row = [ascii_int(tok) for tok in line.split()]
             except ValueError as exc:
                 raise CWFormatError(f"line {lineno}: bad matrix row {line!r}") from exc
             matrix_sections[n].append(row)
@@ -154,7 +154,7 @@ def parse_cw(text: str) -> GammaCWDatum:
     ranks = [sum(c.rank() for c in layer) for layer in layers]
 
     for n in set(term_sections) | set(matrix_sections):
-        if n > top:
+        if n > top or not cells[n]:
             raise CWFormatError(f"boundary section for dimension {n} has no cells")
 
     boundaries: list[Boundary] = []
@@ -162,8 +162,6 @@ def parse_cw(text: str) -> GammaCWDatum:
         labels = [c.label for c in layers[n]]
         known = set(labels)
         if not labels:
-            if n in term_sections or n in matrix_sections:
-                raise CWFormatError(f"dimension {n} has a boundary section but no cells")
             boundaries.append(())
             continue
         if n in matrix_sections:

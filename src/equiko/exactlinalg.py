@@ -34,6 +34,14 @@ def _check_int(x) -> int:
     return x
 
 
+def ascii_int(text: str) -> int:
+    """An optionally signed integer in ASCII digits; `int` alone also reads
+    other Unicode digits and underscores, which input may not use."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(f"invalid integer {text!r}: expected ASCII digits")
+    return int(text)
+
+
 class IntMatrix(Value):
     """An immutable rows x cols integer matrix, stored row-major.
 
@@ -160,11 +168,6 @@ class IntMatrix(Value):
                 a[i][k] = 0
             prev = pivot
         return sign * a[n - 1][n - 1]
-
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"<empty {self.rows}x{self.cols}>"
-        return "\n".join(" ".join(str(x) for x in row) for row in self.row_list())
 
 
 class SNFResult(Value):
@@ -346,12 +349,6 @@ def _invariant_factors(orders) -> tuple[int, ...]:
         _check_int(n)
         if n < 1:
             raise ValueError(f"cyclic order must be >= 1, got {n}")
-        if chain and chain[0][0] % n == 0:
-            # n divides every factor, so it only joins the bottom of the chain
-            if n > 1:
-                f, copies = chain[0]
-                chain[:1] = [(f, copies + 1)] if f == n else [(n, 1), (f, copies)]
-            continue
         # Only the first copy of a factor f changes: the carried lcm is a
         # multiple of f, so the other copies keep their place.
         met = []

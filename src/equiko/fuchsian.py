@@ -78,7 +78,7 @@ class Signature(Value):
     __repr__ = __str__
 
 
-_SIGNATURE_RE = re.compile(r"^\[\s*(\d+)\s*,\s*(\d+)\s*;\s*([\d\s,]*)\]$")
+_SIGNATURE_RE = re.compile(r"^\[\s*([0-9]+)\s*,\s*([0-9]+)\s*;\s*([0-9\s,]*)\]$")
 
 
 def parse_signature(text: str) -> Signature:

@@ -12,7 +12,7 @@ from equiko.arithmetic_k import (
     sl_zp_k,
 )
 from equiko.exactlinalg import FinAbGroup, direct_sum
-from equiko.fuchsian import hecke_bredon, is_prime
+from equiko.fuchsian import hecke_bredon, hecke_signature, is_prime
 from equiko.ko_assembly import KO_POINT
 
 
@@ -114,6 +114,22 @@ def test_h2_rank_matches_edge_h1():
         assert h[2] == h1_edge
 
 
+def test_closed_form_invariants_below_2000():
+    # torsion-free inputs, paired order-3 classes and an H1 rank of 0..3, for
+    # every (e2, e3) class of Gamma_0(p)
+    classes = set()
+    for p in [p for p in range(2, 2000) if is_prime(p)]:
+        periods = hecke_signature(p).periods
+        e2, e3 = periods.count(2), periods.count(3)
+        classes.add((e2, e3))
+        counts = class_count_psl(p)
+        assert not any(g.torsion for g in hecke_bredon(p))
+        assert counts.order3 in (2, 4)
+        rank = e2 + 2 * e3 + counts.order2 + counts.order3 - 6
+        assert psl_zp_bredon(p)[1].free_rank == rank and rank in (0, 1, 2, 3)
+    assert classes == {(1, 0), (0, 1), (0, 0), (0, 2), (2, 0), (2, 2)}
+
+
 # -- the reduced C*-algebra in the periodic case ---------------------------------------
 
 
@@ -174,5 +190,5 @@ def test_cstar_rejects_wrong_residue():
             cstar_k_p11(p)
         with pytest.raises(ValueError):
             cstar_ko_p11(p)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^35 is not prime$"):
         cstar_k_p11(35)  # 35 = 11 mod 12 but composite

@@ -201,6 +201,7 @@ def test_spec_group_mismatch_rejected():
 _BAD_LAST_TERMS = [
     ("1", (1, "c", "triv->Z4"), "spec 'triv->Z4' targets Z4 but the cell has stabiliser Z3"),
     ("Z2", (-1, "z", "id"), "'id' between different stabilisers Z2 and 1"),
+    ("Z2", (1, "c", "triv->Z3"), "spec 'triv->Z3' starts at 1 but the cell has stabiliser Z2"),
 ]
 
 
@@ -289,7 +290,7 @@ def test_graph_of_groups_shape():
     assert len(graph.edges) == 6
 
 
-def test_datum_equals_its_graph_of_groups():
+def test_noncocompact_datum_is_the_written_out_graph():
     sigs = [MODULAR_SIGNATURE, parse_signature("[0,2;997,991]"),
             parse_signature("[0,3;4,6,12]")]
     sigs += [hecke_signature(p) for p in (2, 3, 13, 17, 19, 23, 97)]
@@ -297,9 +298,22 @@ def test_datum_equals_its_graph_of_groups():
     for _ in range(50):
         periods = tuple(rng.randint(2, 9) for _ in range(rng.randint(0, 4)))
         sigs.append(Signature(rng.randint(0, 3), rng.randint(1, 4), periods))
+    assert len(sigs) == 60
+    free = GroupId.trivial()
     for sig in sigs:
-        graph = fuchsian_graph_of_groups(sig)
-        assert fuchsian_noncocompact_datum(sig) == graph.to_cw_datum()
+        # a free vertex z with 2g + s - 1 loops, and a pendant edge into each cone
+        cones = [(f"p{j + 1}", GroupId.cyclic(m)) for j, m in enumerate(sig.periods)]
+        loops = [f"l{i + 1}" for i in range(2 * sig.g + sig.s - 1)]
+        pendants = [f"d{j + 1}" for j in range(len(cones))]
+        terms = {label: [(1, "z", "id"), (-1, "z", "id")] for label in loops}
+        for label, (vertex, cone) in zip(pendants, cones):
+            terms[label] = [(1, vertex, f"triv->{cone.name()}"), (-1, "z", "id")]
+        expected = GammaCWDatum.build(
+            f"fuchsian{sig}",
+            [[("z", free)] + cones, [(label, free) for label in loops + pendants]],
+            {1: terms},
+        )
+        assert fuchsian_noncocompact_datum(sig) == expected
 
 
 def _count_calls(monkeypatch, module, name) -> list:

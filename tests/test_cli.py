@@ -15,7 +15,10 @@ from equiko.fuchsian import MODULAR_SIGNATURE
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse refuses an argument by exiting
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -191,6 +194,23 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     bad.write_text("name = x\n[cells.0]\nz = Zm(²)\n")
     assert run(capsys, "complex", "--file", str(bad))[0] == 2
     assert run(capsys, "verify", "--primes", "zzz")[0] == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("hecke", "-p", "١٣"), "invalid ascii_int value: '١٣'"),
+    (("hecke", "-p", "1_3"), "invalid ascii_int value: '1_3'"),
+    (("verify", "--primes", "٢..١٠"), "--primes expects A..B, got '٢..١٠'"),
+])
+def test_integers_in_other_digits_exit_two(capsys, argv, message):
+    # argparse's type=int and the --primes pattern's \d read these as 13 and 2..10
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_signed_prime_keeps_its_sign(capsys):
+    code, out, err = run(capsys, "hecke", "-p", "-5")
+    assert (code, out, err) == (1, "", "error: -5 is not prime\n")
 
 
 def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):

@@ -108,6 +108,25 @@ def test_parse_error_non_ascii_cyclic_order(order):
                   f"line 4: bad cyclic order in 'Zm({order})'")
 
 
+_EDGE = "name = x\n[cells.0]\nv = 1\n[cells.1]\ne = 1\n[matrix.1]\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name = x\n[cells.٠]\nv = 1\n", "line 2: bad section header '[cells.٠]'"),
+    (_EDGE + "٣\n", "line 7: bad matrix row '٣'"),
+    (_EDGE + "1_0\n", "line 7: bad matrix row '1_0'"),
+], ids=["section", "row-digit", "row-underscore"])
+def test_parse_error_non_ascii_integer(text, message):
+    # \d and int() read '٠' as 0 and '٣' as 3, and int() reads '1_0' as 10
+    _expect_error(text, message)
+
+
+def test_matrix_rows_keep_ascii_signs():
+    datum = parse_cw("name = x\n[cells.0]\nv = 1\nw = 1\n[cells.1]\ne = 1\n"
+                     "[matrix.1]\n+2\n-3\n")
+    assert datum.boundaries[0].row_list() == [[2], [-3]]
+
+
 def test_parse_error_reports_line_numbers():
     with pytest.raises(CWFormatError) as err:
         parse_cw("name = x\n[cells.0]\nv = Q8\n")
@@ -189,6 +208,14 @@ def test_parse_error_both_boundary_and_matrix():
         """,
         "matrix",
     )
+
+
+@pytest.mark.parametrize("cells, section", [
+    ("", "[matrix.1]"), ("[cells.1]\n", "[matrix.1]"), ("[cells.1]\n", "[boundary.1]"),
+])
+def test_parse_error_boundary_over_a_dimension_without_cells(cells, section):
+    _expect_error(f"name = x\n[cells.0]\nv = 1\n{cells}{section}\n",
+                  "boundary section for dimension 1 has no cells")
 
 
 def test_parse_error_matrix_shape():

@@ -165,7 +165,10 @@ def test_snf_matches_minor_gcd_oracle():
         assert exactlinalg._smith_factors(m) == d
 
 
-@pytest.mark.parametrize("m", _BRANCH_CASES, ids=str)
+# each id is the matrix, one text line per row
+@pytest.mark.parametrize("m", _BRANCH_CASES, ids=[
+    "2\n3", "2 3", "2 3\n0 3", "2 0\n0 3", "-2 4\n-6 -8", "<empty 0x3>", "<empty 3x0>",
+])
 def test_snf_roundtrip_on_branch_cases(m):
     _assert_snf_roundtrip(m)
 

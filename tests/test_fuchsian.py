@@ -34,6 +34,13 @@ def test_parse_rejects_garbage():
             parse_signature(bad)
 
 
+@pytest.mark.parametrize("text", ["[0,0;٢,3,7]", "[٠,0;2,3,7]", "[0,١;2,3]"])
+def test_parse_rejects_non_ascii_digits(text):
+    # \d and int() read '٢' as 2
+    with pytest.raises(ValueError, match="malformed signature"):
+        parse_signature(text)
+
+
 def test_periods_are_a_multiset():
     assert Signature(0, 1, (3, 2)) == Signature(0, 1, (2, 3))
     assert hash(Signature(0, 1, (3, 2))) == hash(Signature(0, 1, (2, 3)))

@@ -29,6 +29,8 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 FILES = {
     "modular.cw": lambda: format_cw(fuchsian_noncocompact_datum(MODULAR_SIGNATURE)),
     "sl3.cw": lambda: format_cw(sl3_datum()),
+    # int() would read the entry as 10
+    "underscore.cw": lambda: "name = x\n[cells.0]\nv = 1\n[cells.1]\ne = 1\n[matrix.1]\n1_0\n",
 }
 
 _BOTH_FORMATS = [
@@ -56,6 +58,12 @@ CASES = [argv + ["--format", fmt] for argv in _BOTH_FORMATS for fmt in ("text", 
 CASES += [
     ["psl2zp", "-p", "15"],  # composite prime: exit 1
     ["fuchsian", "--signature", "[0,0;2,3"],  # malformed signature: exit 2
+    # integers in digits other than ASCII 0-9, or with underscores: exit 2
+    ["fuchsian", "--signature", "[0,0;٢,3,7]"],
+    ["hecke", "-p", "١٣"],
+    ["hecke", "-p", "1_3"],
+    ["verify", "--primes", "٢..١٠"],
+    ["complex", "--file", "underscore.cw"],
 ]
 
 
@@ -66,7 +74,10 @@ def _case_id(argv) -> str:
 def _run(argv) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse refuses an argument by exiting
+            code = exc.code
     return {"code": code, "stdout": out.getvalue()}
 
 

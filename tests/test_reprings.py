@@ -36,6 +36,7 @@ def test_cyclic_induction_pattern():
     assert _block("triv->Z3").row_list() == [[1], [1], [1]]
     # Z/1 is the trivial group, also as the source of a cyclic inclusion
     assert _block("Zm(1)->Z3").row_list() == [[1], [1], [1]]
+    assert _block("triv->1").row_list() == [[1]]
     assert _block("Z3->Z3").row_list() == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1],
     ]
