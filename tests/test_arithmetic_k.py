@@ -3,10 +3,10 @@
 import pytest
 
 from equiko.arithmetic_k import (
+    ClassCount,
     class_count_psl,
     cstar_k_p11,
     cstar_ko_p11,
-    maximal_subgroups,
     psl_zp_bredon,
     psl_zp_k,
     sl_zp_k,
@@ -33,13 +33,6 @@ def test_class_count_table():
         assert (c.identity, c.order2, c.order3, c.total) == (
             identity, order2, order3, total
         )
-
-
-def test_maximal_subgroup_counts():
-    assert (maximal_subgroups(2).z2_classes, maximal_subgroups(2).z3_classes) == (1, 2)
-    assert (maximal_subgroups(3).z2_classes, maximal_subgroups(3).z3_classes) == (2, 1)
-    assert (maximal_subgroups(23).z2_classes, maximal_subgroups(23).z3_classes) == (2, 2)
-    assert (maximal_subgroups(13).z2_classes, maximal_subgroups(13).z3_classes) == (1, 1)
 
 
 def test_class_count_rejects_composites():
@@ -172,14 +165,25 @@ def test_cstar_ko_scales_with_loop_rank():
     assert str(gg.entry(3)) == "Z/2 + Z/2 + Z/2 + Z/2 + Z/2"
 
 
+def test_p11_gamma0_has_no_elliptic_points():
+    # the facts cstar's fixed subgroup counts rest on: for p = 11 mod 12,
+    # Gamma_0(p) has no periods, leaving two involution and four order-3 classes
+    primes = [p for p in range(11, 20000, 12) if is_prime(p)]
+    assert len(primes) > 500
+    for p in primes:
+        assert hecke_signature(p).periods == ()
+        assert class_count_psl(p) == ClassCount(1, 2, 4)
+
+
 def test_cstar_ko_equals_the_sum_of_its_summands():
-    # reference: one summand per class and per sphere, summed by direct_sum
+    # reference: one summand per class and per sphere, summed by direct_sum;
+    # one Z/2 per involution class, one Z/3 per inverse pair of order-3 classes
     for p in [p for p in range(11, 400, 12) if is_prime(p)]:
-        subs, b = maximal_subgroups(p), (p + 7) // 6
+        counts, b = class_count_psl(p), (p + 7) // 6
         gg = cstar_ko_p11(p)
         for n in range(8):
-            parts = ([KO_POINT.entry(n)] * (subs.z2_classes + 1)
-                     + [FinAbGroup.free(1 - n % 2)] * subs.z3_classes
+            parts = ([KO_POINT.entry(n)] * (counts.order2 + 1)
+                     + [FinAbGroup.free(1 - n % 2)] * (counts.order3 // 2)
                      + [KO_POINT.entry(n - 2)] * b)
             assert gg.entry(n) == direct_sum(*parts)
 

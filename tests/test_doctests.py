@@ -1,6 +1,8 @@
-"""Run the usage examples embedded in the library docstrings and the README."""
+"""Run the usage examples embedded in the library docstrings and the README,
+and check the package's public names, which the README tour imports."""
 
 import doctest
+import inspect
 from pathlib import Path
 
 import equiko
@@ -36,3 +38,14 @@ def test_readme_examples():
     result = doctest.testfile(str(readme), module_relative=False)
     assert result.failed == 0
     assert result.attempted >= 8  # the library tour ran
+
+
+def test_public_names_are_exported():
+    # a stale re-export fails to resolve; an unlisted one escapes `import *`
+    for name in equiko.__all__:
+        assert hasattr(equiko, name), name
+    public = {
+        name for name, value in vars(equiko).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(equiko.__all__)

@@ -31,6 +31,21 @@ FILES = {
     "sl3.cw": lambda: format_cw(sl3_datum()),
     # int() would read the entry as 10
     "underscore.cw": lambda: "name = x\n[cells.0]\nv = 1\n[cells.1]\ne = 1\n[matrix.1]\n1_0\n",
+    # the fundamental polygon of [1,0;2,2]: two-dimensional terms, Z2 cones
+    "polygon.cw": lambda: (
+        "name = fuchsian[1,0;2,2]\n\n"
+        "[cells.0]\nz = 1\nc1 = Z2\nc2 = Z2\n\n"
+        "[cells.1]\na1 = 1\na2 = 1\ny1 = 1\ny2 = 1\n\n"
+        "[cells.2]\nw = 1\n\n"
+        "[boundary.1]\n"
+        "a1 = +1 * z : id, -1 * z : id\n"
+        "a2 = +1 * z : id, -1 * z : id\n"
+        "y1 = +1 * c1 : triv->Z2, -1 * z : id\n"
+        "y2 = +1 * c2 : triv->Z2, -1 * z : id\n\n"
+        "[boundary.2]\n"
+        "w = +1 * a1 : id, -1 * a1 : id, +1 * a2 : id, -1 * a2 : id, "
+        "+1 * y1 : id, -1 * y1 : id, +1 * y2 : id, -1 * y2 : id\n"
+    ),
 }
 
 _BOTH_FORMATS = [
@@ -51,6 +66,8 @@ _BOTH_FORMATS = [
     ["complex", "--file", "modular.cw", "--ko"],  # Z3 stabiliser: exit 1
     ["complex", "--file", "modular.cw", "--emit"],
     ["complex", "--file", "sl3.cw", "--ko"],
+    ["complex", "--file", "polygon.cw"],
+    ["complex", "--file", "polygon.cw", "--ko"],  # H1 = Z^2: exit 1
     ["verify", "--primes", "2..50"],
 ]
 

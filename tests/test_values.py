@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from equiko.arithmetic_k import ClassCount, MaximalSubgroupList
+from equiko.arithmetic_k import ClassCount
 from equiko.bredon import (
     BoundaryTerm,
     Cell,
@@ -62,7 +62,6 @@ VALUES = {
                   ("extension_ambiguous", frozenset())),
     CheckResult: (dict(name="snf", passed=True, detail="ok"), ("passed", False)),
     ClassCount: (dict(identity=1, order2=2, order3=4), ("order3", 2)),
-    MaximalSubgroupList: (dict(z2_classes=2, z3_classes=2), ("z3_classes", 1)),
 }
 
 #: Classes that print themselves (`str` and `repr` agree) instead of their fields.
