@@ -58,7 +58,6 @@ from .ko_assembly import (
     KO_POINT,
     GradedGroup,
     collapse_complex,
-    ensure_ko_hypothesis,
     ko_from_bredon,
     kunneth_times_z2,
 )
@@ -66,7 +65,6 @@ from .arithmetic_k import (
     class_count_psl,
     cstar_k_p11,
     cstar_ko_p11,
-    maximal_subgroups,
     psl_zp_bredon,
     psl_zp_k,
     sl_zp_k,
@@ -104,7 +102,6 @@ __all__ = [
     "cstar_ko_p11",
     "cyclic_fs_indicator",
     "direct_sum",
-    "ensure_ko_hypothesis",
     "expand",
     "format_cw",
     "fs_indicator",
@@ -117,7 +114,6 @@ __all__ = [
     "ko_from_bredon",
     "kunneth_times_z2",
     "lifted_fuchsian_datum",
-    "maximal_subgroups",
     "parse_cw",
     "parse_name",
     "parse_signature",

@@ -43,16 +43,6 @@ class ClassCount(Value):
         return self.identity + self.order2 + self.order3
 
 
-class MaximalSubgroupList(Value):
-    """Conjugacy classes of maximal finite subgroups (all Z/2 or Z/3 here)."""
-
-    __slots__ = ("z2_classes", "z3_classes")
-
-    def __init__(self, z2_classes: int, z3_classes: int):
-        object.__setattr__(self, "z2_classes", z2_classes)
-        object.__setattr__(self, "z3_classes", z3_classes)
-
-
 def class_count_psl(p: int) -> ClassCount:
     """Count finite-order classes from the Gamma_0(p) signature.
 
@@ -69,13 +59,6 @@ def class_count_psl(p: int) -> ClassCount:
     order2 = 1 if 2 in sig.periods else 2
     order3 = 2 if 3 in sig.periods else 4
     return ClassCount(1, order2, order3)
-
-
-def maximal_subgroups(p: int) -> MaximalSubgroupList:
-    """Maximal finite subgroup classes: one Z/2 per involution class, one
-    Z/3 per inverse-pair of order-3 classes."""
-    counts = class_count_psl(p)
-    return MaximalSubgroupList(counts.order2, counts.order3 // 2)
 
 
 def psl_zp_bredon(p: int) -> list[FinAbGroup]:
@@ -114,6 +97,14 @@ def sl_zp_k(p: int) -> tuple[FinAbGroup, FinAbGroup]:
     return direct_sum(k0, k0), direct_sum(k1, k1)
 
 
+#: For p = 11 mod 12, Gamma_0(p) has no elliptic points (e2 = e3 = 0), so
+#: no classes fuse: two involution classes and two inverse pairs of order-3
+#: classes.  These are the "four finite subgroup classes" of the module
+#: docstring, two Z/2 and two Z/3.
+_P11_Z2_CLASSES = 2
+_P11_Z3_CLASSES = 2
+
+
 def _require_11_mod_12(p: int) -> int:
     spheres = hecke_bredon(p)[1].free_rank  # raises "{p} is not prime" first
     if p % 12 != 11:
@@ -134,8 +125,7 @@ def cstar_k_p11(p: int) -> tuple[FinAbGroup, FinAbGroup]:
     'Z^10'
     """
     b = _require_11_mod_12(p)
-    subs = maximal_subgroups(p)
-    rank = subs.z2_classes * 1 + subs.z3_classes * 2 + 1 + b
+    rank = _P11_Z2_CLASSES * 1 + _P11_Z3_CLASSES * 2 + 1 + b
     return FinAbGroup.free(rank), FinAbGroup.zero()
 
 
@@ -149,15 +139,14 @@ def cstar_ko_p11(p: int) -> GradedGroup:
     up to extension of the listed factors, and is flagged as such.
     """
     b = _require_11_mod_12(p)
-    subs = maximal_subgroups(p)
     groups = []
     for n in range(8):
         # (summand, copies): the Z/2 classes and the trivial group, the Z/3
         # classes, and the spheres.  Every torsion order of KO_*(pt) is 2, so
         # the sum is Z^rank + (Z/2)^twos, built from the counts alone.
         summands = (
-            (KO_POINT.entry(n), subs.z2_classes + 1),
-            (FinAbGroup.free(1 - n % 2), subs.z3_classes),
+            (KO_POINT.entry(n), _P11_Z2_CLASSES + 1),
+            (FinAbGroup.free(1 - n % 2), _P11_Z3_CLASSES),
             (KO_POINT.entry(n - 2), b),
         )
         rank = sum(g.free_rank * k for g, k in summands)

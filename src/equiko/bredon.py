@@ -325,41 +325,6 @@ def sl3_datum() -> GammaCWDatum:
 # Fuchsian data
 
 
-def fuchsian_cocompact_datum(sig: Signature) -> GammaCWDatum:
-    """Fundamental-polygon datum for a cocompact signature [g, 0; m_1..m_r].
-
-    One free vertex, one cone vertex per period; 2g free loops and one edge
-    into each cone vertex; a single free 2-cell whose polygon boundary
-    traverses every edge twice with opposite orientations, so its chain
-    boundary cancels to zero term by term.
-    """
-    if not sig.is_cocompact():
-        raise DatumError("cocompact datum needs s = 0")
-    vertices = [("z", GroupId.trivial())]
-    vertices += [(f"c{j + 1}", GroupId.cyclic(m)) for j, m in enumerate(sig.periods)]
-    edges = []
-    edge_bounds = {}
-    for i in range(2 * sig.g):
-        label = f"a{i + 1}"
-        edges.append((label, GroupId.trivial()))
-        edge_bounds[label] = [(1, "z", "id"), (-1, "z", "id")]
-    for j, m in enumerate(sig.periods):
-        label = f"y{j + 1}"
-        edges.append((label, GroupId.trivial()))
-        edge_bounds[label] = [
-            (1, f"c{j + 1}", f"triv->{GroupId.cyclic(m).name()}"),
-            (-1, "z", "id"),
-        ]
-    face_terms = []
-    for label, _ in edges:
-        face_terms += [(1, label, "id"), (-1, label, "id")]
-    return GammaCWDatum.build(
-        f"fuchsian{sig}",
-        [vertices, edges, [("w", GroupId.trivial())]],
-        {1: edge_bounds, 2: {"w": face_terms}},
-    )
-
-
 class GraphEdge(Value):
     """An edge of a graph of groups; `head` gets +1, `tail` gets -1.
 
@@ -407,25 +372,40 @@ class GraphOfGroupsDatum(Value):
 _LOOP_TERMS = (BoundaryTerm(1, "z", "id"), BoundaryTerm(-1, "z", "id"))
 
 
-def _fuchsian_graph(
-    name: str, sig: Signature, free: GroupId, cones: list[GroupId], via: str
-) -> GammaCWDatum:
-    # A vertex z with group `free` carrying 2g + s - 1 loops, and one pendant
-    # edge with group `free` from z into each cone vertex, embedded there by
-    # the spec `via->cone`.  Equal cones share one GroupId object, so datum
-    # validation checks each spec once.
+def _fuchsian_graph(loops: int, free: GroupId, cones: list[GroupId], via: str):
+    # (vertices, edges, edge terms): a vertex z with group `free` carrying
+    # `loops` loops, and one pendant edge with group `free` from z into each
+    # cone vertex, embedded there by the spec `via->cone`.  Equal cones share
+    # one GroupId object, so datum validation checks each spec once.
     shared: dict[GroupId, GroupId] = {}
     cones = [shared.setdefault(cone, cone) for cone in cones]
     vertices = (Cell("z", free),)
     vertices += tuple(Cell(f"p{j + 1}", cone) for j, cone in enumerate(cones))
-    loops = 2 * sig.g + sig.s - 1
     edges = tuple(Cell(f"l{i + 1}", free) for i in range(loops))
     edges += tuple(Cell(f"d{j + 1}", free) for j in range(len(cones)))
     terms = (_LOOP_TERMS,) * loops + tuple(
         (BoundaryTerm(1, f"p{j + 1}", f"{via}->{cone.name()}"), _LOOP_TERMS[1])
         for j, cone in enumerate(cones)
     )
-    return GammaCWDatum(name, (vertices, edges), (terms,))
+    return vertices, edges, terms
+
+
+def fuchsian_cocompact_datum(sig: Signature) -> GammaCWDatum:
+    """Fundamental-polygon datum for a cocompact signature [g, 0; m_1..m_r].
+
+    The graph of `fuchsian_noncocompact_datum` with 2g loops, plus a single
+    free 2-cell whose polygon boundary traverses every edge twice with
+    opposite orientations, so its chain boundary cancels to zero term by term.
+    """
+    if not sig.is_cocompact():
+        raise DatumError("cocompact datum needs s = 0")
+    trivial = GroupId.trivial()
+    cones = [GroupId.cyclic(m) for m in sig.periods]
+    vertices, edges, terms = _fuchsian_graph(2 * sig.g, trivial, cones, "triv")
+    face = tuple(BoundaryTerm(sign, e.label, "id") for e in edges for sign in (1, -1))
+    return GammaCWDatum(
+        f"fuchsian{sig}", (vertices, edges, (Cell("w", trivial),)), (terms, (face,))
+    )
 
 
 def fuchsian_noncocompact_datum(sig: Signature) -> GammaCWDatum:
@@ -437,7 +417,9 @@ def fuchsian_noncocompact_datum(sig: Signature) -> GammaCWDatum:
     if sig.is_cocompact():
         raise DatumError("graph-of-groups datum needs s >= 1")
     cones = [GroupId.cyclic(m) for m in sig.periods]
-    return _fuchsian_graph(f"fuchsian{sig}", sig, GroupId.trivial(), cones, "triv")
+    loops = 2 * sig.g + sig.s - 1
+    vertices, edges, terms = _fuchsian_graph(loops, GroupId.trivial(), cones, "triv")
+    return GammaCWDatum(f"fuchsian{sig}", (vertices, edges), (terms,))
 
 
 def fuchsian_graph_of_groups(sig: Signature) -> GraphOfGroupsDatum:
@@ -470,4 +452,6 @@ def lifted_fuchsian_datum(sig: Signature) -> GammaCWDatum:
     if any(m not in (2, 3) for m in sig.periods):
         raise DatumError("lift is only defined for periods 2 and 3")
     cones = [GroupId.cyclic(2 * m) for m in sig.periods]
-    return _fuchsian_graph(f"lift{sig}", sig, GroupId.cyclic(2), cones, "Z2")
+    loops = 2 * sig.g + sig.s - 1
+    vertices, edges, terms = _fuchsian_graph(loops, GroupId.cyclic(2), cones, "Z2")
+    return GammaCWDatum(f"lift{sig}", (vertices, edges), (terms,))

@@ -24,7 +24,6 @@ import sys
 from . import arithmetic_k, bredon, cwfile, fuchsian, ko_assembly
 from . import verify as verify_mod
 from .exactlinalg import ChainComplexError, ascii_int
-from .groups import GroupId
 
 BOTT_NOTE = "remaining groups by Bott periodicity"
 
@@ -63,10 +62,9 @@ def _ko_payload(gg) -> tuple[dict, list[str]]:
 
 
 def _assemble(h, stabilisers, ko: bool) -> tuple[dict, list[str]]:
-    """K by collapse, or KO once every stabiliser passes the KO hypothesis."""
+    """K by collapse, or KO (which checks every stabiliser's tables)."""
     if ko:
-        ko_assembly.ensure_ko_hypothesis(stabilisers)
-        return _ko_payload(ko_assembly.ko_from_bredon(h))
+        return _ko_payload(ko_assembly.ko_from_bredon(h, stabilisers))
     return _k_payload(*ko_assembly.collapse_complex(h))
 
 
@@ -78,8 +76,7 @@ def _cmd_sl3_gl3(args) -> int:
     h, stabilisers = bredon.bredon_homology(datum), datum.stabilisers()
     if args.command == "gl3":
         # GL_3(Z) = SL_3(Z) x Z/2, the Z/2 central and acting trivially.
-        h = ko_assembly.kunneth_times_z2(h)
-        stabilisers = [GroupId.times_z2(g) for g in stabilisers]
+        h, stabilisers = ko_assembly.kunneth_times_z2(h, stabilisers)
     groups, lines = _assemble(h, stabilisers, args.ko)
     return _print_doc(args, {}, groups, lines)
 
@@ -104,7 +101,7 @@ def _cmd_fuchsian(args) -> int:
 
 def _cmd_hecke(args) -> int:
     sig = fuchsian.hecke_signature(args.prime)
-    h0, h1 = fuchsian.hecke_bredon(args.prime)
+    h0, h1 = fuchsian.bredon_closed_form(sig)  # Gamma_0(p) has cusps: two degrees
     groups = {"H0": str(h0), "H1": str(h1)}
     lines = [f"signature = {sig}", f"H0 = {h0}", f"H1 = {h1}"]
     return _print_doc(

@@ -32,16 +32,9 @@ from __future__ import annotations
 
 import re
 
-from .bredon import (
-    Boundary,
-    BoundaryTerm,
-    Cell,
-    DatumError,
-    GammaCWDatum,
-    parse_induction_spec,
-)
+from .bredon import DatumError, GammaCWDatum, parse_induction_spec
 from .exactlinalg import IntMatrix, ascii_int
-from .groups import GroupId, UnsupportedGroupError, parse_name
+from .groups import GroupId, UnsupportedGroupError, complex_irreducible_count, parse_name
 
 
 class CWFormatError(ValueError):
@@ -150,19 +143,18 @@ def parse_cw(text: str) -> GammaCWDatum:
         if n not in cells:
             raise CWFormatError(f"missing section [cells.{n}] (dimensions must be contiguous)")
 
-    layers = [tuple(Cell(lbl, gid) for lbl, gid in cells[n]) for n in range(top + 1)]
-    ranks = [sum(c.rank() for c in layer) for layer in layers]
+    layers = [cells[n] for n in range(top + 1)]
+    ranks = [sum(complex_irreducible_count(gid) for _, gid in layer) for layer in layers]
 
     for n in set(term_sections) | set(matrix_sections):
         if n > top or not cells[n]:
             raise CWFormatError(f"boundary section for dimension {n} has no cells")
 
-    boundaries: list[Boundary] = []
+    boundaries: dict[int, IntMatrix | dict[str, tuple]] = {}
     for n in range(1, top + 1):
-        labels = [c.label for c in layers[n]]
+        labels = [label for label, _ in layers[n]]
         known = set(labels)
         if not labels:
-            boundaries.append(())
             continue
         if n in matrix_sections:
             rows = matrix_sections[n]
@@ -173,11 +165,11 @@ def parse_cw(text: str) -> GammaCWDatum:
             if any(len(r) != ranks[n] for r in rows):
                 raise CWFormatError(f"[matrix.{n}] rows must have {ranks[n]} entries")
             flat = tuple(x for r in rows for x in r)
-            boundaries.append(IntMatrix(ranks[n - 1], ranks[n], flat))
+            boundaries[n] = IntMatrix(ranks[n - 1], ranks[n], flat)
             continue
         if n not in term_sections:
             raise CWFormatError(f"no boundary given for dimension {n}")
-        assigned = dict()
+        assigned = boundaries[n] = {}
         for label, terms in term_sections[n]:
             if label not in known:
                 raise CWFormatError(f"[boundary.{n}] mentions unknown cell {label!r}")
@@ -189,13 +181,10 @@ def parse_cw(text: str) -> GammaCWDatum:
             raise CWFormatError(
                 f"[boundary.{n}] is missing cells {missing} (write 'label =' for zero)"
             )
-        boundaries.append(
-            tuple(tuple(BoundaryTerm(*t) for t in assigned[lbl]) for lbl in labels)
-        )
 
     try:
-        return GammaCWDatum(header["name"], tuple(layers), tuple(boundaries),
-                            header.get("snf_equivalent") == "true")
+        return GammaCWDatum.build(header["name"], layers, boundaries,
+                                  header.get("snf_equivalent") == "true")
     except DatumError as exc:
         raise CWFormatError(str(exc)) from exc
 

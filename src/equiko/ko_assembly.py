@@ -5,15 +5,19 @@ sequence degenerates in one of two ways:
 
 * complex K: when Bredon homology vanishes in degrees >= 3, the sequence
   collapses and K_0 = H_0 + H_2, K_1 = H_1 (`collapse_complex`);
-* real KO: when the E^2 page with KO-point coefficients is concentrated in
-  column p = 0, that column is the KO-homology (`ko_from_bredon`).
+* real KO: when every stabiliser has coinciding complex, real and
+  quaternionic tables and the E^2 page with KO-point coefficients is
+  concentrated in column p = 0, that column is the KO-homology
+  (`ko_from_bredon`, which checks the stabilisers it is given, then the
+  column).
 
-Both guards are enforced, never assumed.  The column follows the period-8
-coefficients KO_q(point) = Z, Z/2, Z/2, 0, Z, 0, 0, 0: integral rows repeat
-H_0, the two Z/2 rows are H_0 tensor Z/2.
+Each guard is enforced by the function that relies on it, never assumed.
+The column follows the period-8 coefficients KO_q(point) = Z, Z/2, Z/2, 0,
+Z, 0, 0, 0: integral rows repeat H_0, the two Z/2 rows are H_0 tensor Z/2.
 
 `kunneth_times_z2` handles a direct factor of Z/2 acting trivially (ranks
-double; torsion in the input would break the shortcut and is rejected).
+double and each stabiliser G becomes G x Z/2; torsion in the input would
+break the shortcut and is rejected).
 """
 
 from __future__ import annotations
@@ -78,12 +82,14 @@ def collapse_complex(h) -> tuple[FinAbGroup, FinAbGroup]:
     return direct_sum(h[0], h[2]), h[1]
 
 
-def kunneth_times_z2(h) -> list[FinAbGroup]:
-    """Homology after crossing with a trivially-acting direct factor of Z/2.
+def kunneth_times_z2(h, stabilisers) -> tuple[list[FinAbGroup], list[GroupId]]:
+    """Homology and stabilisers after crossing with a trivially-acting direct
+    factor of Z/2.
 
     The classifying space is unchanged but every representation ring
-    doubles, so every chain group and every homology rank doubles.  The
-    shortcut is only valid torsion-free and the input is checked.
+    doubles, so every chain group and every homology rank doubles, and each
+    stabiliser G becomes G x Z/2.  The shortcut is only valid torsion-free
+    and the input is checked.
     """
     out = []
     for degree, g in enumerate(h):
@@ -92,16 +98,26 @@ def kunneth_times_z2(h) -> list[FinAbGroup]:
                 f"rank doubling needs torsion-free homology; degree {degree} is {g}"
             )
         out.append(FinAbGroup.free(2 * g.free_rank))
-    return out
+    return out, [GroupId.times_z2(g) for g in stabilisers]
 
 
-def ensure_ko_hypothesis(group_ids) -> None:
-    """Check that every stabiliser has coinciding character tables.
+def ko_from_bredon(h, stabilisers) -> GradedGroup:
+    """KO-homology from Bredon homology concentrated in degree 0.
 
-    This is the hypothesis under which `ko_from_bredon` reads the correct KO
-    page; callers must run it before trusting any KO output.
+    Valid only when every stabiliser has coinciding complex, real and
+    quaternionic character tables; each of `stabilisers` is checked before
+    the page is read, and the first that fails is named.  The E^2 page is
+    E_{p,q} = H_p ⊗ KO_q(pt) + Tor(H_{p-1}, KO_q(pt)); its column 0 gives
+    KO_0..7 = H_0, H_0⊗Z/2, H_0⊗Z/2, 0, H_0, 0, 0, 0.  Raises when another
+    column is nonzero: a nonzero H_p with p >= 1, or even torsion in H_0,
+    whose Tor term lands in column 1.  A second column would feed
+    differentials and extension problems this routine has no right to
+    ignore.
+
+    >>> str(ko_from_bredon([FinAbGroup.of(1, [3])], [GroupId.trivial()]).entry(1))
+    'Z/2'
     """
-    for gid in group_ids:
+    for gid in stabilisers:
         if not isinstance(gid, GroupId):
             raise TypeError(f"expected GroupId, got {gid!r}")
         if not all_tables_coincide(gid):
@@ -109,21 +125,6 @@ def ensure_ko_hypothesis(group_ids) -> None:
                 f"stabiliser {gid.name()} does not have coinciding character "
                 "tables; the KO page hypothesis fails"
             )
-
-
-def ko_from_bredon(h) -> GradedGroup:
-    """KO-homology from Bredon homology concentrated in degree 0.
-
-    The E^2 page is E_{p,q} = H_p ⊗ KO_q(pt) + Tor(H_{p-1}, KO_q(pt)); its
-    column 0 gives KO_0..7 = H_0, H_0⊗Z/2, H_0⊗Z/2, 0, H_0, 0, 0, 0.  Raises
-    when another column is nonzero: a nonzero H_p with p >= 1, or even
-    torsion in H_0, whose Tor term lands in column 1.  A second column would
-    feed differentials and extension problems this routine has no right to
-    ignore.
-
-    >>> str(ko_from_bredon([FinAbGroup.of(1, [3])]).entry(1))
-    'Z/2'
-    """
     h = list(h)
     bad = sorted(
         {p for p, g in enumerate(h) if p > 0 and not g.is_zero()}

@@ -135,18 +135,17 @@ def check_sl3_bredon() -> str:
 
 def check_sl3_ko() -> str:
     datum = bredon.sl3_datum()
-    ko_assembly.ensure_ko_hypothesis(datum.stabilisers())
-    gg = ko_assembly.ko_from_bredon(bredon.bredon_homology(datum))
+    gg = ko_assembly.ko_from_bredon(bredon.bredon_homology(datum), datum.stabilisers())
     _groups_eq([gg.entry(n) for n in range(8)], SL3_KO, "SL3 KO")
     return "eight periodic KO groups match"
 
 
 def check_gl3_ko() -> str:
     datum = bredon.sl3_datum()
-    product_ids = [groups.GroupId.times_z2(g) for g in datum.stabilisers()]
-    ko_assembly.ensure_ko_hypothesis(product_ids)
-    doubled = ko_assembly.kunneth_times_z2(bredon.bredon_homology(datum))
-    gg = ko_assembly.ko_from_bredon(doubled)
+    doubled, products = ko_assembly.kunneth_times_z2(
+        bredon.bredon_homology(datum), datum.stabilisers()
+    )
+    gg = ko_assembly.ko_from_bredon(doubled, products)
     _groups_eq([gg.entry(n) for n in range(8)], GL3_KO, "GL3 KO")
     return "rank-doubled KO groups match"
 

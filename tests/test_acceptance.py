@@ -77,7 +77,7 @@ def test_criterion_01_sl3_ko(capsys):
 
 def test_criterion_02_gl3_ko(capsys):
     with criterion(2, "KO groups for GL_3(Z) by rank doubling"):
-        doubled = kunneth_times_z2(bredon_homology(sl3_datum()))
+        doubled, _ = kunneth_times_z2(bredon_homology(sl3_datum()), sl3_datum().stabilisers())
         assert [str(g) for g in doubled] == ["Z^16", "0", "0", "0"]
         lines = _cli_lines(capsys, "gl3", "--ko")
         assert lines == [
@@ -246,9 +246,9 @@ def test_criterion_10_negative_controls():
         with pytest.raises(ValueError):
             collapse_complex([Z, Z, Z, Z])  # H3 nonzero
         with pytest.raises(ValueError, match="column"):
-            ko_from_bredon([Z, Z])  # two columns
+            ko_from_bredon([Z, Z], [])  # two columns
         with pytest.raises(ValueError):
-            kunneth_times_z2([FinAbGroup.of(0, [2])])  # torsion
+            kunneth_times_z2([FinAbGroup.of(0, [2])], [])  # torsion
         for p in [13, 17, 19, 29]:
             with pytest.raises(ValueError):
                 cstar_k_p11(p)

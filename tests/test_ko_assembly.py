@@ -11,7 +11,6 @@ from equiko.ko_assembly import (
     KO_POINT,
     GradedGroup,
     collapse_complex,
-    ensure_ko_hypothesis,
     ko_from_bredon,
     kunneth_times_z2,
 )
@@ -83,11 +82,11 @@ def test_page_row_structure_invariant():
             h[1:] = [ZERO] * len(h[1:])
         if any(not g.is_zero() for g in h[1:]) or (h and not tor_z2(h[0]).is_zero()):
             with pytest.raises(ValueError, match="column"):
-                ko_from_bredon(h)
+                ko_from_bredon(h, ())
             rejected += 1
             continue
         h0 = h[0] if h else ZERO
-        gg = ko_from_bredon(h)
+        gg = ko_from_bredon(h, ())
         assert [gg.entry(n) for n in range(8)] == [
             h0, tensor_z2(h0), tensor_z2(h0), ZERO, h0, ZERO, ZERO, ZERO,
         ]
@@ -97,7 +96,7 @@ def test_page_row_structure_invariant():
 
 
 def test_column_collapse_single_column():
-    gg = ko_from_bredon([FinAbGroup.free(8), ZERO, ZERO, ZERO])
+    gg = ko_from_bredon([FinAbGroup.free(8), ZERO, ZERO, ZERO], ())
     assert [str(gg.entry(n)) for n in range(8)] == [
         "Z^8",
         "Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2",
@@ -105,14 +104,14 @@ def test_column_collapse_single_column():
         "0", "Z^8", "0", "0", "0",
     ]
     assert not gg.extension_ambiguous
-    assert [ko_from_bredon([]).entry(n) for n in range(8)] == [ZERO] * 8
+    assert [ko_from_bredon([], ()).entry(n) for n in range(8)] == [ZERO] * 8
 
 
 def test_page_tor_contribution():
     # Tor(Z/2, Z/2) lands in column 1; odd torsion has no Tor term
     with pytest.raises(ValueError, match="column"):
-        ko_from_bredon([Z2])
-    gg = ko_from_bredon([FinAbGroup.of(0, [3])])
+        ko_from_bredon([Z2], ())
+    gg = ko_from_bredon([FinAbGroup.of(0, [3])], ())
     assert [str(gg.entry(n)) for n in range(8)] == [
         "Z/3", "0", "0", "0", "Z/3", "0", "0", "0",
     ]
@@ -120,12 +119,12 @@ def test_page_tor_contribution():
 
 def test_column_collapse_rejects_two_columns():
     with pytest.raises(ValueError) as err:
-        ko_from_bredon([Z, Z])
+        ko_from_bredon([Z, Z], ())
     assert "column" in str(err.value)
 
 
 def test_ko_from_bredon_on_builtin_homology():
-    gg = ko_from_bredon(bredon_homology(sl3_datum()))
+    gg = ko_from_bredon(bredon_homology(sl3_datum()), sl3_datum().stabilisers())
     assert gg.entry(0) == FinAbGroup.free(8)
     assert gg.entry(1) == FinAbGroup.of(0, [2] * 8)
     assert gg.entry(3) == ZERO
@@ -135,30 +134,42 @@ def test_ko_from_bredon_on_builtin_homology():
 
 
 def test_kunneth_doubles_free_ranks():
-    doubled = kunneth_times_z2([FinAbGroup.free(8), ZERO, Z])
+    doubled, products = kunneth_times_z2(
+        [FinAbGroup.free(8), ZERO, Z], [GroupId.sym4(), GroupId.trivial()]
+    )
     assert [str(g) for g in doubled] == ["Z^16", "0", "Z^2"]
+    assert products == [GroupId.times_z2(GroupId.sym4()), GroupId.cyclic(2)]
 
 
 def test_kunneth_rejects_torsion():
     with pytest.raises(ValueError):
-        kunneth_times_z2([FinAbGroup.of(1, [2])])
+        kunneth_times_z2([FinAbGroup.of(1, [2])], [])
 
 
-# -- hypothesis checking -----------------------------------------------------------
+# -- the stabiliser hypothesis, checked inside ko_from_bredon ----------------------
 
 
 def test_hypothesis_accepts_coinciding_stabilisers():
-    ensure_ko_hypothesis(
-        [GroupId.sym4(), GroupId.dihedral(6), GroupId.trivial(), GroupId.klein4()]
+    gg = ko_from_bredon(
+        [FinAbGroup.free(2)],
+        [GroupId.sym4(), GroupId.dihedral(6), GroupId.trivial(), GroupId.klein4()],
     )
+    assert gg.entry(0) == FinAbGroup.free(2)
 
 
 def test_hypothesis_names_the_offender():
+    # the stabilisers are checked before the page: two columns, but Z3 is named
     with pytest.raises(ValueError) as err:
-        ensure_ko_hypothesis([GroupId.sym4(), GroupId.cyclic(3)])
+        ko_from_bredon([Z, Z], [GroupId.sym4(), GroupId.cyclic(3)])
     assert "Z3" in str(err.value)
 
 
 def test_hypothesis_rejects_non_group_ids():
     with pytest.raises(TypeError):
-        ensure_ko_hypothesis(["S4"])
+        ko_from_bredon([Z], ["S4"])
+
+
+def test_hypothesis_refuses_a_column_zero_page():
+    # the page [Z] alone would be read; a Z3 cell makes it the wrong page
+    with pytest.raises(ValueError, match="Z3 does not have coinciding"):
+        ko_from_bredon([Z], [GroupId.cyclic(3)])
