@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ._value import Value
 from .exactlinalg import FinAbGroup, direct_sum
-from .fuchsian import hecke_bredon, hecke_signature
+from .fuchsian import Signature, bredon_closed_form, hecke_bredon, hecke_signature
 from .ko_assembly import KO_POINT, GradedGroup, collapse_complex
 
 
@@ -55,9 +55,13 @@ def class_count_psl(p: int) -> ClassCount:
     >>> class_count_psl(23)
     ClassCount(identity=1, order2=2, order3=4)
     """
-    sig = hecke_signature(p)
-    order2 = 1 if 2 in sig.periods else 2
-    order3 = 2 if 3 in sig.periods else 4
+    return _class_count(hecke_signature(p))
+
+
+def _class_count(edge: Signature) -> ClassCount:
+    # `class_count_psl` from the signature `edge` of Gamma_0(p)
+    order2 = 1 if 2 in edge.periods else 2
+    order3 = 2 if 3 in edge.periods else 4
     return ClassCount(1, order2, order3)
 
 
@@ -67,8 +71,14 @@ def psl_zp_bredon(p: int) -> list[FinAbGroup]:
     >>> [str(g) for g in psl_zp_bredon(13)]
     ['Z^4', 'Z^3', 'Z']
     """
-    h0_edge, h1_edge = hecke_bredon(p)
-    total = class_count_psl(p).total
+    return _psl_bredon(hecke_signature(p))
+
+
+def _psl_bredon(edge: Signature) -> list[FinAbGroup]:
+    # `psl_zp_bredon` from the signature `edge` of Gamma_0(p); `verify`'s
+    # mayer-vietoris check passes the signature it reads H_0(edge) from
+    h0_edge, h1_edge = bredon_closed_form(edge)
+    total = _class_count(edge).total
     # Exactness: 0 -> H_1 -> H_0(edge) -> Z^4 + Z^4 -> H_0 -> 0.  The H_1
     # rank is e2 + 2 e3 + order2 + order3 - 6, which is 0, 1, 2 or 3.
     return [

@@ -22,7 +22,9 @@ Three families of data are built here:
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from itertools import repeat
 
 from ._value import Value
 from .exactlinalg import FinAbGroup, IntChainComplex, IntMatrix, all_homology
@@ -45,6 +47,17 @@ class Cell(Value):
 
     def rank(self) -> int:
         return complex_irreducible_count(self.stabiliser)
+
+    @classmethod
+    def orbits(cls, labels: list[str], stabiliser: GroupId) -> tuple["Cell", ...]:
+        """`tuple(Cell(label, stabiliser) for label in labels)`, with the
+        fields set by C-level loops instead of one `__init__` call per cell:
+        a Fuchsian graph has a loop cell per generator, ~p/6 for Gamma_0(p).
+        """
+        cells = tuple(map(object.__new__, repeat(cls, len(labels))))
+        deque(map(cls.label.__set__, cells, labels), maxlen=0)
+        deque(map(cls.stabiliser.__set__, cells, repeat(stabiliser)), maxlen=0)
+        return cells
 
 
 class BoundaryTerm(Value):
@@ -164,13 +177,20 @@ class GammaCWDatum(Value):
                     f"{len(b)} term lists"
                 )
             below = {c.label: c.stabiliser for c in self.cells[n - 1]}
-            # A spec check depends only on the spec and the two stabilisers,
-            # so each distinct triple is checked once.  Keying on the identity
-            # of the stabilisers spares hashing a GroupId per term; equal but
-            # distinct GroupId objects are merely checked again.
+            # A cell's terms are checked against its stabiliser and the
+            # stabilisers they hit, so cells sharing one terms tuple and one
+            # source (every loop of a Fuchsian graph) are checked once, and
+            # within those each distinct spec triple once.  Keying on object
+            # identity spares hashing tuples and GroupIds per cell; equal but
+            # distinct objects are merely checked again.
+            seen = set()
             checked = set()
             for cell, terms in zip(self.cells[n], b):
                 source = cell.stabiliser
+                pair = (id(terms), id(source))
+                if pair in seen:
+                    continue
+                seen.add(pair)
                 for term in terms:
                     target = below.get(term.target)
                     if target is None:
@@ -242,17 +262,17 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
     >>> expand(datum).boundaries[0].row_list()
     [[1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1]]
     """
-    ranks = []
-    offsets: list[dict[str, tuple[int, int]]] = []  # label -> (offset, rank)
+    rank_of: dict[int, int] = {}  # id(stabiliser) -> rank, read once per object
+    cell_ranks = []
     for layer in datum.cells:
-        table: dict[str, tuple[int, int]] = {}
-        pos = 0
+        layer_ranks = []
         for c in layer:
-            rank = c.rank()
-            table[c.label] = (pos, rank)
-            pos += rank
-        offsets.append(table)
-        ranks.append(pos)
+            rank = rank_of.get(id(c.stabiliser))
+            if rank is None:
+                rank = rank_of[id(c.stabiliser)] = c.rank()
+            layer_ranks.append(rank)
+        cell_ranks.append(layer_ranks)
+    ranks = [sum(layer_ranks) for layer_ranks in cell_ranks]
 
     matrices = []
     for n, b in enumerate(datum.boundaries, start=1):
@@ -260,14 +280,31 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
             matrices.append(b)
             continue
         rows, cols = ranks[n - 1], ranks[n]
+        below: dict[str, tuple[int, int]] = {}  # label -> (row offset, rank)
+        pos = 0
+        for c, m in zip(datum.cells[n - 1], cell_ranks[n - 1]):
+            below[c.label] = (pos, m)
+            pos += m
+        # Cells with one terms tuple and one rank (every loop of a Fuchsian
+        # graph) add the same column pattern at their own column offset, so
+        # each pattern is summed once: (position in the column, nonzero sum).
+        patterns: dict[tuple[int, int], list[tuple[int, int]]] = {}
         entries = [0] * (rows * cols)
-        for cell, terms in zip(datum.cells[n], b):
-            col_off, d = offsets[n][cell.label]
-            for term in terms:
-                row_off, m = offsets[n - 1][term.target]
-                for j in range(d):
-                    for k in range(j, m, d):
-                        entries[(row_off + k) * cols + col_off + j] += term.sign
+        col_off = 0
+        for terms, d in zip(b, cell_ranks[n]):
+            pattern = patterns.get((id(terms), d))
+            if pattern is None:
+                sums: dict[int, int] = {}
+                for term in terms:
+                    row_off, m = below[term.target]
+                    for j in range(d):
+                        for k in range(j, m, d):
+                            at = (row_off + k) * cols + j
+                            sums[at] = sums.get(at, 0) + term.sign
+                pattern = patterns[id(terms), d] = [(at, x) for at, x in sums.items() if x]
+            for at, x in pattern:
+                entries[at + col_off] += x
+            col_off += d
         matrices.append(IntMatrix(rows, cols, tuple(entries)))
     return IntChainComplex(tuple(ranks), tuple(matrices))
 
@@ -381,7 +418,7 @@ def _fuchsian_graph(loops: int, free: GroupId, cones: list[GroupId], via: str):
     cones = [shared.setdefault(cone, cone) for cone in cones]
     vertices = (Cell("z", free),)
     vertices += tuple(Cell(f"p{j + 1}", cone) for j, cone in enumerate(cones))
-    edges = tuple(Cell(f"l{i + 1}", free) for i in range(loops))
+    edges = Cell.orbits([f"l{i + 1}" for i in range(loops)], free)
     edges += tuple(Cell(f"d{j + 1}", free) for j in range(len(cones)))
     terms = (_LOOP_TERMS,) * loops + tuple(
         (BoundaryTerm(1, f"p{j + 1}", f"{via}->{cone.name()}"), _LOOP_TERMS[1])

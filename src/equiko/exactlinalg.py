@@ -17,7 +17,7 @@ matrices is harmless.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from operator import mod
 
@@ -206,13 +206,18 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     (2, 4)
     """
     nrows, ncols = m.rows, m.cols
-    a = [row + unit for row, unit in zip(m.row_list(), IntMatrix.identity(nrows).row_list())]
-    a += IntMatrix.identity(ncols).row_list()
+    a = m.row_list()
+    for i, row in enumerate(a):
+        row += [0] * nrows
+        row[ncols + i] = 1
+    for j in range(ncols):
+        a.append([0] * ncols)
+        a[-1][j] = 1
     d = _eliminate(a, nrows, ncols)
     return SNFResult(
         d=d,
-        left=IntMatrix.from_rows([row[ncols:] for row in a[:nrows]], cols=nrows),
-        right=IntMatrix.from_rows(a[nrows:], cols=ncols),
+        left=IntMatrix(nrows, nrows, tuple(chain.from_iterable(row[ncols:] for row in a[:nrows]))),
+        right=IntMatrix(ncols, ncols, tuple(chain.from_iterable(a[nrows:]))),
     )
 
 

@@ -3,9 +3,10 @@
 Each check recomputes results from first principles (chain complexes, Smith
 normal form, power maps) and compares them against frozen expected values
 and against independent closed forms.  `verify_all` returns one result per
-check; the CLI turns any failure into exit code 3.  The `snf` check runs
-in a forked child beside the others.  All randomness is seeded, so output is
-byte-identical run to run.
+check; the CLI turns any failure into exit code 3.  The `snf` check is cut
+into parts that two lanes share: a forked child claims parts from the
+start, and the parent claims the rest once its own checks are done.  All
+randomness is seeded, so output is byte-identical run to run.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import marshal
 import os
 import random
+from functools import cache
 from itertools import combinations
 from math import gcd
 
@@ -176,8 +178,7 @@ def check_involution_counts() -> str:
     return f"indicator-weighted degrees count involutions in {len(probes)} groups"
 
 
-def check_hecke_closed_vs_chain(prime_lo: int, prime_hi: int) -> str:
-    primes = _primes_in(prime_lo, prime_hi)
+def check_hecke_closed_vs_chain(primes: list[int]) -> str:
     for p in primes:
         sig = fuchsian.hecke_signature(p)
         closed = fuchsian.bredon_closed_form(sig)
@@ -215,11 +216,11 @@ def check_psl_tables() -> str:
     return f"{len(PSL_BREDON_TABLE)} Bredon rows + {len(PSL_K_TABLE)} K rows match"
 
 
-def check_mv_rank_sum(prime_lo: int, prime_hi: int) -> str:
-    primes = _primes_in(prime_lo, prime_hi)
+def check_mv_rank_sum(primes: list[int]) -> str:
     for p in primes:
-        h = arithmetic_k.psl_zp_bredon(p)
-        h0_edge, _ = fuchsian.hecke_bredon(p)
+        edge = fuchsian.hecke_signature(p)
+        h = arithmetic_k._psl_bredon(edge)
+        h0_edge = fuchsian.bredon_closed_form(edge)[0]
         alternating = h[1].free_rank - h0_edge.free_rank + 8 - h[0].free_rank
         _eq(alternating, 0, f"alternating rank sum for p={p}")
     return f"four-term exactness holds for {len(primes)} primes"
@@ -294,23 +295,37 @@ def _minor_gcd_factors(m: IntMatrix) -> list[int]:
     return out
 
 
-def check_snf() -> str:
+#: The snf check's 1000 round trips run in this many equal parts, and its
+#: 120 minor-gcd oracle matches in one part more, the last.
+_ROUND_TRIP_PARTS = 10
+_SNF_PARTS = _ROUND_TRIP_PARTS + 1
+
+
+def _snf_matrices() -> tuple[list[IntMatrix], list[IntMatrix]]:
+    """The snf check's seeded matrices: 1000 for round trips, 120 for the oracle."""
     rng = random.Random(_SEED)
-    for _ in range(1000):
-        m = _random_matrix(rng)
+    round_trips = [_random_matrix(rng) for _ in range(1000)]
+    oracle_rng = random.Random(_SEED + 1)
+    return round_trips, [_random_matrix(oracle_rng, max_dim=5) for _ in range(120)]
+
+
+def _run_snf_part(matrices: tuple[list[IntMatrix], list[IntMatrix]], index: int) -> None:
+    """Part `index` of the snf check on `_snf_matrices()`; raises on the first failure."""
+    round_trips, oracle = matrices
+    if index == _ROUND_TRIP_PARTS:
+        for m in oracle:
+            res = smith_normal_form(m)
+            if list(res.d) != _minor_gcd_factors(m):
+                raise AssertionError("SNF disagrees with the minor-gcd oracle")
+        return
+    size = len(round_trips) // _ROUND_TRIP_PARTS
+    for m in round_trips[index * size:(index + 1) * size]:
         res = smith_normal_form(m)
         recomposed = res.left @ m @ res.right
         if recomposed != IntMatrix.diagonal(res.d, m.rows, m.cols):
             raise AssertionError(f"SNF round-trip failed for {m.rows}x{m.cols} matrix")
         if abs(res.left.determinant()) != 1 or abs(res.right.determinant()) != 1:
             raise AssertionError("SNF transforms are not unimodular")
-    oracle_rng = random.Random(_SEED + 1)
-    for _ in range(120):
-        m = _random_matrix(oracle_rng, max_dim=5)
-        res = smith_normal_form(m)
-        if list(res.d) != _minor_gcd_factors(m):
-            raise AssertionError("SNF disagrees with the minor-gcd oracle")
-    return "1000 random round-trips, 120 minor-gcd oracle matches"
 
 
 def check_euler() -> str:
@@ -330,73 +345,114 @@ def check_euler() -> str:
     return f"chain and homology Euler characteristics agree on {len(data)} complexes"
 
 
-def _run_check(name: str, fn) -> tuple[str, bool, str]:
+def _run_check(name: str | int, fn) -> tuple[str | int, bool, str]:
     try:
         return name, True, fn()
     except Exception as exc:  # noqa: BLE001 -- a failing check must not stop the run
         return name, False, f"{type(exc).__name__}: {exc}"
 
 
-def _start_check(name: str, fn):
-    """Start `_run_check(name, fn)` in a forked child (inline where there is
-    no `os.fork`); the returned callable waits for its `(name, passed, detail)`."""
-    if not hasattr(os, "fork"):
-        result = _run_check(name, fn)
-        return lambda: result
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # never return into the caller's stack or flush its inherited stdio
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(_run_check(name, fn)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
+class _SnfLanes:
+    """The snf check's parts, shared between this process and one forked child.
 
-    def wait() -> tuple[str, bool, str]:
-        with os.fdopen(read_fd, "rb") as pipe:
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code == 0:
+    One token per part goes into a pipe whose write end is closed before
+    the fork, so a 1-byte read claims one part atomically and an empty pipe
+    reads as end of file.  The child claims parts from the start and sends
+    its `(index, passed, detail)` results back through a second pipe; this
+    process claims the rest in `drain`, once its own checks are done.
+    Without `os.fork` this process runs every part in `drain`.
+    """
+
+    def __init__(self):
+        self.matrices = _snf_matrices()
+        self.done: list[tuple[int, bool, str | None]] = []  # the parts this process ran
+        self.tokens, write_fd = os.pipe()
+        os.write(write_fd, bytes(range(_SNF_PARTS)))
+        os.close(write_fd)
+        self.child = None
+        if not hasattr(os, "fork"):
+            return
+        self.results, write_fd = os.pipe()
+        self.child = os.fork()
+        if self.child == 0:
+            # never return into the caller's stack or flush its inherited stdio
+            status = 1
             try:
-                return marshal.loads(data)
-            except (EOFError, ValueError, TypeError):
-                pass
-        how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        return name, False, f"check process {how} without a result"
+                os.close(self.results)
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(marshal.dumps(self._claim()))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
 
-    return wait
+    def _claim(self) -> list[tuple[int, bool, str | None]]:
+        done = []
+        while token := os.read(self.tokens, 1):
+            index = token[0]
+            done.append(_run_check(index, lambda: _run_snf_part(self.matrices, index)))
+        return done
+
+    def drain(self) -> None:
+        self.done += self._claim()
+
+    def result(self) -> tuple[str, bool, str]:
+        """Wait for the child; `snf` passes only if the child returned its
+        results and every part ran and passed.  A failure reports the
+        failing part of lowest index, whichever process ran it."""
+        os.close(self.tokens)
+        done = self.done
+        if self.child is not None:
+            with os.fdopen(self.results, "rb") as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(self.child, 0)[1])
+            try:
+                if code == 0:
+                    done = done + marshal.loads(data)
+            except (EOFError, ValueError, TypeError):
+                code = 1
+            if code != 0:
+                how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                return "snf", False, f"check process {how} without a result"
+        done.sort()
+        for index, passed, detail in done:
+            if not passed:
+                return "snf", False, detail
+        ran = [index for index, _, _ in done]
+        if ran != list(range(_SNF_PARTS)):
+            return "snf", False, f"parts {ran} ran, not each of 0..{_SNF_PARTS - 1} once"
+        return "snf", True, "1000 random round-trips, 120 minor-gcd oracle matches"
 
 
 def verify_all(prime_lo: int, prime_hi: int) -> list[CheckResult]:
     """Run every regression check; never raises, reports per-check results."""
+    swept = cache(lambda: _primes_in(prime_lo, prime_hi))  # for hecke and mayer-vietoris
     checks = [
         ("sl3-bredon", check_sl3_bredon),
         ("sl3-ko", check_sl3_ko),
         ("gl3-ko", check_gl3_ko),
         ("character-tables", check_table_coincidence),
         ("involution-counts", check_involution_counts),
-        ("hecke", lambda: check_hecke_closed_vs_chain(prime_lo, prime_hi)),
+        ("hecke", lambda: check_hecke_closed_vs_chain(swept())),
         ("class-counts", check_class_counts),
         ("psl2zp", check_psl_tables),
-        ("mayer-vietoris", lambda: check_mv_rank_sum(prime_lo, prime_hi)),
+        ("mayer-vietoris", lambda: check_mv_rank_sum(swept())),
         ("sl2zp-doubling", check_sl_doubling),
         ("cstar", check_cstar),
-        ("snf", check_snf),
+        ("snf", None),  # run by `_SnfLanes` below
         ("euler", check_euler),
     ]
     # snf costs the same at every prime range, and near B = 1900 about as
-    # much as all the other checks together: it runs in a lane of its own.
-    wait_snf = _start_check("snf", check_snf)
+    # much as all the other checks together.  Its parts are shared: a forked
+    # child starts on them at once, and this process takes what is left
+    # after the other twelve checks, so neither CPU waits on the other.
+    snf = _SnfLanes()
     results = {}
     try:
         for name, fn in checks:
             if name != "snf":
                 results[name] = CheckResult(*_run_check(name, fn))
+        snf.drain()
     finally:
-        results["snf"] = CheckResult(*wait_snf())
+        results["snf"] = CheckResult(*snf.result())
     return [results[name] for name, _ in checks]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from equiko import fuchsian
 from equiko.arithmetic_k import (
     ClassCount,
     class_count_psl,
@@ -75,6 +76,15 @@ def test_psl_bredon_table():
         h = psl_zp_bredon(p)
         assert [g.free_rank for g in h] == [h0, h1, h2]
         assert all(not g.torsion for g in h)
+
+
+def test_psl_bredon_builds_one_signature(monkeypatch):
+    # Miller-Rabin runs once per Gamma_0(p) signature built
+    is_prime = fuchsian.is_prime
+    tested = []
+    monkeypatch.setattr(fuchsian, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert [str(g) for g in psl_zp_bredon(13)] == ["Z^4", "Z^3", "Z"]
+    assert tested == [13]
 
 
 def test_psl_k_table():

@@ -7,6 +7,8 @@ import pytest
 
 from equiko import bredon, exactlinalg
 from equiko.bredon import (
+    BoundaryTerm,
+    Cell,
     DatumError,
     GammaCWDatum,
     bredon_homology,
@@ -25,7 +27,7 @@ from equiko.fuchsian import (
     hecke_signature,
     parse_signature,
 )
-from equiko.groups import GroupId, parse_name
+from equiko.groups import GroupId, complex_irreducible_count, parse_name
 
 
 # -- expansion -------------------------------------------------------------------
@@ -144,6 +146,60 @@ def test_expansion_digests_are_pinned():
     assert got == _EXPANSION_DIGESTS
 
 
+def _reference_expand(datum):
+    # term by term: a term adds its sign at row k, column j of its block for
+    # every k = j (mod d), d the rank of the cell's stabiliser
+    offsets, ranks = [], []
+    for layer in datum.cells:
+        table, pos = {}, 0
+        for c in layer:
+            table[c.label] = (pos, complex_irreducible_count(c.stabiliser))
+            pos += table[c.label][1]
+        offsets.append(table)
+        ranks.append(pos)
+    matrices = []
+    for n, b in enumerate(datum.boundaries, start=1):
+        rows = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+        for cell, terms in zip(datum.cells[n], b):
+            col, d = offsets[n][cell.label]
+            for term in terms:
+                row, m = offsets[n - 1][term.target]
+                for j in range(d):
+                    for k in range(j, m, d):
+                        rows[row + k][col + j] += term.sign
+        matrices.append(IntMatrix.from_rows(rows, cols=ranks[n]))
+    return tuple(ranks), tuple(matrices)
+
+
+def _shared_terms_datum(monkeypatch):
+    # one terms tuple on trivial and Z/2 cells, so on columns of width 1 and
+    # 2; no spec fits both sources, so the datum is built unvalidated
+    shared = (BoundaryTerm(1, "c", "triv->Z6"), BoundaryTerm(-1, "z", "id"),
+              BoundaryTerm(1, "c", "triv->Z6"))
+    vertices = (Cell("z", GroupId.trivial()), Cell("c", GroupId.cyclic(6)))
+    edges = tuple(Cell(f"e{i}", GroupId.cyclic(2) if i % 2 else GroupId.trivial())
+                  for i in range(5))
+    with monkeypatch.context() as patch:
+        patch.setattr(GammaCWDatum, "__post_init__", lambda self: None)
+        return GammaCWDatum("shared", (vertices, edges), ((shared,) * 5,))
+
+
+def test_expand_matches_a_term_by_term_expansion(monkeypatch):
+    data = [_shared_terms_datum(monkeypatch), _mixed_induction_datum(),
+            lifted_fuchsian_datum(hecke_signature(13)),
+            fuchsian_noncocompact_datum(hecke_signature(97)),
+            fuchsian_cocompact_datum(parse_signature("[2,0;2,2]"))]
+    for datum in data:
+        c = expand(datum)
+        assert (c.ranks, c.boundaries) == _reference_expand(datum), datum.name
+    # columns: e0 | e1 (two) | e2 | e3 (two) | e4; rows: z, then c's six characters
+    assert expand(data[0]).boundaries[0].row_list()[:3] == [
+        [-1, -1, 0, -1, -1, 0, -1],
+        [2, 2, 0, 2, 2, 0, 2],
+        [2, 0, 2, 2, 0, 2, 2],
+    ]
+
+
 def test_snf_round_trips_on_expanded_boundaries():
     # the transforms come from the homology kernel run on the bordered matrix
     data = [sl3_datum(), _mixed_induction_datum()]
@@ -215,6 +271,26 @@ def test_mismatched_last_term_after_many_loops_rejected(group, term, message):
     with pytest.raises(DatumError) as exc:
         GammaCWDatum.build("bad", cells, {1: {**loops, "y": [term]}})
     assert str(exc.value) == message
+
+
+def test_cell_orbits_are_cells():
+    z2 = GroupId.cyclic(2)
+    cells = Cell.orbits(["a", "b", "c"], z2)
+    assert cells == (Cell("a", z2), Cell("b", z2), Cell("c", z2))
+    assert [hash(c) for c in cells] == [hash(Cell(label, z2)) for label in "abc"]
+    assert Cell.orbits([], z2) == ()
+    with pytest.raises(AttributeError):
+        cells[0].label = "d"
+
+
+def test_shared_terms_are_checked_against_each_source():
+    # the first cell's stabiliser makes the spec valid, the second's does not
+    shared = (BoundaryTerm(1, "c", "triv->Z4"),)
+    vertices = (Cell("c", GroupId.cyclic(4)),)
+    edges = (Cell("a", GroupId.trivial()), Cell("b", GroupId.cyclic(2)))
+    with pytest.raises(DatumError) as exc:
+        GammaCWDatum("bad", (vertices, edges), ((shared, shared),))
+    assert str(exc.value) == "spec 'triv->Z4' starts at 1 but the cell has stabiliser Z2"
 
 
 def test_matrix_shape_mismatch_rejected():
