@@ -1,9 +1,10 @@
 """Bredon homology of Gamma-CW complexes with representation-ring coefficients.
 
-A `GammaCWDatum` records one cell per orbit together with its stabiliser
-(one of the catalogue groups) and, for every positive dimension, either
-per-cell tuples of signed terms describing how each cell's boundary hits
-lower cells through catalogued inductions, or a raw integer matrix.
+A `GammaCWDatum` records one cell per orbit as a pair `(label, stabiliser)`,
+the stabiliser one of the catalogue groups, and, for every positive
+dimension, either per-cell tuples of signed terms `(sign, target, spec)`
+describing how each cell's boundary hits lower cells through catalogued
+inductions, or a raw integer matrix.
 `expand` turns this into an honest integer chain complex: the chain group in
 degree n is the direct sum of the complex representation rings of the
 n-cell stabilisers, and each boundary block is sign * (induction matrix).
@@ -22,7 +23,6 @@ Three families of data are built here:
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from itertools import repeat
 
@@ -36,46 +36,9 @@ class DatumError(ValueError):
     """Raised when Gamma-CW data is internally inconsistent."""
 
 
-class Cell(Value):
-    """One orbit of cells: a label and the stabiliser of a representative."""
-
-    __slots__ = ("label", "stabiliser")
-
-    def __init__(self, label: str, stabiliser: GroupId):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "stabiliser", stabiliser)
-
-    def rank(self) -> int:
-        return complex_irreducible_count(self.stabiliser)
-
-    @classmethod
-    def orbits(cls, labels: list[str], stabiliser: GroupId) -> tuple["Cell", ...]:
-        """`tuple(Cell(label, stabiliser) for label in labels)`, with the
-        fields set by C-level loops instead of one `__init__` call per cell:
-        a Fuchsian graph has a loop cell per generator, ~p/6 for Gamma_0(p).
-        """
-        cells = tuple(map(object.__new__, repeat(cls, len(labels))))
-        deque(map(cls.label.__set__, cells, labels), maxlen=0)
-        deque(map(cls.stabiliser.__set__, cells, repeat(stabiliser)), maxlen=0)
-        return cells
-
-
-class BoundaryTerm(Value):
-    """One signed summand `sign * target : spec` of a cell boundary."""
-
-    __slots__ = ("sign", "target", "spec")
-
-    def __init__(self, sign: int, target: str, spec: str):
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "spec", spec)
-        if sign not in (1, -1):
-            raise DatumError(f"boundary coefficients must be +1 or -1, got {sign}")
-
-
 # The boundary out of one dimension: a raw matrix on the chain groups, or one
-# tuple of terms per cell, aligned with the cell order.
-Boundary = IntMatrix | tuple[tuple[BoundaryTerm, ...], ...]
+# tuple of terms (sign, target, spec) per cell, aligned with the cell order.
+Boundary = IntMatrix | tuple[tuple[tuple[int, str, str], ...], ...]
 
 
 def _cyclic_or_trivial(gid: GroupId) -> bool:
@@ -132,15 +95,16 @@ def _check_spec(spec: str, source: GroupId, target: GroupId) -> None:
 class GammaCWDatum(Value):
     """A finite Gamma-CW structure with catalogue stabilisers.
 
-    `cells[n]` lists the n-cells; `boundaries[n-1]` describes the boundary
-    map out of dimension n (per-cell term tuples or a raw matrix).  Data
+    `cells[n]` lists the n-cells as pairs (label, stabiliser);
+    `boundaries[n-1]` describes the boundary map out of dimension n: a raw
+    matrix, or per cell a tuple of terms (sign, target label, spec).  Data
     whose boundaries are only unimodularly equivalent to the geometric ones
     is flagged `snf_equivalent`; homology is unaffected.
     """
 
     __slots__ = ("name", "cells", "boundaries", "snf_equivalent")
 
-    def __init__(self, name: str, cells: tuple[tuple[Cell, ...], ...],
+    def __init__(self, name: str, cells: tuple[tuple[tuple[str, GroupId], ...], ...],
                  boundaries: tuple[Boundary, ...], snf_equivalent: bool = False):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "cells", cells)
@@ -158,13 +122,12 @@ class GammaCWDatum(Value):
                 f"got {len(self.boundaries)}"
             )
         for dim, layer in enumerate(self.cells):
-            labels = [c.label for c in layer]
-            if len(set(labels)) != len(labels):
+            if len(dict(layer)) != len(layer):
                 raise DatumError(f"duplicate cell labels in dimension {dim}")
         for n, b in enumerate(self.boundaries, start=1):
             if isinstance(b, IntMatrix):
-                rows = sum(c.rank() for c in self.cells[n - 1])
-                cols = sum(c.rank() for c in self.cells[n])
+                rows = sum(complex_irreducible_count(g) for _, g in self.cells[n - 1])
+                cols = sum(complex_irreducible_count(g) for _, g in self.cells[n])
                 if (b.rows, b.cols) != (rows, cols):
                     raise DatumError(
                         f"matrix for the boundary out of dimension {n} is "
@@ -176,7 +139,7 @@ class GammaCWDatum(Value):
                     f"dimension {n} has {len(self.cells[n])} cells but "
                     f"{len(b)} term lists"
                 )
-            below = {c.label: c.stabiliser for c in self.cells[n - 1]}
+            below = dict(self.cells[n - 1])
             # A cell's terms are checked against its stabiliser and the
             # stabilisers they hit, so cells sharing one terms tuple and one
             # source (every loop of a Fuchsian graph) are checked once, and
@@ -185,22 +148,23 @@ class GammaCWDatum(Value):
             # distinct objects are merely checked again.
             seen = set()
             checked = set()
-            for cell, terms in zip(self.cells[n], b):
-                source = cell.stabiliser
+            for (label, source), terms in zip(self.cells[n], b):
                 pair = (id(terms), id(source))
                 if pair in seen:
                     continue
                 seen.add(pair)
-                for term in terms:
-                    target = below.get(term.target)
+                for sign, target_label, spec in terms:
+                    if sign not in (1, -1):
+                        raise DatumError(f"boundary coefficients must be +1 or -1, got {sign}")
+                    target = below.get(target_label)
                     if target is None:
                         raise DatumError(
-                            f"boundary of {cell.label!r} hits unknown "
-                            f"{n - 1}-cell {term.target!r}"
+                            f"boundary of {label!r} hits unknown "
+                            f"{n - 1}-cell {target_label!r}"
                         )
-                    key = (term.spec, id(source), id(target))
+                    key = (spec, id(source), id(target))
                     if key not in checked:
-                        _check_spec(term.spec, source, target)
+                        _check_spec(spec, source, target)
                         checked.add(key)
 
     @classmethod
@@ -211,9 +175,7 @@ class GammaCWDatum(Value):
         `boundaries`: dict dimension -> either {label: [(sign, target, spec), ...]}
         or an IntMatrix.
         """
-        cell_layers = tuple(
-            tuple(Cell(label, gid) for label, gid in layer) for layer in cells
-        )
+        cell_layers = tuple(tuple(map(tuple, layer)) for layer in cells)
         packed = []
         for n in range(1, len(cell_layers)):
             raw = boundaries.get(n)
@@ -221,15 +183,15 @@ class GammaCWDatum(Value):
                 packed.append(raw)
                 continue
             raw = raw or {}
-            unknown = set(raw) - {c.label for c in cell_layers[n]}
+            unknown = set(raw) - {label for label, _ in cell_layers[n]}
             if unknown:
                 raise DatumError(
                     f"boundary given for unknown {n}-cells {sorted(unknown)}"
                 )
             packed.append(
                 tuple(
-                    tuple(BoundaryTerm(*t) for t in raw.get(c.label, ()))
-                    for c in cell_layers[n]
+                    tuple(map(tuple, raw.get(label, ())))
+                    for label, _ in cell_layers[n]
                 )
             )
         return cls(name, cell_layers, tuple(packed), snf_equivalent)
@@ -238,9 +200,9 @@ class GammaCWDatum(Value):
         """All stabilisers, deduplicated, in order of first appearance."""
         seen: list[GroupId] = []
         for layer in self.cells:
-            for c in layer:
-                if c.stabiliser not in seen:
-                    seen.append(c.stabiliser)
+            for _, gid in layer:
+                if gid not in seen:
+                    seen.append(gid)
         return seen
 
 
@@ -266,10 +228,10 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
     cell_ranks = []
     for layer in datum.cells:
         layer_ranks = []
-        for c in layer:
-            rank = rank_of.get(id(c.stabiliser))
+        for _, gid in layer:
+            rank = rank_of.get(id(gid))
             if rank is None:
-                rank = rank_of[id(c.stabiliser)] = c.rank()
+                rank = rank_of[id(gid)] = complex_irreducible_count(gid)
             layer_ranks.append(rank)
         cell_ranks.append(layer_ranks)
     ranks = [sum(layer_ranks) for layer_ranks in cell_ranks]
@@ -282,8 +244,8 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
         rows, cols = ranks[n - 1], ranks[n]
         below: dict[str, tuple[int, int]] = {}  # label -> (row offset, rank)
         pos = 0
-        for c, m in zip(datum.cells[n - 1], cell_ranks[n - 1]):
-            below[c.label] = (pos, m)
+        for (label, _), m in zip(datum.cells[n - 1], cell_ranks[n - 1]):
+            below[label] = (pos, m)
             pos += m
         # Cells with one terms tuple and one rank (every loop of a Fuchsian
         # graph) add the same column pattern at their own column offset, so
@@ -295,12 +257,12 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
             pattern = patterns.get((id(terms), d))
             if pattern is None:
                 sums: dict[int, int] = {}
-                for term in terms:
-                    row_off, m = below[term.target]
+                for sign, target, _ in terms:
+                    row_off, m = below[target]
                     for j in range(d):
                         for k in range(j, m, d):
                             at = (row_off + k) * cols + j
-                            sums[at] = sums.get(at, 0) + term.sign
+                            sums[at] = sums.get(at, 0) + sign
                 pattern = patterns[id(terms), d] = [(at, x) for at, x in sums.items() if x]
             for at, x in pattern:
                 entries[at + col_off] += x
@@ -334,7 +296,7 @@ def _pivot_block(rows: int, cols: int, count: int, row_offset: int = 0) -> IntMa
 def sl3_datum() -> GammaCWDatum:
     """The Gamma-CW datum for SL_3(Z) acting on its classifying space.
 
-    Five orbits of vertices, eight of edges, five of 2-cells and one 3-cell;
+    Five vertices, eight edges, five 2-cells and one 3-cell modulo SL_3(Z);
     chain ranks 26, 28, 11, 1.  The boundary matrices are stored in the
     unimodularly equivalent normal form (rank-18, rank-10 and rank-1 unit
     pivot blocks), so homology computed from them by Smith normal form is
@@ -384,7 +346,8 @@ class GraphOfGroupsDatum(Value):
 
     __slots__ = ("name", "vertices", "edges")
 
-    def __init__(self, name: str, vertices: tuple[Cell, ...], edges: tuple[GraphEdge, ...]):
+    def __init__(self, name: str, vertices: tuple[tuple[str, GroupId], ...],
+                 edges: tuple[GraphEdge, ...]):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
@@ -392,7 +355,7 @@ class GraphOfGroupsDatum(Value):
 
     def __post_init__(self):
         # validation; `bench/tracer.py` times it by wrapping this name
-        by_label = {v.label: v for v in self.vertices}
+        by_label = dict(self.vertices)
         if len(by_label) != len(self.vertices):
             raise DatumError("duplicate vertex labels")
         for e in self.edges:
@@ -402,11 +365,11 @@ class GraphOfGroupsDatum(Value):
                         f"edge {e.label!r} ends at unknown vertex {vertex_label!r}"
                     )
                 # Raises if the edge group does not embed as specified.
-                _check_spec(spec, e.group, by_label[vertex_label].stabiliser)
+                _check_spec(spec, e.group, by_label[vertex_label])
 
 
 # Every loop at z is bounded by z - z through the identity; all loops share it.
-_LOOP_TERMS = (BoundaryTerm(1, "z", "id"), BoundaryTerm(-1, "z", "id"))
+_LOOP_TERMS = ((1, "z", "id"), (-1, "z", "id"))
 
 
 def _fuchsian_graph(loops: int, free: GroupId, cones: list[GroupId], via: str):
@@ -416,12 +379,12 @@ def _fuchsian_graph(loops: int, free: GroupId, cones: list[GroupId], via: str):
     # one GroupId object, so datum validation checks each spec once.
     shared: dict[GroupId, GroupId] = {}
     cones = [shared.setdefault(cone, cone) for cone in cones]
-    vertices = (Cell("z", free),)
-    vertices += tuple(Cell(f"p{j + 1}", cone) for j, cone in enumerate(cones))
-    edges = Cell.orbits([f"l{i + 1}" for i in range(loops)], free)
-    edges += tuple(Cell(f"d{j + 1}", free) for j in range(len(cones)))
+    vertices = (("z", free),)
+    vertices += tuple((f"p{j + 1}", cone) for j, cone in enumerate(cones))
+    edges = tuple(zip([f"l{i + 1}" for i in range(loops)], repeat(free)))
+    edges += tuple((f"d{j + 1}", free) for j in range(len(cones)))
     terms = (_LOOP_TERMS,) * loops + tuple(
-        (BoundaryTerm(1, f"p{j + 1}", f"{via}->{cone.name()}"), _LOOP_TERMS[1])
+        ((1, f"p{j + 1}", f"{via}->{cone.name()}"), _LOOP_TERMS[1])
         for j, cone in enumerate(cones)
     )
     return vertices, edges, terms
@@ -439,9 +402,9 @@ def fuchsian_cocompact_datum(sig: Signature) -> GammaCWDatum:
     trivial = GroupId.trivial()
     cones = [GroupId.cyclic(m) for m in sig.periods]
     vertices, edges, terms = _fuchsian_graph(2 * sig.g, trivial, cones, "triv")
-    face = tuple(BoundaryTerm(sign, e.label, "id") for e in edges for sign in (1, -1))
+    face = tuple((sign, label, "id") for label, _ in edges for sign in (1, -1))
     return GammaCWDatum(
-        f"fuchsian{sig}", (vertices, edges, (Cell("w", trivial),)), (terms, (face,))
+        f"fuchsian{sig}", (vertices, edges, (("w", trivial),)), (terms, (face,))
     )
 
 
@@ -470,8 +433,8 @@ def fuchsian_graph_of_groups(sig: Signature) -> GraphOfGroupsDatum:
         datum.name,
         vertices,
         tuple(
-            GraphEdge(e.label, e.stabiliser, (head.target, head.spec), (tail.target, tail.spec))
-            for e, (head, tail) in zip(edges, datum.boundaries[0])
+            GraphEdge(label, group, head[1:], tail[1:])
+            for (label, group), (head, tail) in zip(edges, datum.boundaries[0])
         ),
     )
 

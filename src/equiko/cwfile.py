@@ -16,7 +16,7 @@ term lists through catalogued inductions,
 
 or as a raw integer matrix on the chain groups (rows live in the chain
 group one dimension down, columns index the irreducibles of the n-cell
-stabilisers in declaration order):
+stabilisers in declaration order; at least one row, all of one length):
 
     [matrix.2]
     0 1 0
@@ -25,7 +25,8 @@ stabilisers in declaration order):
 Group names: "1", "Z2", "Z3", "Z4", "Z6", "Z2xZ2", "D3", "D4", "D6", "S4",
 "Zm(m)" for other cyclic orders, and a "Z2x" prefix for products with a
 central Z/2 (e.g. "Z2xS4").  Induction specs are "id", "triv->Zm" or
-"Zd->Zm".  `parse_cw` and `format_cw` are mutually inverse on valid data.
+"Zd->Zm".  `parse_cw` and `format_cw` are mutually inverse on valid data
+whose matrices have rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import re
 
 from .bredon import DatumError, GammaCWDatum, parse_induction_spec
 from .exactlinalg import IntMatrix, ascii_int
-from .groups import GroupId, UnsupportedGroupError, complex_irreducible_count, parse_name
+from .groups import GroupId, UnsupportedGroupError, parse_name
 
 
 class CWFormatError(ValueError):
@@ -132,6 +133,8 @@ def parse_cw(text: str) -> GammaCWDatum:
                 row = [ascii_int(tok) for tok in line.split()]
             except ValueError as exc:
                 raise CWFormatError(f"line {lineno}: bad matrix row {line!r}") from exc
+            if matrix_sections[n] and len(row) != len(matrix_sections[n][0]):
+                raise CWFormatError(f"line {lineno}: ragged matrix row {line!r}")
             matrix_sections[n].append(row)
 
     if "name" not in header:
@@ -144,7 +147,6 @@ def parse_cw(text: str) -> GammaCWDatum:
             raise CWFormatError(f"missing section [cells.{n}] (dimensions must be contiguous)")
 
     layers = [cells[n] for n in range(top + 1)]
-    ranks = [sum(complex_irreducible_count(gid) for _, gid in layer) for layer in layers]
 
     for n in set(term_sections) | set(matrix_sections):
         if n > top or not cells[n]:
@@ -153,26 +155,16 @@ def parse_cw(text: str) -> GammaCWDatum:
     boundaries: dict[int, IntMatrix | dict[str, tuple]] = {}
     for n in range(1, top + 1):
         labels = [label for label, _ in layers[n]]
-        known = set(labels)
         if not labels:
             continue
         if n in matrix_sections:
-            rows = matrix_sections[n]
-            if len(rows) != ranks[n - 1]:
-                raise CWFormatError(
-                    f"[matrix.{n}] has {len(rows)} rows, expected {ranks[n - 1]}"
-                )
-            if any(len(r) != ranks[n] for r in rows):
-                raise CWFormatError(f"[matrix.{n}] rows must have {ranks[n]} entries")
-            flat = tuple(x for r in rows for x in r)
-            boundaries[n] = IntMatrix(ranks[n - 1], ranks[n], flat)
+            # the datum checks the shape against the stabilisers' ranks
+            boundaries[n] = IntMatrix.from_rows(matrix_sections[n])
             continue
         if n not in term_sections:
             raise CWFormatError(f"no boundary given for dimension {n}")
         assigned = boundaries[n] = {}
         for label, terms in term_sections[n]:
-            if label not in known:
-                raise CWFormatError(f"[boundary.{n}] mentions unknown cell {label!r}")
             if label in assigned:
                 raise CWFormatError(f"[boundary.{n}] assigns {label!r} twice")
             assigned[label] = terms
@@ -197,8 +189,8 @@ def format_cw(datum: GammaCWDatum) -> str:
     for n, layer in enumerate(datum.cells):
         lines.append("")
         lines.append(f"[cells.{n}]")
-        for c in layer:
-            lines.append(f"{c.label} = {c.stabiliser.name()}")
+        for label, gid in layer:
+            lines.append(f"{label} = {gid.name()}")
     for n in range(1, len(datum.cells)):
         if not datum.cells[n]:
             continue
@@ -210,10 +202,10 @@ def format_cw(datum: GammaCWDatum) -> str:
                 lines.append(" ".join(str(x) for x in row))
         else:
             lines.append(f"[boundary.{n}]")
-            for cell, terms in zip(datum.cells[n], b):
+            for (label, _), terms in zip(datum.cells[n], b):
                 rendered = ", ".join(
-                    f"{'+' if t.sign > 0 else '-'}1 * {t.target} : {t.spec}"
-                    for t in terms
+                    f"{'+' if sign > 0 else '-'}1 * {target} : {spec}"
+                    for sign, target, spec in terms
                 )
-                lines.append(f"{cell.label} = {rendered}".rstrip())
+                lines.append(f"{label} = {rendered}".rstrip())
     return "\n".join(lines) + "\n"

@@ -7,8 +7,6 @@ import pytest
 
 from equiko import bredon, exactlinalg
 from equiko.bredon import (
-    BoundaryTerm,
-    Cell,
     DatumError,
     GammaCWDatum,
     bredon_homology,
@@ -152,21 +150,21 @@ def _reference_expand(datum):
     offsets, ranks = [], []
     for layer in datum.cells:
         table, pos = {}, 0
-        for c in layer:
-            table[c.label] = (pos, complex_irreducible_count(c.stabiliser))
-            pos += table[c.label][1]
+        for label, gid in layer:
+            table[label] = (pos, complex_irreducible_count(gid))
+            pos += table[label][1]
         offsets.append(table)
         ranks.append(pos)
     matrices = []
     for n, b in enumerate(datum.boundaries, start=1):
         rows = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-        for cell, terms in zip(datum.cells[n], b):
-            col, d = offsets[n][cell.label]
-            for term in terms:
-                row, m = offsets[n - 1][term.target]
+        for (label, _), terms in zip(datum.cells[n], b):
+            col, d = offsets[n][label]
+            for sign, target, _ in terms:
+                row, m = offsets[n - 1][target]
                 for j in range(d):
                     for k in range(j, m, d):
-                        rows[row + k][col + j] += term.sign
+                        rows[row + k][col + j] += sign
         matrices.append(IntMatrix.from_rows(rows, cols=ranks[n]))
     return tuple(ranks), tuple(matrices)
 
@@ -174,10 +172,9 @@ def _reference_expand(datum):
 def _shared_terms_datum(monkeypatch):
     # one terms tuple on trivial and Z/2 cells, so on columns of width 1 and
     # 2; no spec fits both sources, so the datum is built unvalidated
-    shared = (BoundaryTerm(1, "c", "triv->Z6"), BoundaryTerm(-1, "z", "id"),
-              BoundaryTerm(1, "c", "triv->Z6"))
-    vertices = (Cell("z", GroupId.trivial()), Cell("c", GroupId.cyclic(6)))
-    edges = tuple(Cell(f"e{i}", GroupId.cyclic(2) if i % 2 else GroupId.trivial())
+    shared = ((1, "c", "triv->Z6"), (-1, "z", "id"), (1, "c", "triv->Z6"))
+    vertices = (("z", GroupId.trivial()), ("c", GroupId.cyclic(6)))
+    edges = tuple((f"e{i}", GroupId.cyclic(2) if i % 2 else GroupId.trivial())
                   for i in range(5))
     with monkeypatch.context() as patch:
         patch.setattr(GammaCWDatum, "__post_init__", lambda self: None)
@@ -273,24 +270,39 @@ def test_mismatched_last_term_after_many_loops_rejected(group, term, message):
     assert str(exc.value) == message
 
 
-def test_cell_orbits_are_cells():
-    z2 = GroupId.cyclic(2)
-    cells = Cell.orbits(["a", "b", "c"], z2)
-    assert cells == (Cell("a", z2), Cell("b", z2), Cell("c", z2))
-    assert [hash(c) for c in cells] == [hash(Cell(label, z2)) for label in "abc"]
-    assert Cell.orbits([], z2) == ()
-    with pytest.raises(AttributeError):
-        cells[0].label = "d"
-
-
 def test_shared_terms_are_checked_against_each_source():
     # the first cell's stabiliser makes the spec valid, the second's does not
-    shared = (BoundaryTerm(1, "c", "triv->Z4"),)
-    vertices = (Cell("c", GroupId.cyclic(4)),)
-    edges = (Cell("a", GroupId.trivial()), Cell("b", GroupId.cyclic(2)))
+    shared = ((1, "c", "triv->Z4"),)
+    vertices = (("c", GroupId.cyclic(4)),)
+    edges = (("a", GroupId.trivial()), ("b", GroupId.cyclic(2)))
     with pytest.raises(DatumError) as exc:
         GammaCWDatum("bad", (vertices, edges), ((shared, shared),))
     assert str(exc.value) == "spec 'triv->Z4' starts at 1 but the cell has stabiliser Z2"
+
+
+_EDGE_CELLS = ((("v", GroupId.trivial()),), (("e", GroupId.trivial()),))
+
+
+@pytest.mark.parametrize("sign", [2, 0, -2])
+def test_coefficients_other_than_one_rejected(sign):
+    message = f"boundary coefficients must be +1 or -1, got {sign}"
+    with pytest.raises(DatumError) as exc:
+        GammaCWDatum.build("bad", _EDGE_CELLS, {1: {"e": [(sign, "v", "id")]}})
+    assert str(exc.value) == message
+    with pytest.raises(DatumError) as exc:
+        GammaCWDatum("bad", _EDGE_CELLS, ((((sign, "v", "id"),),),))
+    assert str(exc.value) == message
+
+
+def test_build_stores_lists_as_tuples():
+    # the datum is immutable and hashable whichever sequences the caller passes
+    loop = {"e": [(1, "v", "id"), (-1, "v", "id")]}
+    from_lists = GammaCWDatum.build(
+        "loop", [[["v", GroupId.trivial()]], [["e", GroupId.trivial()]]],
+        {1: {"e": [list(term) for term in loop["e"]]}})
+    from_tuples = GammaCWDatum("loop", _EDGE_CELLS, ((tuple(loop["e"]),),))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert from_lists == GammaCWDatum.build("loop", _EDGE_CELLS, {1: loop})
 
 
 def test_matrix_shape_mismatch_rejected():

@@ -1,7 +1,10 @@
 """The Gamma-CW text format: parsing, serialization, round-trips."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from equiko import cli
 from equiko.bredon import (
     bredon_homology,
     expand,
@@ -83,6 +86,35 @@ def test_roundtrip_builtin_data():
         assert parsed == datum
         assert format_cw(parsed) == text  # byte-identical re-emit
         assert bredon_homology(parsed) == bredon_homology(datum)
+
+
+def _assert_roundtrip(datum):
+    text = format_cw(datum)
+    parsed = parse_cw(text)
+    assert parsed == datum
+    assert format_cw(parsed) == text
+    assert expand(parsed) == expand(datum)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 30), st.integers(0, 15), st.lists(st.integers(2, 12), max_size=5),
+       st.booleans())
+def test_roundtrip_graph_property(loops, g, periods, lift):
+    # 2g + s - 1 loops at the free vertex; the lift takes periods 2 and 3 only
+    g = min(g, loops // 2)
+    if lift:
+        sig = Signature(g, loops - 2 * g + 1, tuple(2 + m % 2 for m in periods))
+        _assert_roundtrip(lifted_fuchsian_datum(sig))
+    else:
+        _assert_roundtrip(fuchsian_noncocompact_datum(Signature(g, loops - 2 * g + 1, periods)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.lists(st.integers(2, 12), max_size=5))
+def test_roundtrip_polygon_property(g, periods):
+    sig = Signature(g, 0, periods)
+    assume(sig.is_hyperbolic())
+    _assert_roundtrip(fuchsian_cocompact_datum(sig))
 
 
 def test_matrix_sections_roundtrip():
@@ -229,8 +261,43 @@ def test_parse_error_matrix_shape():
         [matrix.1]
         1
         """,
-        "rows, expected",
+        "is 1x1, expected 2x1",
     )
+
+
+_TWO_EDGES = "name = x\n[cells.0]\nv = 1\nw = 1\n[cells.1]\ne = 1\nf = 1\n"
+
+#: files that `complex --file` refuses with exit 2: (file text, the whole message)
+_REFUSED = [
+    (_TWO_EDGES + "[boundary.1]\ne =\nf =\ng = +1 * v : id\n",
+     "boundary given for unknown 1-cells ['g']"),
+    (_TWO_EDGES + "[boundary.1]\ne = +1 * v : id, -1 * u : id\nf =\n",
+     "boundary of 'e' hits unknown 0-cell 'u'"),
+    (_TWO_EDGES + "[matrix.1]\n1 0\n1\n", "line 10: ragged matrix row '1'"),
+    (_TWO_EDGES + "[matrix.1]\n1 0\n",
+     "matrix for the boundary out of dimension 1 is 1x2, expected 2x2"),
+    (_TWO_EDGES + "[matrix.1]\n1 0 0\n0 1 0\n",
+     "matrix for the boundary out of dimension 1 is 2x3, expected 2x2"),
+    (_TWO_EDGES + "[matrix.1]\n",
+     "matrix for the boundary out of dimension 1 is 0x0, expected 2x2"),
+]
+_REFUSED_IDS = ["unknown-cell", "unknown-target", "ragged", "few-rows", "wide", "empty"]
+
+
+@pytest.mark.parametrize("text, message", _REFUSED, ids=_REFUSED_IDS)
+def test_parse_refuses(text, message):
+    with pytest.raises(CWFormatError) as err:
+        parse_cw(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", _REFUSED, ids=_REFUSED_IDS)
+def test_refused_file_exits_two(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.cw"
+    path.write_text(text, encoding="utf-8")
+    code = cli.main(["complex", "--file", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_parse_error_bad_spec():
@@ -295,5 +362,5 @@ def test_zm1_is_the_trivial_group():
         e = +1 * z : id, -1 * z : id
         """
     )
-    assert [c.stabiliser.name() for c in datum.cells[0]] == ["1"]
+    assert [gid.name() for _, gid in datum.cells[0]] == ["1"]
     assert [str(g) for g in bredon_homology(datum)] == ["Z", "Z"]

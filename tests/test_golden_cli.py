@@ -81,6 +81,9 @@ CASES += [
     ["hecke", "-p", "1_3"],
     ["verify", "--primes", "٢..١٠"],
     ["complex", "--file", "underscore.cw"],
+    # --emit writes the file back whatever --format says
+    ["complex", "--file", "polygon.cw", "--emit"],
+    ["complex", "--file", "sl3.cw", "--emit"],
 ]
 
 

@@ -13,13 +13,7 @@ import itertools
 import pytest
 
 from equiko.arithmetic_k import ClassCount
-from equiko.bredon import (
-    BoundaryTerm,
-    Cell,
-    GammaCWDatum,
-    GraphEdge,
-    GraphOfGroupsDatum,
-)
+from equiko.bredon import GammaCWDatum, GraphEdge, GraphOfGroupsDatum
 from equiko.exactlinalg import FinAbGroup, IntChainComplex, IntMatrix, SNFResult
 from equiko.fuchsian import Signature
 from equiko.groups import CharacterTable, FiniteGroupData, GroupId, build_group
@@ -29,7 +23,7 @@ from equiko.verify import CheckResult
 _1 = GroupId.trivial()
 _Z2 = GroupId.cyclic(2)
 _Z2_DATA = build_group(_Z2)
-_VERTEX = Cell("v", _1)
+_VERTEX = ("v", _1)
 _LOOP = GraphEdge("e", _1, ("v", "id"), ("v", "id"))
 
 #: class -> (keyword arguments naming every field, in field order;
@@ -49,8 +43,6 @@ VALUES = {
         square_class=_Z2_DATA.square_class,
     ), ("group", GroupId.klein4())),
     CharacterTable: (dict(group=_Z2, rows=((1, 1), (1, -1))), ("rows", ((1, 1),))),
-    Cell: (dict(label="v", stabiliser=_1), ("label", "w")),
-    BoundaryTerm: (dict(sign=1, target="v", spec="id"), ("sign", -1)),
     GammaCWDatum: (dict(name="pt", cells=((_VERTEX,),), boundaries=(), snf_equivalent=False),
                    ("snf_equivalent", True)),
     GraphEdge: (dict(label="e", group=_1, head=("v", "id"), tail=("v", "id")),
