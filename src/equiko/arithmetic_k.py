@@ -71,12 +71,7 @@ def psl_zp_bredon(p: int) -> list[FinAbGroup]:
     >>> [str(g) for g in psl_zp_bredon(13)]
     ['Z^4', 'Z^3', 'Z']
     """
-    return _psl_bredon(hecke_signature(p))
-
-
-def _psl_bredon(edge: Signature) -> list[FinAbGroup]:
-    # `psl_zp_bredon` from the signature `edge` of Gamma_0(p); `verify`'s
-    # mayer-vietoris check passes the signature it reads H_0(edge) from
+    edge = hecke_signature(p)
     h0_edge, h1_edge = bredon_closed_form(edge)
     total = _class_count(edge).total
     # Exactness: 0 -> H_1 -> H_0(edge) -> Z^4 + Z^4 -> H_0 -> 0.  The H_1

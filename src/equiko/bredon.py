@@ -97,9 +97,10 @@ class GammaCWDatum(Value):
 
     `cells[n]` lists the n-cells as pairs (label, stabiliser);
     `boundaries[n-1]` describes the boundary map out of dimension n: a raw
-    matrix, or per cell a tuple of terms (sign, target label, spec).  Data
-    whose boundaries are only unimodularly equivalent to the geometric ones
-    is flagged `snf_equivalent`; homology is unaffected.
+    matrix when dimensions n-1 and n both have cells, or per cell a tuple of
+    terms (sign, target label, spec).  Data whose boundaries are only
+    unimodularly equivalent to the geometric ones is flagged
+    `snf_equivalent`; homology is unaffected.
     """
 
     __slots__ = ("name", "cells", "boundaries", "snf_equivalent")
@@ -126,6 +127,9 @@ class GammaCWDatum(Value):
                 raise DatumError(f"duplicate cell labels in dimension {dim}")
         for n, b in enumerate(self.boundaries, start=1):
             if isinstance(b, IntMatrix):
+                if not (self.cells[n - 1] and self.cells[n]):
+                    raise DatumError(f"the boundary out of dimension {n} is zero, as dimension "
+                                     f"{n - 1} or {n} has no cells; give it as term lists")
                 rows = sum(complex_irreducible_count(g) for _, g in self.cells[n - 1])
                 cols = sum(complex_irreducible_count(g) for _, g in self.cells[n])
                 if (b.rows, b.cols) != (rows, cols):

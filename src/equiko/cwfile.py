@@ -16,7 +16,7 @@ term lists through catalogued inductions,
 
 or as a raw integer matrix on the chain groups (rows live in the chain
 group one dimension down, columns index the irreducibles of the n-cell
-stabilisers in declaration order; at least one row, all of one length):
+stabilisers in declaration order; rows of one length, cells on both sides):
 
     [matrix.2]
     0 1 0
@@ -25,8 +25,7 @@ stabilisers in declaration order; at least one row, all of one length):
 Group names: "1", "Z2", "Z3", "Z4", "Z6", "Z2xZ2", "D3", "D4", "D6", "S4",
 "Zm(m)" for other cyclic orders, and a "Z2x" prefix for products with a
 central Z/2 (e.g. "Z2xS4").  Induction specs are "id", "triv->Zm" or
-"Zd->Zm".  `parse_cw` and `format_cw` are mutually inverse on valid data
-whose matrices have rows.
+"Zd->Zm".  `parse_cw` and `format_cw` are mutually inverse.
 """
 
 from __future__ import annotations

@@ -499,9 +499,6 @@ class IntChainComplex(Value):
                     f"composite of differentials through degree {i + 1} is nonzero"
                 )
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * r for i, r in enumerate(self.ranks))
-
 
 def all_homology(c: IntChainComplex) -> list[FinAbGroup]:
     """Homology in every degree of the complex, degree 0 first.

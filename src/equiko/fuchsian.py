@@ -59,18 +59,27 @@ class Signature(Value):
     def is_cocompact(self) -> bool:
         return self.s == 0
 
-    def is_hyperbolic(self) -> bool:
-        """Whether the orbifold Euler characteristic 2-2g-s-sum(1-1/m_j) is < 0.
+    def orbifold_euler(self) -> tuple[int, int]:
+        """The orbifold Euler characteristic chi = 2-2g-s-sum(1-1/m_j), exactly.
 
-        Only hyperbolic signatures belong to Fuchsian groups.  The test is
-        exact: the characteristic is scaled by the lcm of the periods.
+        Returned as the integers (L * chi, L), with L the lcm of the periods.
+
+        >>> parse_signature("[0,1;2,3]").orbifold_euler()
+        (-1, 6)
+        """
+        scale = lcm(*self.periods)
+        chi = (2 - 2 * self.g - self.s - len(self.periods)) * scale
+        return chi + sum(scale // m for m in self.periods), scale
+
+    def is_hyperbolic(self) -> bool:
+        """Whether the orbifold Euler characteristic is < 0.
+
+        Only hyperbolic signatures belong to Fuchsian groups.
 
         >>> [parse_signature(t).is_hyperbolic() for t in ("[0,0;2,3,7]", "[0,0;2,3,6]")]
         [True, False]
         """
-        scale = lcm(*self.periods)
-        chi = (2 - 2 * self.g - self.s - len(self.periods)) * scale
-        return chi + sum(scale // m for m in self.periods) < 0
+        return self.orbifold_euler()[0] < 0
 
     def __str__(self) -> str:
         return f"[{self.g},{self.s};{','.join(str(m) for m in self.periods)}]"

@@ -1,10 +1,10 @@
 """End-to-end regression checks over every published value this package computes.
 
 Each check recomputes results from first principles (chain complexes, Smith
-normal form, power maps) and compares them against frozen expected values
-and against independent closed forms.  `verify_all` returns one result per
-check; the CLI turns any failure into exit code 3.  The `snf` check is cut
-into parts that two lanes share: a forked child claims parts from the
+normal form, power maps) and compares them against frozen expected values,
+independent closed forms or Gauss-Bonnet.  `verify_all` returns one result
+per check; the CLI turns any failure into exit code 3.  The `snf` check is
+cut into parts that two lanes share: a forked child claims parts from the
 start, and the parent claims the rest once its own checks are done.  All
 randomness is seeded, so output is byte-identical run to run.
 """
@@ -15,12 +15,12 @@ import marshal
 import os
 import random
 from functools import cache
-from itertools import combinations
-from math import gcd
+from itertools import chain, combinations, islice
+from math import gcd, lcm
 
 from . import arithmetic_k, bredon, fuchsian, groups, ko_assembly
 from ._value import Value
-from .exactlinalg import FinAbGroup, IntMatrix, all_homology, smith_normal_form
+from .exactlinalg import FinAbGroup, IntMatrix, smith_normal_form
 
 _SEED = 987123
 
@@ -216,16 +216,6 @@ def check_psl_tables() -> str:
     return f"{len(PSL_BREDON_TABLE)} Bredon rows + {len(PSL_K_TABLE)} K rows match"
 
 
-def check_mv_rank_sum(primes: list[int]) -> str:
-    for p in primes:
-        edge = fuchsian.hecke_signature(p)
-        h = arithmetic_k._psl_bredon(edge)
-        h0_edge = fuchsian.bredon_closed_form(edge)[0]
-        alternating = h[1].free_rank - h0_edge.free_rank + 8 - h[0].free_rank
-        _eq(alternating, 0, f"alternating rank sum for p={p}")
-    return f"four-term exactness holds for {len(primes)} primes"
-
-
 def check_sl_doubling() -> str:
     for p in PSL_K_TABLE:
         k0, k1 = arithmetic_k.psl_zp_k(p)
@@ -264,11 +254,15 @@ def check_cstar() -> str:
     return f"K and KO summand assembly matches for p in {CSTAR_PRIMES}"
 
 
-def _random_matrix(rng: random.Random, max_dim: int = 8) -> IntMatrix:
-    rows = rng.randint(1, max_dim)
-    cols = rng.randint(1, max_dim)
-    entries = tuple(rng.randint(-20, 20) for _ in range(rows * cols))
-    return IntMatrix(rows, cols, entries)
+def _random_matrices(seed: int, count: int, max_dim: int) -> list[IntMatrix]:
+    # dimensions uniform in 1..max_dim and entries uniform in -20..20, each
+    # drawn by rejection sampling from one endless seeded stream of bytes
+    rng = random.Random(seed)
+    stream = chain.from_iterable(iter(lambda: rng.randbytes(4096), b""))
+    dims = (byte % max_dim + 1 for byte in stream if byte < 256 - 256 % max_dim)
+    entries = (byte % 41 - 20 for byte in stream if byte < 256 - 256 % 41)
+    shapes = [(next(dims), next(dims)) for _ in range(count)]
+    return [IntMatrix(rows, cols, tuple(islice(entries, rows * cols))) for rows, cols in shapes]
 
 
 def _minor_gcd_factors(m: IntMatrix) -> list[int]:
@@ -303,10 +297,7 @@ _SNF_PARTS = _ROUND_TRIP_PARTS + 1
 
 def _snf_matrices() -> tuple[list[IntMatrix], list[IntMatrix]]:
     """The snf check's seeded matrices: 1000 for round trips, 120 for the oracle."""
-    rng = random.Random(_SEED)
-    round_trips = [_random_matrix(rng) for _ in range(1000)]
-    oracle_rng = random.Random(_SEED + 1)
-    return round_trips, [_random_matrix(oracle_rng, max_dim=5) for _ in range(120)]
+    return _random_matrices(_SEED, 1000, 8), _random_matrices(_SEED + 1, 120, 5)
 
 
 def _run_snf_part(matrices: tuple[list[IntMatrix], list[IntMatrix]], index: int) -> None:
@@ -328,21 +319,26 @@ def _run_snf_part(matrices: tuple[list[IntMatrix], list[IntMatrix]], index: int)
             raise AssertionError("SNF transforms are not unimodular")
 
 
-def check_euler() -> str:
-    data = [bredon.sl3_datum()]
+def check_gauss_bonnet(primes: list[int]) -> str:
+    # By Gauss-Bonnet (Harder), chi_orb(Gamma_0(p)) is the index p + 1 times
+    # chi_orb(PSL_2(Z)) = -1/6, and chi_orb(SL_3(Z)) = zeta(-1) zeta(-2) = 0.
+    # Each chi_orb is a pair (L * chi, L), so two are compared cross-multiplied.
+    for p in primes:
+        chi, scale = fuchsian.hecke_signature(p).orbifold_euler()
+        _eq(6 * chi, -(p + 1) * scale, f"6 chi_orb(Gamma_0({p})) scaled by {scale}")
+    data = [(bredon.sl3_datum(), (0, 1))]
     for sig_text in ("[0,0;2,3,7]", "[2,0;2,2]", "[1,2;2,3]", "[0,4;]", "[1,0;]"):
         sig = fuchsian.parse_signature(sig_text)
-        if sig.is_cocompact():
-            data.append(bredon.fuchsian_cocompact_datum(sig))
-        else:
-            data.append(bredon.fuchsian_noncocompact_datum(sig))
-    for datum in data:
-        complex_ = bredon.expand(datum)
-        h = all_homology(complex_)
-        chain_chi = complex_.euler_characteristic()
-        homology_chi = sum((-1) ** n * g.free_rank for n, g in enumerate(h))
-        _eq(chain_chi, homology_chi, f"Euler characteristic for {datum.name}")
-    return f"chain and homology Euler characteristics agree on {len(data)} complexes"
+        build = bredon.fuchsian_noncocompact_datum if sig.s else bredon.fuchsian_cocompact_datum
+        data.append((build(sig), sig.orbifold_euler()))
+    for datum, (chi, scale) in data:
+        # sum_n (-1)^n sum_sigma 1/|G_sigma| over the n-cells sigma, scaled by
+        # the lcm `common` of the stabiliser orders
+        orders = [(n, g.order()) for n, layer in enumerate(datum.cells) for _, g in layer]
+        common = lcm(*(order for _, order in orders))
+        cells_chi = sum((-1) ** n * (common // order) for n, order in orders)
+        _eq(cells_chi * scale, chi * common, f"cell sum of {datum.name} scaled by {scale * common}")
+    return f"6 chi_orb = -(p+1) for {len(primes)} primes; cell sums match on {len(data)} data"
 
 
 def _run_check(name: str | int, fn) -> tuple[str | int, bool, str]:
@@ -426,7 +422,7 @@ class _SnfLanes:
 
 def verify_all(prime_lo: int, prime_hi: int) -> list[CheckResult]:
     """Run every regression check; never raises, reports per-check results."""
-    swept = cache(lambda: _primes_in(prime_lo, prime_hi))  # for hecke and mayer-vietoris
+    swept = cache(lambda: _primes_in(prime_lo, prime_hi))  # for hecke and gauss-bonnet
     checks = [
         ("sl3-bredon", check_sl3_bredon),
         ("sl3-ko", check_sl3_ko),
@@ -436,16 +432,15 @@ def verify_all(prime_lo: int, prime_hi: int) -> list[CheckResult]:
         ("hecke", lambda: check_hecke_closed_vs_chain(swept())),
         ("class-counts", check_class_counts),
         ("psl2zp", check_psl_tables),
-        ("mayer-vietoris", lambda: check_mv_rank_sum(swept())),
         ("sl2zp-doubling", check_sl_doubling),
         ("cstar", check_cstar),
         ("snf", None),  # run by `_SnfLanes` below
-        ("euler", check_euler),
+        ("gauss-bonnet", lambda: check_gauss_bonnet(swept())),
     ]
     # snf costs the same at every prime range, and near B = 1900 about as
     # much as all the other checks together.  Its parts are shared: a forked
     # child starts on them at once, and this process takes what is left
-    # after the other twelve checks, so neither CPU waits on the other.
+    # after the other eleven checks, so neither CPU waits on the other.
     snf = _SnfLanes()
     results = {}
     try:

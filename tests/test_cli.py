@@ -283,7 +283,7 @@ def test_verify_accepts_a_one_prime_range(capsys):
     code, out, err = run(capsys, "verify", "--primes", "2..2")
     assert (code, err) == (0, "")
     assert "PASS hecke: 1 primes, chain = closed form; table rows match\n" in out
-    assert "PASS mayer-vietoris: four-term exactness holds for 1 primes\n" in out
+    assert "PASS gauss-bonnet: 6 chi_orb = -(p+1) for 1 primes; cell sums match on 6 data\n" in out
 
 
 def test_errors_go_to_stderr(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from equiko import cli
 from equiko.bredon import (
+    GammaCWDatum,
     bredon_homology,
     expand,
     fuchsian_cocompact_datum,
@@ -15,6 +16,7 @@ from equiko.bredon import (
 )
 from equiko.cwfile import CWFormatError, format_cw, parse_cw
 from equiko.fuchsian import Signature, parse_signature
+from equiko.groups import parse_name
 
 
 def test_minimal_document():
@@ -115,6 +117,17 @@ def test_roundtrip_polygon_property(g, periods):
     sig = Signature(g, 0, periods)
     assume(sig.is_hyperbolic())
     _assert_roundtrip(fuchsian_cocompact_datum(sig))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.sampled_from(["1", "Z2", "Z3", "S4"]), max_size=3),
+                min_size=1, max_size=4))
+def test_roundtrip_zero_maps_property(layers):
+    # every boundary is the zero map, also next to dimensions without cells,
+    # where it has no rows or no columns and is written as term lists
+    cells = [[(f"c{n}_{i}", parse_name(g)) for i, g in enumerate(layer)]
+             for n, layer in enumerate(layers)]
+    _assert_roundtrip(GammaCWDatum.build("zero", cells, {}))
 
 
 def test_matrix_sections_roundtrip():
@@ -280,8 +293,12 @@ _REFUSED = [
      "matrix for the boundary out of dimension 1 is 2x3, expected 2x2"),
     (_TWO_EDGES + "[matrix.1]\n",
      "matrix for the boundary out of dimension 1 is 0x0, expected 2x2"),
+    ("name = x\n[cells.0]\n[cells.1]\ne = Z2\n[matrix.1]\n",
+     "the boundary out of dimension 1 is zero, as dimension 0 or 1 has no cells; "
+     "give it as term lists"),
 ]
-_REFUSED_IDS = ["unknown-cell", "unknown-target", "ragged", "few-rows", "wide", "empty"]
+_REFUSED_IDS = ["unknown-cell", "unknown-target", "ragged", "few-rows", "wide", "empty",
+                "no-rows"]
 
 
 @pytest.mark.parametrize("text, message", _REFUSED, ids=_REFUSED_IDS)

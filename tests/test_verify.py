@@ -18,7 +18,7 @@ from equiko.fuchsian import Signature
 
 def test_all_checks_pass():
     results = verify.verify_all(2, 100)
-    assert len(results) == 13
+    assert len(results) == 12
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
         assert r.detail  # every check reports what it covered
@@ -29,7 +29,7 @@ def test_check_names_are_stable():
     assert names == [
         "sl3-bredon", "sl3-ko", "gl3-ko", "character-tables",
         "involution-counts", "hecke", "class-counts", "psl2zp",
-        "mayer-vietoris", "sl2zp-doubling", "cstar", "snf", "euler",
+        "sl2zp-doubling", "cstar", "snf", "gauss-bonnet",
     ]
 
 
@@ -40,7 +40,7 @@ def test_corruption_is_trapped_not_raised(monkeypatch):
         lambda: fuchsian_cocompact_datum(Signature(0, 0, (2, 3, 7))),
     )
     results = verify.verify_all(2, 30)
-    assert len(results) == 13
+    assert len(results) == 12
     failed = {r.name for r in results if not r.passed}
     assert "sl3-bredon" in failed and "sl3-ko" in failed
     assert "hecke" not in failed  # unrelated checks stay green
@@ -70,7 +70,7 @@ def _placed_parts(child_runs_all, fault=lambda index, in_child: None):
     parent = os.getpid()
     claimed_r, claimed_w = os.pipe()  # child -> parent: the child holds its parts
     go_r, go_w = os.pipe()  # parent -> child: the parent holds the rest
-    run_part, euler = verify._run_snf_part, verify.check_euler
+    run_part, gauss_bonnet = verify._run_snf_part, verify.check_gauss_bonnet
     ran = []
 
     def runner(matrices, index):
@@ -86,15 +86,15 @@ def _placed_parts(child_runs_all, fault=lambda index, in_child: None):
         fault(index, in_child)
         return run_part(matrices, index)
 
-    def waiting_euler():
+    def waiting_gauss_bonnet(primes):
         os.close(claimed_w)  # a child that dies unannounced reads as end of file
         os.read(claimed_r, 1)
-        return euler()
+        return gauss_bonnet(primes)
 
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "_run_snf_part", runner)
-            patch.setattr(verify, "check_euler", waiting_euler)
+            patch.setattr(verify, "check_gauss_bonnet", waiting_gauss_bonnet)
             yield ran
     finally:
         for fd in (claimed_r, go_r, go_w):
@@ -106,7 +106,7 @@ def test_snf_runs_in_a_child_process():
         with _placed_parts(child_runs_all) as ran:
             results = verify.verify_all(2, 30)
         assert ran == parent_ran
-        assert results[11] == verify.CheckResult(
+        assert results[10] == verify.CheckResult(
             "snf", True, "1000 random round-trips, 120 minor-gcd oracle matches")
         _assert_no_child_left()
 
@@ -126,9 +126,9 @@ def test_raising_snf_fails_only_snf(capsys):
             code = cli.main(["verify", "--primes", "2..30"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 3
-        assert lines[11] == f"FAIL snf: AssertionError: part {reported} is not unimodular"
-        assert [line for line in lines[:-1] if not line.startswith("PASS")] == [lines[11]]
-        assert lines[-1] == "12/13 checks passed"
+        assert lines[10] == f"FAIL snf: AssertionError: part {reported} is not unimodular"
+        assert [line for line in lines[:-1] if not line.startswith("PASS")] == [lines[10]]
+        assert lines[-1] == "11/12 checks passed"
         _assert_no_child_left()
 
 
@@ -162,8 +162,8 @@ def test_dying_snf_child_becomes_a_failure(die, how):
             results = verify.verify_all(2, 30)
         assert os.getpid() == pid  # the child never returned into this stack
         assert ran == ([] if child_runs_all else list(range(1, LAST + 1)))
-        assert len(results) == 13
-        assert results[11] == verify.CheckResult(
+        assert len(results) == 12
+        assert results[10] == verify.CheckResult(
             "snf", False, f"check process {how} without a result")
         assert all(r.passed for r in results if r.name != "snf")
         _assert_no_child_left()
@@ -190,7 +190,7 @@ def test_verify_sweeps_one_prime_list_with_one_signature_per_prime(monkeypatch):
     verify.verify_all(2, 30)
     assert listed == [(2, 30)]
     tested = _count_calls(monkeypatch, fuchsian, "is_prime")
-    assert verify.check_mv_rank_sum([13, 17, 19]) == "four-term exactness holds for 3 primes"
+    assert verify.check_gauss_bonnet([13, 17, 19]).startswith("6 chi_orb = -(p+1) for 3 primes;")
     assert tested == [(13,), (17,), (19,)]
 
 
@@ -209,7 +209,8 @@ def _count_calls(monkeypatch, module, name):
 
 def test_verify_imports_no_process_machinery(tmp_path):
     # a process pool's imports alone would show in start-up time and peak RSS;
-    # `dataclasses` and the `inspect` it imports cost some 30 ms of every start
+    # `dataclasses` and the `inspect` it imports cost some 30 ms of every start,
+    # `fractions` 3-4 ms (the orbifold Euler characteristic is kept in integers)
     circle = tmp_path / "circle.cw"
     circle.write_text("name = circle\n[cells.0]\nv = 1\n[cells.1]\ne = 1\n"
                       "[boundary.1]\ne = +1 * v : id, -1 * v : id\n")
@@ -217,7 +218,7 @@ def test_verify_imports_no_process_machinery(tmp_path):
         "import sys\n"
         "def loaded():\n"
         "    print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'pickle',"
-        " 'subprocess', 'dataclasses', 'inspect') if m in sys.modules))\n"
+        " 'subprocess', 'dataclasses', 'inspect', 'fractions') if m in sys.modules))\n"
         "import equiko.cli as cli\n"
         "loaded()\n"
         f"for argv in (['sl3'], ['complex', '--file', {str(circle)!r}],"
@@ -231,4 +232,4 @@ def test_verify_imports_no_process_machinery(tmp_path):
     lines = out.splitlines()
     assert [line for line in lines if line.startswith("[")] == ["[]"] * 4
     assert "name = circle" in lines
-    assert lines[-2:] == ["13/13 checks passed", "[]"]
+    assert lines[-2:] == ["12/12 checks passed", "[]"]
