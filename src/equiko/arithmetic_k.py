@@ -155,6 +155,6 @@ def cstar_ko_p11(p: int) -> GradedGroup:
             (KO_POINT.entry(n - 2), b),
         )
         rank = sum(g.free_rank * k for g, k in summands)
-        twos = sum(len(g.torsion) * k for g, k in summands)
-        groups.append(FinAbGroup(rank, (2,) * twos))
+        twos = sum(copies * k for g, k in summands for _, copies in g.torsion)
+        groups.append(FinAbGroup(rank, ((2, twos),) if twos else ()))
     return GradedGroup(tuple(groups), frozenset({1, 3, 4}))

@@ -30,6 +30,8 @@ BOTT_NOTE = "remaining groups by Bott periodicity"
 
 def _print_doc(args, inputs: dict, groups: dict, text_lines: list[str],
                ambiguous_degrees=(), extra=None) -> int:
+    # Written piecewise: a joined copy of the output would double the
+    # (Z/2)^b strings of `cstar --ko`.
     if args.format == "json":
         doc = {
             "command": args.command,
@@ -41,9 +43,11 @@ def _print_doc(args, inputs: dict, groups: dict, text_lines: list[str],
             doc["ambiguous_degrees"] = sorted(ambiguous_degrees)
         if extra:
             doc.update(extra)
-        print(json.dumps(doc, indent=2))
+        json.dump(doc, sys.stdout, indent=2)
+        print()
     else:
-        print("\n".join(text_lines))
+        for line in text_lines:
+            print(line)
     return 0
 
 

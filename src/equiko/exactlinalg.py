@@ -16,10 +16,8 @@ matrices is harmless.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import chain, islice
+from itertools import chain, groupby
 from math import gcd
-from operator import mod
 
 from ._value import Value
 
@@ -336,8 +334,9 @@ def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
     return _eliminate(m.row_list(), m.rows, m.cols)
 
 
-def _invariant_factors(orders) -> tuple[int, ...]:
-    """Normalize a list of cyclic orders into an invariant-factor chain.
+def _invariant_factors(orders) -> tuple[tuple[int, int], ...]:
+    """Normalize a list of cyclic orders into an invariant-factor chain of
+    (factor, copies) runs.
 
     This is the Smith form of the diagonal matrix of the orders, by pairwise
     gcd and lcm: Z/f + Z/n = Z/gcd(f, n) + Z/lcm(f, n).  Each order meets
@@ -345,9 +344,9 @@ def _invariant_factors(orders) -> tuple[int, ...]:
     place and carrying the lcm; no order is ever factored.
 
     >>> _invariant_factors([2, 3])
-    (6,)
-    >>> _invariant_factors([2, 4, 3])
-    (2, 12)
+    ((6, 1),)
+    >>> _invariant_factors([2, 4, 3, 2])
+    ((2, 2), (12, 1))
     """
     chain: list[tuple[int, int]] = []  # (factor > 1, copies), each dividing the next
     for n in orders:
@@ -369,15 +368,17 @@ def _invariant_factors(orders) -> tuple[int, ...]:
             if chain and chain[-1][0] == f:
                 copies += chain.pop()[1]
             chain.append((f, copies))
-    return tuple(f for f, copies in chain for _ in range(copies))
+    return tuple(chain)
 
 
 class FinAbGroup(Value):
     """A finitely generated abelian group in canonical form.
 
-    `free_rank` copies of Z plus cyclic factors Z/d with each torsion order
-    dividing the next (invariant factors).  Construct with `of` to normalize
-    arbitrary cyclic decompositions.
+    `free_rank` copies of Z plus the invariant factors as runs: `torsion` is
+    a tuple of (order, copies) pairs, meaning `copies` factors Z/order, with
+    orders >= 2, each strictly dividing the next, and copies >= 1.  So
+    (Z/2)^b is one pair however large b is.  Construct with `of` to
+    normalize arbitrary cyclic decompositions.
 
     >>> str(FinAbGroup.of(1, [2, 3]))
     'Z + Z/6'
@@ -387,21 +388,23 @@ class FinAbGroup(Value):
 
     __slots__ = ("free_rank", "torsion")
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+    def __init__(self, free_rank: int, torsion: tuple[tuple[int, int], ...] = ()):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
         _check_int(free_rank)
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        # Whole-chain passes, not a loop per order: (Z/2)^b with b in the
-        # millions comes from `cstar --ko`
-        if not set(map(type, torsion)) <= {int}:
-            for d in torsion:
-                _check_int(d)
-        if min(torsion, default=2) < 2:
-            raise ValueError("torsion orders must be >= 2")
-        if any(map(mod, islice(torsion, 1, None), torsion)):
-            raise ValueError("torsion orders must form a divisibility chain")
+        previous = 1
+        for run in torsion:
+            if type(run) is not tuple or len(run) != 2:
+                raise ValueError(f"torsion runs must be (order, copies) pairs, got {run!r}")
+            order, copies = map(_check_int, run)
+            if order < 2 or copies < 1:
+                raise ValueError("torsion runs need an order >= 2 and copies >= 1")
+            if order == previous or order % previous:
+                raise ValueError("torsion orders must form a strictly increasing "
+                                 "divisibility chain")
+            previous = order
 
     @classmethod
     def zero(cls) -> "FinAbGroup":
@@ -425,14 +428,9 @@ class FinAbGroup(Value):
             terms.append("Z")
         elif self.free_rank > 1:
             terms.append(f"Z^{self.free_rank}")
-        # The chain is nondecreasing, so the copies of one order form a run;
-        # a run renders as one repeated string, not one string per factor.
-        torsion, i = self.torsion, 0
-        while i < len(torsion):
-            end = bisect_right(torsion, torsion[i], i)
-            term = f"Z/{torsion[i]}"
-            terms.append(f"{term} + " * (end - i - 1) + term)
-            i = end
+        for order, copies in self.torsion:
+            term = f"Z/{order}"
+            terms.append(f"{term} + " * (copies - 1) + term)
         return " + ".join(terms) if terms else "0"
 
     __repr__ = __str__
@@ -445,7 +443,7 @@ def direct_sum(*groups: FinAbGroup) -> FinAbGroup:
     'Z^7'
     """
     rank = sum(g.free_rank for g in groups)
-    orders = [d for g in groups for d in g.torsion]
+    orders = [d for g in groups for d, copies in g.torsion for _ in range(copies)]
     return FinAbGroup.of(rank, orders)
 
 
@@ -455,14 +453,14 @@ def tensor_z2(g: FinAbGroup) -> FinAbGroup:
     >>> str(tensor_z2(FinAbGroup.of(1, [3])))
     'Z/2'
     """
-    count = g.free_rank + sum(1 for d in g.torsion if d % 2 == 0)
-    return FinAbGroup.of(0, [2] * count)
+    count = g.free_rank + sum(copies for d, copies in g.torsion if d % 2 == 0)
+    return FinAbGroup(0, ((2, count),) if count else ())
 
 
 def tor_z2(g: FinAbGroup) -> FinAbGroup:
     """Tor(g, Z/2): one Z/2 per even torsion factor; free parts contribute nothing."""
-    count = sum(1 for d in g.torsion if d % 2 == 0)
-    return FinAbGroup.of(0, [2] * count)
+    count = sum(copies for d, copies in g.torsion if d % 2 == 0)
+    return FinAbGroup(0, ((2, count),) if count else ())
 
 
 class IntChainComplex(Value):
@@ -507,12 +505,13 @@ def all_homology(c: IntChainComplex) -> list[FinAbGroup]:
     the boundaries out of and into it.  The image of the incoming
     differential sits inside the kernel of the outgoing one (saturated, since
     chain groups are free), so the torsion is exactly the incoming factors
-    > 1 -- already a divisibility chain -- and the free rank is the chain
-    rank minus the two matrix ranks.
+    > 1 -- already a divisibility chain, so equal factors are adjacent and
+    group into runs -- and the free rank is the chain rank minus the two
+    matrix ranks.
     """
     factors = [()] + [_smith_factors(b) for b in c.boundaries] + [()]
     return [
         FinAbGroup(r - len(factors[i]) - len(factors[i + 1]),
-                   tuple(d for d in factors[i + 1] if d > 1))
+                   tuple((d, len(list(run))) for d, run in groupby(factors[i + 1]) if d > 1))
         for i, r in enumerate(c.ranks)
     ]

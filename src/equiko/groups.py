@@ -194,16 +194,14 @@ class FiniteGroupData(Value):
     is the index of the class containing the squares of class c.
     """
 
-    __slots__ = ("group", "order", "mult", "inverse", "element_order", "classes",
-                 "class_index", "representatives", "square_class")
+    __slots__ = ("group", "order", "mult", "classes", "class_index", "representatives",
+                 "square_class")
 
     def __init__(
         self,
         group: GroupId,
         order: int,
         mult: tuple[tuple[int, ...], ...],
-        inverse: tuple[int, ...],
-        element_order: tuple[int, ...],
         classes: tuple[tuple[int, ...], ...],
         class_index: tuple[int, ...],
         representatives: tuple[int, ...],
@@ -212,8 +210,6 @@ class FiniteGroupData(Value):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "element_order", element_order)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "class_index", class_index)
         object.__setattr__(self, "representatives", representatives)
@@ -324,8 +320,6 @@ def build_group(gid: GroupId) -> FiniteGroupData:
         group=gid,
         order=n,
         mult=tuple(tuple(row) for row in mult),
-        inverse=tuple(inverse),
-        element_order=tuple(element_order),
         classes=tuple(raw_classes),
         class_index=tuple(class_index),
         representatives=reps,
@@ -411,9 +405,6 @@ class CharacterTable(Value):
     def __init__(self, group: GroupId, rows: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "rows", rows)
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(row[0] for row in self.rows)
 
 
 def has_integer_table(gid: GroupId) -> bool:

@@ -109,13 +109,12 @@ NOT_COINCIDING = ("Z3", "Z4", "Z6", "Zm(5)", "Zm(7)", "Zm(12)")
 
 def expected_cstar_ko(b: int) -> list[FinAbGroup]:
     """The closed-form KO groups for p = 11 mod 12 with b = (p+7)/6."""
-    z2s = lambda n: FinAbGroup.of(0, [2] * n)  # noqa: E731
     return [
         FinAbGroup.free(5),
-        z2s(3),
-        FinAbGroup.of(2 + b, [2] * 3),
-        z2s(b),
-        FinAbGroup.of(5, [2] * b),
+        FinAbGroup(0, ((2, 3),)),
+        FinAbGroup(2 + b, ((2, 3),)),
+        FinAbGroup(0, ((2, b),)),
+        FinAbGroup(5, ((2, b),)),
         FinAbGroup.zero(),
         FinAbGroup.free(2 + b),
         FinAbGroup.zero(),

@@ -377,14 +377,20 @@ def test_group_rendering():
     assert str(FinAbGroup.free(5)) == "Z^5"
     assert str(FinAbGroup.of(0, [2])) == "Z/2"
     assert str(FinAbGroup.of(2, [2, 4])) == "Z^2 + Z/2 + Z/4"
-    assert str(FinAbGroup(1, (2, 2, 4, 4, 4, 12))) == "Z + Z/2 + Z/2 + Z/4 + Z/4 + Z/4 + Z/12"
+    assert (str(FinAbGroup(1, ((2, 2), (4, 3), (12, 1))))
+            == "Z + Z/2 + Z/2 + Z/4 + Z/4 + Z/4 + Z/12")
+    # each run renders as its factors one by one
+    for rank, runs in [(0, ((2, 5000),)), (3, ((3, 1), (6, 40), (12, 7))), (1, ((5, 1),))]:
+        flat = [f"Z/{d}" for d, copies in runs for _ in range(copies)]
+        free = ["Z" if rank == 1 else f"Z^{rank}"] if rank else []
+        assert str(FinAbGroup(rank, runs)) == " + ".join(free + flat)
 
 
 def test_group_normalizes_to_invariant_factors():
     # Z/2 + Z/3 is cyclic of order 6
     assert FinAbGroup.of(0, [2, 3]) == FinAbGroup.of(0, [6])
-    assert FinAbGroup.of(0, [4, 6]).torsion == (2, 12)
-    assert FinAbGroup.of(0, [2, 2, 3]).torsion == (2, 6)
+    assert FinAbGroup.of(0, [4, 6]).torsion == ((2, 1), (12, 1))
+    assert FinAbGroup.of(0, [2, 2, 3]).torsion == ((2, 1), (6, 1))
     # unit factors vanish
     assert FinAbGroup.of(1, [1, 1]) == FinAbGroup.free(1)
 
@@ -393,13 +399,15 @@ def test_group_normalizes_to_invariant_factors():
 @given(st.lists(st.integers(1, 720), max_size=8))
 def test_invariant_factors_are_the_smith_form_of_the_diagonal(orders):
     smith = smith_normal_form(IntMatrix.diagonal(orders)).d
-    assert FinAbGroup.of(0, orders).torsion == tuple(d for d in smith if d > 1)
+    runs = FinAbGroup.of(0, orders).torsion
+    assert [d for d, copies in runs for _ in range(copies)] == [d for d in smith if d > 1]
+    assert [d for d, _ in runs] == sorted({d for d in smith if d > 1})
 
 
 def test_invariant_factors_of_many_equal_orders():
     g = FinAbGroup.of(0, [2] * 50_000 + [3, 4])
-    assert g.torsion == (2,) * 50_000 + (12,)
-    assert direct_sum(g, g).torsion == (2,) * 100_000 + (12, 12)
+    assert g.torsion == ((2, 50_000), (12, 1))
+    assert direct_sum(g, g).torsion == ((2, 100_000), (12, 2))
 
 
 def test_group_rejects_bad_input():
@@ -407,13 +415,18 @@ def test_group_rejects_bad_input():
         FinAbGroup.of(-1, [])
     with pytest.raises(ValueError):
         FinAbGroup.of(0, [0])
-    for torsion, message in [((2, 3), "divisibility"), ((1, 2), ">= 2"), ((4, 0), ">= 2"),
-                             ((2, -2), ">= 2"), ((2, True), "Python int"), ((2.0,), "Python int")]:
+    for torsion, message in [(((2, 1), (3, 1)), "divisibility"), (((1, 1), (2, 1)), ">= 2"),
+                             (((4, 1), (0, 1)), ">= 2"), (((2, 1), (-2, 1)), ">= 2"),
+                             (((2, 1), (True, 1)), "Python int"), (((2.0, 1),), "Python int"),
+                             (((2, 0),), "copies >= 1"), (((2, -1),), ">= 1"),
+                             (((2, True),), "Python int"), (((2, 1), (2, 1)), "increasing"),
+                             (((4, 1), (2, 1)), "divisibility"), ((2, 4), "pairs"),
+                             (((2, 1, 1),), "pairs"), (([2, 1],), "pairs")]:
         with pytest.raises(ValueError, match=message):
             FinAbGroup(0, torsion)
     # an int subclass is not of type int but passes the Python-int check
     two = enum.IntEnum("Two", "A B")
-    assert FinAbGroup(0, (two.B, 4)).torsion == (2, 4)
+    assert FinAbGroup(0, ((two.B, 1), (4, two.A))).torsion == ((2, 1), (4, 1))
 
 
 def test_direct_sum():
@@ -425,7 +438,7 @@ def test_direct_sum():
 
 def _brute_counts(g: FinAbGroup):
     """|G (x) Z/2| and |Tor(G, Z/2)| by enumerating the torsion part."""
-    dims = list(g.torsion)
+    dims = [d for d, copies in g.torsion for _ in range(copies)]
     two_torsion = 0
     elements = 0
     image_of_2 = set()
@@ -453,11 +466,15 @@ def test_tensor_and_tor_with_z2_against_enumeration():
         seen.append(FinAbGroup.of(free, torsion))
     for g in seen:
         tensor_size, tor_size = _brute_counts(g)
-        t = tensor_z2(g)
-        assert t.torsion == tuple([2] * len(t.torsion))
-        assert 2 ** len(t.torsion) == tensor_size and t.free_rank == 0
-        o = tor_z2(g)
-        assert 2 ** len(o.torsion) == tor_size and o.free_rank == 0
+        for h, size in [(tensor_z2(g), tensor_size), (tor_z2(g), tor_size)]:
+            assert [d for d, _ in h.torsion] in ([], [2])
+            assert 2 ** sum(copies for _, copies in h.torsion) == size and h.free_rank == 0
+    # a run is counted, never walked factor by factor
+    huge = FinAbGroup(0, ((2, 10**12),))
+    assert tensor_z2(huge) == tor_z2(huge) == huge
+    big = FinAbGroup(10**12, ((4, 10**12), (12, 1)))
+    assert tensor_z2(big) == FinAbGroup(0, ((2, 2 * 10**12 + 1),))
+    assert tor_z2(big) == FinAbGroup(0, ((2, 10**12 + 1),))
 
 
 # -- chain complexes and homology ----------------------------------------------

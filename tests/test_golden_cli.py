@@ -62,6 +62,7 @@ _BOTH_FORMATS = [
     ["sl2zp", "-p", "13"],
     ["cstar", "-p", "11"],
     ["cstar", "-p", "11", "--ko"],
+    ["cstar", "-p", "10007", "--ko"],  # b = 1669: long runs of Z/2 in KO3 and KO4
     ["complex", "--file", "modular.cw"],
     ["complex", "--file", "modular.cw", "--ko"],  # Z3 stabiliser: exit 1
     ["complex", "--file", "modular.cw", "--emit"],

@@ -32,13 +32,12 @@ VALUES = {
     IntMatrix: (dict(rows=1, cols=2, entries=(3, 4)), ("entries", (3, 5))),
     SNFResult: (dict(d=(2,), left=IntMatrix.identity(1), right=IntMatrix.identity(1)),
                 ("d", (3,))),
-    FinAbGroup: (dict(free_rank=1, torsion=(2, 4)), ("free_rank", 2)),
+    FinAbGroup: (dict(free_rank=1, torsion=((2, 1), (4, 1))), ("free_rank", 2)),
     IntChainComplex: (dict(ranks=(1, 1), boundaries=(IntMatrix(1, 1, (0,)),)),
                       ("boundaries", (IntMatrix(1, 1, (2,)),))),
     GroupId: (dict(kind="z2x", m=0, inner=GroupId.sym4()), ("inner", GroupId.dihedral(4))),
     FiniteGroupData: (dict(
-        group=_Z2, order=2, mult=_Z2_DATA.mult, inverse=_Z2_DATA.inverse,
-        element_order=_Z2_DATA.element_order, classes=_Z2_DATA.classes,
+        group=_Z2, order=2, mult=_Z2_DATA.mult, classes=_Z2_DATA.classes,
         class_index=_Z2_DATA.class_index, representatives=_Z2_DATA.representatives,
         square_class=_Z2_DATA.square_class,
     ), ("group", GroupId.klein4())),
