@@ -36,7 +36,6 @@ from .fuchsian import (
     MODULAR_SIGNATURE,
     Signature,
     bredon_closed_form,
-    hecke_bredon,
     hecke_signature,
     is_prime,
     parse_signature,
@@ -108,7 +107,6 @@ __all__ = [
     "fuchsian_cocompact_datum",
     "fuchsian_graph_of_groups",
     "fuchsian_noncocompact_datum",
-    "hecke_bredon",
     "hecke_signature",
     "is_prime",
     "ko_from_bredon",

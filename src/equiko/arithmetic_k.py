@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ._value import Value
 from .exactlinalg import FinAbGroup, direct_sum
-from .fuchsian import Signature, bredon_closed_form, hecke_bredon, hecke_signature
+from .fuchsian import Signature, bredon_closed_form, hecke_signature
 from .ko_assembly import KO_POINT, GradedGroup, collapse_complex
 
 
@@ -111,7 +111,8 @@ _P11_Z3_CLASSES = 2
 
 
 def _require_11_mod_12(p: int) -> int:
-    spheres = hecke_bredon(p)[1].free_rank  # raises "{p} is not prime" first
+    # hecke_signature raises "{p} is not prime" before the residue is checked
+    spheres = bredon_closed_form(hecke_signature(p))[1].free_rank
     if p % 12 != 11:
         raise ValueError(
             f"the C*-algebra decomposition needs p = 11 mod 12, got p = {p}"

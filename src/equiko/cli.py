@@ -6,7 +6,8 @@ Gamma-CW files (complex), and the full regression sweep (verify).  Output is
 deterministic: identical invocations produce identical bytes.
 
 Exit codes: 0 success; 1 domain error (composite prime, prime beyond the
-proven range 2**64, failed hypothesis, invalid lift); 2 invalid input
+proven range 2**64, failed hypothesis, invalid lift) or a result too large
+to build in memory, with nothing on stdout; 2 invalid input
 (malformed or non-hyperbolic signature; unreadable, undecodable or malformed
 file, or one whose boundaries do not compose to zero; descending or
 prime-free prime range; an integer in digits other than ASCII 0-9, or with
@@ -36,7 +37,7 @@ def _print_doc(args, inputs: dict, groups: dict, text_lines: list[str],
         doc = {
             "command": args.command,
             "inputs": inputs,
-            "groups": groups,
+            "groups": {name: str(g) for name, g in groups.items()},
             "extension_ambiguous": bool(ambiguous_degrees),
         }
         if ambiguous_degrees:
@@ -52,14 +53,14 @@ def _print_doc(args, inputs: dict, groups: dict, text_lines: list[str],
 
 
 def _k_payload(k0, k1) -> tuple[dict, list[str]]:
-    groups = {"K0": str(k0), "K1": str(k1)}
+    groups = {"K0": k0, "K1": k1}
     return groups, [f"K0 = {k0}, K1 = {k1}", BOTT_NOTE]
 
 
 def _ko_payload(gg) -> tuple[dict, list[str]]:
-    groups = {f"KO{n}": str(gg.entry(n)) for n in range(8)}
+    groups = {f"KO{n}": gg.entry(n) for n in range(8)}
     lines = [
-        f"KO{n} = {groups[f'KO{n}']}" + (" (up to extension)" if gg.is_ambiguous(n) else "")
+        f"KO{n} = {gg.entry(n)}" + (" (up to extension)" if n in gg.extension_ambiguous else "")
         for n in range(8)
     ]
     return groups, lines + [BOTT_NOTE]
@@ -106,7 +107,7 @@ def _cmd_fuchsian(args) -> int:
 def _cmd_hecke(args) -> int:
     sig = fuchsian.hecke_signature(args.prime)
     h0, h1 = fuchsian.bredon_closed_form(sig)  # Gamma_0(p) has cusps: two degrees
-    groups = {"H0": str(h0), "H1": str(h1)}
+    groups = {"H0": h0, "H1": h1}
     lines = [f"signature = {sig}", f"H0 = {h0}", f"H1 = {h1}"]
     return _print_doc(
         args, {"p": args.prime}, groups, lines, extra={"signature": str(sig)}
@@ -147,7 +148,7 @@ def _cmd_complex(args) -> int:
     except ChainComplexError as exc:  # d o d != 0: a malformed file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    groups = {f"H{n}": str(g) for n, g in enumerate(h)}
+    groups = {f"H{n}": g for n, g in enumerate(h)}
     lines = [f"name = {datum.name}"]
     lines += [f"H{n} = {g}" for n, g in enumerate(h)]
     parts = []
@@ -275,6 +276,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # e.g. the (Z/2)^b lines of cstar --ko for p near 2**64
+        print("error: out of memory: the result is too large to build", file=sys.stderr)
         return 1
 
 

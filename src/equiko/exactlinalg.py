@@ -47,7 +47,7 @@ class IntMatrix(Value):
     linear map between the corresponding free groups.
 
     >>> a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    >>> b = IntMatrix.identity(2)
+    >>> b = IntMatrix.diagonal([1, 1], 2, 2)
     >>> a @ b == a
     True
     """
@@ -85,31 +85,15 @@ class IntMatrix(Value):
         return cls(len(data), width, tuple(x for row in data for x in row))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def diagonal(cls, diag, rows: int | None = None, cols: int | None = None) -> "IntMatrix":
-        """rows x cols matrix with `diag` on the main diagonal, zero elsewhere.
-
-        Shape defaults to square of size len(diag).
-        """
+    def diagonal(cls, diag, rows: int, cols: int) -> "IntMatrix":
+        """rows x cols matrix with `diag` on the main diagonal, zero elsewhere."""
         diag = list(diag)
-        if rows is None:
-            rows = len(diag)
-        if cols is None:
-            cols = len(diag)
         if len(diag) > min(rows, cols):
             raise ValueError("diagonal longer than matrix")
         entries = [0] * (rows * cols)
         for k, d in enumerate(diag):
             entries[k * cols + k] = d
         return cls(rows, cols, tuple(entries))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
 
     def row_list(self) -> list[list[int]]:
         c = self.cols

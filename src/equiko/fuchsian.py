@@ -181,13 +181,3 @@ def hecke_signature(p: int) -> Signature:
     e2 = {1: 2, 2: 1, 3: 0}[p % 4]
     e3 = {0: 1, 1: 2, 2: 0}[p % 3]
     return Signature((p + 1 - 3 * e2 - 4 * e3) // 12, 2, (2,) * e2 + (3,) * e3)
-
-
-def hecke_bredon(p: int) -> tuple[FinAbGroup, FinAbGroup]:
-    """Bredon homology of Gamma_0(p) in degrees 0 and 1 (closed form).
-
-    >>> tuple(str(g) for g in hecke_bredon(11))
-    ('Z', 'Z^3')
-    """
-    h = bredon_closed_form(hecke_signature(p))
-    return h[0], h[1]

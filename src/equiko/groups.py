@@ -215,9 +215,6 @@ class FiniteGroupData(Value):
         object.__setattr__(self, "representatives", representatives)
         object.__setattr__(self, "square_class", square_class)
 
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
 
 def _mult_table(gid: GroupId) -> list[list[int]]:
     if gid.kind == "trivial":
@@ -423,7 +420,7 @@ def _validate_character_table(table: CharacterTable) -> None:
         raise UnsupportedGroupError(
             f"character table for {table.group.name()} is not {k}x{k}"
         )
-    sizes = g.class_sizes()
+    sizes = [len(c) for c in g.classes]
     order = g.order
     if any(row[0] <= 0 for row in rows):
         raise UnsupportedGroupError("character degrees must be positive")

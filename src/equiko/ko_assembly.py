@@ -48,9 +48,6 @@ class GradedGroup(Value):
     def entry(self, n: int) -> FinAbGroup:
         return self.groups[n % 8]
 
-    def is_ambiguous(self, n: int) -> bool:
-        return n % 8 in self.extension_ambiguous
-
 
 _Z = FinAbGroup.free(1)
 _Z2 = FinAbGroup.of(0, [2])

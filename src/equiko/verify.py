@@ -188,7 +188,7 @@ def check_hecke_closed_vs_chain(primes: list[int]) -> str:
     _groups_eq(chain, ("Z^4", "0"), "modular group Bredon homology")
     for p, (h0, h1) in HECKE_TABLE.items():
         _groups_eq(
-            fuchsian.hecke_bredon(p),
+            fuchsian.bredon_closed_form(fuchsian.hecke_signature(p)),
             [str(FinAbGroup.free(h0)), str(FinAbGroup.free(h1))],
             f"Gamma_0({p}) table row",
         )
@@ -216,11 +216,9 @@ def check_psl_tables() -> str:
 
 
 def check_sl_doubling() -> str:
-    for p in PSL_K_TABLE:
-        k0, k1 = arithmetic_k.psl_zp_k(p)
+    for p, (k0, k1) in PSL_K_TABLE.items():
         s0, s1 = arithmetic_k.sl_zp_k(p)
-        _eq((s0.free_rank, s1.free_rank), (2 * k0.free_rank, 2 * k1.free_rank),
-            f"SL doubling for p={p}")
+        _eq((s0.free_rank, s1.free_rank), (2 * k0, 2 * k1), f"SL doubling for p={p}")
         if s0.torsion or s1.torsion:
             raise AssertionError(f"torsion in SL_2(Z[1/{p}]) K-homology")
     for p in LIFT_PRIMES:
@@ -237,7 +235,7 @@ def check_sl_doubling() -> str:
 
 def check_cstar() -> str:
     for p in CSTAR_PRIMES:
-        b = fuchsian.hecke_bredon(p)[1].free_rank
+        b = (p + 7) // 6  # 2g + 1 two-spheres, with genus g = (p + 1) / 12 of Gamma_0(p)
         k0, k1 = arithmetic_k.cstar_k_p11(p)
         _eq((k0.free_rank, k0.torsion, str(k1)), (7 + b, (), "0"), f"C* K for p={p}")
         psl = arithmetic_k.psl_zp_k(p)

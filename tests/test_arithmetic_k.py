@@ -13,7 +13,7 @@ from equiko.arithmetic_k import (
     sl_zp_k,
 )
 from equiko.exactlinalg import FinAbGroup, direct_sum
-from equiko.fuchsian import hecke_bredon, hecke_signature, is_prime
+from equiko.fuchsian import bredon_closed_form, hecke_signature, is_prime
 from equiko.ko_assembly import KO_POINT
 
 
@@ -105,7 +105,7 @@ def test_h2_rank_matches_edge_h1():
     # H2 of the double mapping cylinder is H1 of the edge group
     for p in PSL_BREDON:
         h = psl_zp_bredon(p)
-        _, h1_edge = hecke_bredon(p)
+        _, h1_edge = bredon_closed_form(hecke_signature(p))
         assert h[2] == h1_edge
 
 
@@ -118,7 +118,7 @@ def test_closed_form_invariants_below_2000():
         e2, e3 = periods.count(2), periods.count(3)
         classes.add((e2, e3))
         counts = class_count_psl(p)
-        assert not any(g.torsion for g in hecke_bredon(p))
+        assert not any(g.torsion for g in bredon_closed_form(hecke_signature(p)))
         assert counts.order3 in (2, 4)
         rank = e2 + 2 * e3 + counts.order2 + counts.order3 - 6
         assert psl_zp_bredon(p)[1].free_rank == rank and rank in (0, 1, 2, 3)
@@ -156,8 +156,8 @@ def test_cstar_ko_p11():
         "0",
     ]
     assert gg.extension_ambiguous == frozenset({1, 3, 4})
-    assert gg.is_ambiguous(1) and gg.is_ambiguous(3) and gg.is_ambiguous(4)
-    assert not gg.is_ambiguous(0) and not gg.is_ambiguous(2)
+    assert all(n in gg.extension_ambiguous for n in (1, 3, 4))
+    assert not any(n in gg.extension_ambiguous for n in (0, 2))
 
 
 def test_cstar_ko_scales_with_loop_rank():

@@ -233,6 +233,25 @@ def test_large_torsion_order_is_not_factored(tmp_path):
     assert "H0 = Z/1000000016000000063\n" in done.stdout
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_output_too_large_to_build_exits_one(fmt):
+    # b = 166666666666683 summands Z/2: the KO3 line alone would take 10^15 bytes
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():  # runs in the child only, so no limit of this process moves
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "equiko.cli", "cstar", "-p", "1000000000000091", "--ko",
+         "--format", fmt],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "boundaries",
     [

@@ -9,7 +9,6 @@ from equiko.fuchsian import (
     MODULAR_SIGNATURE,
     Signature,
     bredon_closed_form,
-    hecke_bredon,
     hecke_signature,
     is_prime,
     parse_signature,
@@ -167,7 +166,7 @@ def test_hecke_bredon_table():
         23: ("Z", "Z^5"),
     }
     for p, (h0, h1) in expected.items():
-        a, b = hecke_bredon(p)
+        a, b = bredon_closed_form(hecke_signature(p))
         assert (str(a), str(b)) == (h0, h1)
 
 

@@ -60,6 +60,7 @@ def test_induction_preserves_total_dimension():
         source = GroupId.cyclic(d).name() if d > 1 else "triv"
         ind = _block(f"{source}->{GroupId.cyclic(m).name()}")
         assert (ind.rows, ind.cols) == (m, d)
+        rows = ind.row_list()
         for j in range(d):
-            col_sum = sum(ind.entry(i, j) for i in range(m))
+            col_sum = sum(rows[i][j] for i in range(m))
             assert col_sum == m // d

@@ -30,8 +30,8 @@ _LOOP = GraphEdge("e", _1, ("v", "id"), ("v", "id"))
 #:           one field and a value that makes an unequal instance)
 VALUES = {
     IntMatrix: (dict(rows=1, cols=2, entries=(3, 4)), ("entries", (3, 5))),
-    SNFResult: (dict(d=(2,), left=IntMatrix.identity(1), right=IntMatrix.identity(1)),
-                ("d", (3,))),
+    SNFResult: (dict(d=(2,), left=IntMatrix.diagonal([1], 1, 1),
+                     right=IntMatrix.diagonal([1], 1, 1)), ("d", (3,))),
     FinAbGroup: (dict(free_rank=1, torsion=((2, 1), (4, 1))), ("free_rank", 2)),
     IntChainComplex: (dict(ranks=(1, 1), boundaries=(IntMatrix(1, 1, (0,)),)),
                       ("boundaries", (IntMatrix(1, 1, (2,)),))),

@@ -4,7 +4,9 @@ Each mutant replaces one function of the library, never a check, and runs
 through `verify_all` as shipped, so the `snf` mutant runs in the forked
 child.  The three `hecke_signature` mutants change only primes p > 60, where
 no table row reaches; `hecke` compares two computations from the same
-signature and passes them, and `gauss-bonnet` must catch them.
+signature and passes them, and `gauss-bonnet` must catch them.  The genus
+mutant for p = 11 (mod 12) replaces `hecke_signature` in both modules that
+read it, and `cstar` and `sl2zp-doubling` must catch it.
 """
 
 import pytest
@@ -76,6 +78,11 @@ def _sl_doubles_k0_only(p):
     return direct_sum(k0, k0), k1
 
 
+def _psl_k0_one_more(p):
+    k0, k1 = _psl_zp_k(p)
+    return FinAbGroup.free(k0.free_rank + 1), k1
+
+
 def _lift_without_central_edges(sig):
     # the cone stabilisers lift to Z/2m, but the free vertex and the edges
     # stay trivial
@@ -120,6 +127,7 @@ MUTANTS = [
         ("class-counts", arithmetic_k, "_class_count", _classes_fused_backwards),
         ("psl2zp", arithmetic_k, "collapse_complex", _collapse_without_h2),
         ("sl2zp-doubling", arithmetic_k, "sl_zp_k", _sl_doubles_k0_only),
+        ("sl2zp-doubling", arithmetic_k, "psl_zp_k", _psl_k0_one_more),
         ("sl2zp-doubling", bredon, "lifted_fuchsian_datum", _lift_without_central_edges),
         ("cstar", arithmetic_k, "_require_11_mod_12", _spheres_from_p_plus_1),
         ("snf", exactlinalg, "_eliminate", _border_left_alone),
@@ -138,6 +146,20 @@ def test_mutant_fails_its_check(monkeypatch, check, module, name, mutant):
     monkeypatch.setattr(module, name, mutant)
     results = verify.verify_all(2, 70)  # 61 and 67 reach the sweep mutants
     assert check in {r.name for r in results if not r.passed}
+
+
+def _genus_plus_one_at_11_mod_12(p):
+    sig = _hecke_signature(p)
+    return Signature(sig.g + 1, sig.s, sig.periods) if p % 12 == 11 else sig
+
+
+def test_cstar_genus_mutant_fails_cstar_and_sl_doubling(monkeypatch):
+    # b = 2g + 1 moves with the genus in both modules that read the signature;
+    # cstar reads its expected b off p, and sl2zp-doubling its K off the table
+    for module in (fuchsian, arithmetic_k):
+        monkeypatch.setattr(module, "hecke_signature", _genus_plus_one_at_11_mod_12)
+    failed = {r.name for r in verify.verify_all(2, 30) if not r.passed}
+    assert {"cstar", "sl2zp-doubling"} <= failed
 
 
 @pytest.mark.parametrize("mutant", SWEEP_MUTANTS.values(), ids=SWEEP_MUTANTS.keys())
