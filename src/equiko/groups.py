@@ -266,12 +266,11 @@ def _validate_table(mult: list[list[int]]) -> None:
         if sorted(mult[i][j] for i in rng) != list(rng):
             raise UnsupportedGroupError("a column is not a permutation")
     for a in rng:
+        rowa = mult[a]
         for b in rng:
-            mab = mult[a][b]
-            rowa = mult[a]
-            for c in rng:
-                if mult[mab][c] != rowa[mult[b][c]]:
-                    raise UnsupportedGroupError("associativity fails")
+            # (ab)c == a(bc) for every c: row ab against row a read through row b
+            if mult[rowa[b]] != [rowa[x] for x in mult[b]]:
+                raise UnsupportedGroupError("associativity fails")
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ import pytest
 from equiko import bredon, cli
 from equiko.bredon import fuchsian_noncocompact_datum
 from equiko.cwfile import format_cw
+from equiko.exactlinalg import FinAbGroup
 from equiko.fuchsian import MODULAR_SIGNATURE
 
 
@@ -116,6 +117,17 @@ def test_json_hecke_signature(capsys):
     doc = json.loads(out)
     assert doc["signature"] == "[0,2;2,2,3,3]"
     assert doc["groups"] == {"H0": "Z^7", "H1": "Z"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_group_is_rendered_once(capsys, monkeypatch, fmt):
+    # a (Z/2)^b string of `cstar --ko` is megabytes long for large p
+    calls = []
+    render = FinAbGroup.__str__
+    monkeypatch.setattr(FinAbGroup, "__str__", lambda g: calls.append(g) or render(g))
+    code, _, _ = run(capsys, "cstar", "-p", "23", "--ko", "--format", fmt)
+    assert code == 0
+    assert len(calls) == 8
 
 
 # -- determinism -------------------------------------------------------------------
@@ -250,6 +262,60 @@ def test_output_too_large_to_build_exits_one(fmt):
     assert (done.returncode, done.stdout) == (1, "")
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def _spawn(*argv, unbuffered=False, **options):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    options.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "equiko.cli", *argv], env=env,
+                          encoding="utf-8", timeout=60, **options)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help"), ("nosuchcommand",),
+                                  ("sl3", "--format", "xml")])
+def test_help_and_usage_errors_through_the_entry_point(capsys, monkeypatch, argv):
+    # argparse ends --help with SystemExit(0) and a usage error with SystemExit(2)
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run(capsys, *argv)
+    assert expected[0] == (2 if "--help" not in argv else 0)
+    done = _spawn(*argv, stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, unbuffered", [
+    (("sl3",), False),  # fits stdout's buffer: fails at the flush, after `main` returned 0
+    (("cstar", "-p", "10007", "--ko"), False),  # ~10 KB: fails in a write inside `main`
+    (("sl3",), True),  # every print writes through
+], ids=["flush", "buffer-full", "unbuffered"])
+def test_output_to_a_full_disk_exits_one(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        done = _spawn(*argv, unbuffered=unbuffered, stdout=full)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: cannot write output: [Errno 28] ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    with open("/dev/full", "w") as full:  # stderr too: the exit code still says so
+        assert _spawn(*argv, unbuffered=unbuffered, stdout=full, stderr=full).returncode == 1
+
+
+def test_output_to_a_closed_pipe_exits_one():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _spawn("cstar", "-p", "10007", "--ko", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_is_not_an_error():
+    # started with fd 1 closed, the process has no sys.stdout; print drops the output
+    done = _spawn("sl3", preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @pytest.mark.parametrize(

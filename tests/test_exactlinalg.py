@@ -439,6 +439,23 @@ def test_direct_sum():
     assert direct_sum() == FinAbGroup.zero()
 
 
+_small_groups = st.builds(
+    FinAbGroup.of,
+    st.integers(0, 3),
+    st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 25, 36, 72]), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_small_groups, st.integers(1, 4)), max_size=4))
+def test_direct_sum_equals_the_normal_form_of_the_expanded_orders(summands):
+    # each group taken `times` times, so runs of equal orders meet across summands
+    groups = [g for g, times in summands for _ in range(times)]
+    orders = [d for g in groups for d, copies in g.torsion for _ in range(copies)]
+    expected = FinAbGroup.of(sum(g.free_rank for g in groups), orders)
+    assert direct_sum(*groups) == expected
+
+
 def _brute_counts(g: FinAbGroup):
     """|G (x) Z/2| and |Tor(G, Z/2)| by enumerating the torsion part."""
     dims = [d for d, copies in g.torsion for _ in range(copies)]

@@ -12,6 +12,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -123,6 +125,57 @@ def test_golden_covers_every_case():
 def test_golden_cli(argv, in_file_dir):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[_case_id(argv)]
     assert _run(argv) == expected
+
+
+#: Cases also run as processes: through `cli.run`, which ends in `os._exit`.
+ENTRY_POINT_CASES = [
+    ["sl3", "--ko", "--format", "text"],
+    ["gl3", "--format", "json"],
+    ["cstar", "-p", "10007", "--ko", "--format", "text"],
+    ["complex", "--file", "polygon.cw", "--emit"],
+    ["verify", "--primes", "2..50", "--format", "json"],
+    ["psl2zp", "-p", "15"],
+    ["hecke", "-p", "1_3"],
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_POINT_CASES, ids=_case_id)
+def test_golden_cli_through_the_entry_point(argv, tmp_path):
+    _write_files(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "equiko.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, encoding="utf-8", timeout=60)
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[_case_id(argv)]
+    assert {"code": done.returncode, "stdout": done.stdout} == expected
+
+
+#: Counts `atexit` callbacks from before `import equiko.cli` to after every
+#: case given as JSON in argv[1] has run through `cli.main`.
+_COUNT_EXIT_CALLBACKS = """
+import atexit
+before = atexit._ncallbacks()
+import contextlib, io, json, sys
+from equiko import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+print(atexit._ncallbacks() - before)
+"""
+
+
+def test_golden_cases_register_no_exit_callbacks(tmp_path):
+    # `run` skips the atexit callbacks with the rest of teardown: none may be
+    # needed, whether registered by importing a module or by running a case.
+    # A fresh interpreter without `site` has not yet imported what equiko uses.
+    _write_files(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", _COUNT_EXIT_CALLBACKS, json.dumps(CASES)],
+                          cwd=tmp_path, env=env, capture_output=True, encoding="utf-8",
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
 
 def regenerate() -> None:

@@ -4,6 +4,7 @@ import cmath
 
 import pytest
 
+from equiko import groups
 from equiko.groups import (
     GroupId,
     UnsupportedGroupError,
@@ -92,6 +93,19 @@ def test_bad_identifiers_rejected():
     with pytest.raises(UnsupportedGroupError):
         parse_name("")
 
+
+@pytest.mark.parametrize("mult, message", [
+    ([[0, 1], [1]], "not square"),
+    ([[1, 0], [0, 1]], "not an identity"),
+    ([[0, 1, 2], [1, 2, 2], [2, 0, 1]], "row is not a permutation"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column is not a permutation"),
+    # a Latin square with identity but no group: 1 * 1 = 0 in an order-5 loop
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+     "associativity fails"),
+], ids=["square", "identity", "rows", "columns", "associativity"])
+def test_bad_multiplication_table_rejected(mult, message):
+    with pytest.raises(UnsupportedGroupError, match=message):
+        groups._validate_table(mult)
 
 
 def test_cyclic_order_one_is_the_trivial_group():
