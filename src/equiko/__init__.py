@@ -21,7 +21,6 @@ from .exactlinalg import (
     tor_z2,
 )
 from .groups import (
-    CharacterTable,
     FiniteGroupData,
     GroupId,
     UnsupportedGroupError,
@@ -46,9 +45,8 @@ from .bredon import (
     GraphOfGroupsDatum,
     bredon_homology,
     expand,
-    fuchsian_cocompact_datum,
+    fuchsian_datum,
     fuchsian_graph_of_groups,
-    fuchsian_noncocompact_datum,
     lifted_fuchsian_datum,
     sl3_datum,
 )
@@ -73,7 +71,6 @@ from .verify import verify_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharacterTable",
     "CWFormatError",
     "DatumError",
     "FinAbGroup",
@@ -104,9 +101,8 @@ __all__ = [
     "expand",
     "format_cw",
     "fs_indicator",
-    "fuchsian_cocompact_datum",
+    "fuchsian_datum",
     "fuchsian_graph_of_groups",
-    "fuchsian_noncocompact_datum",
     "hecke_signature",
     "is_prime",
     "ko_from_bredon",

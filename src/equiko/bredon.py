@@ -10,13 +10,13 @@ degree n is the direct sum of the complex representation rings of the
 n-cell stabilisers, and each boundary block is sign * (induction matrix).
 Homology is then Smith-normal-form arithmetic, never a table lookup.
 
-Three families of data are built here:
+Two families of data are built here:
 
 * the 4-dimensional complex for SL_3(Z), whose boundaries are stored in a
   unimodularly equivalent normal form (`snf_equivalent=True`) -- pivot
   blocks of ranks 18, 10, 1 with unit invariant factors;
-* fundamental-polygon complexes for cocompact Fuchsian signatures;
-* graphs of groups for finite-covolume signatures, and their central Z/2
+* Fuchsian data: a fundamental polygon for a cocompact signature, a graph
+  of groups for a finite-covolume one, and the graphs' central Z/2
   extensions (free stabilisers lift to Z/2, cone stabilisers Z/m to Z/2m,
   every edge carrying the same central Z/2).
 """
@@ -171,35 +171,6 @@ class GammaCWDatum(Value):
                         _check_spec(spec, source, target)
                         checked.add(key)
 
-    @classmethod
-    def build(cls, name, cells, boundaries, snf_equivalent=False) -> "GammaCWDatum":
-        """Friendly constructor.
-
-        `cells`: list (by dimension) of [(label, GroupId), ...].
-        `boundaries`: dict dimension -> either {label: [(sign, target, spec), ...]}
-        or an IntMatrix.
-        """
-        cell_layers = tuple(tuple(map(tuple, layer)) for layer in cells)
-        packed = []
-        for n in range(1, len(cell_layers)):
-            raw = boundaries.get(n)
-            if isinstance(raw, IntMatrix):
-                packed.append(raw)
-                continue
-            raw = raw or {}
-            unknown = set(raw) - {label for label, _ in cell_layers[n]}
-            if unknown:
-                raise DatumError(
-                    f"boundary given for unknown {n}-cells {sorted(unknown)}"
-                )
-            packed.append(
-                tuple(
-                    tuple(map(tuple, raw.get(label, ())))
-                    for label, _ in cell_layers[n]
-                )
-            )
-        return cls(name, cell_layers, tuple(packed), snf_equivalent)
-
     def stabilisers(self) -> list[GroupId]:
         """All stabilisers, deduplicated, in order of first appearance."""
         seen: list[GroupId] = []
@@ -222,9 +193,9 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
     chain groups.  Shapes, targets and specs were checked when the datum was
     built.
 
-    >>> datum = GammaCWDatum.build(
-    ...     "edge", [[("v", GroupId.cyclic(6))], [("e", GroupId.cyclic(2))]],
-    ...     {1: {"e": [(1, "v", "Z2->Z6")]}})
+    >>> datum = GammaCWDatum(
+    ...     "edge", ((("v", GroupId.cyclic(6)),), (("e", GroupId.cyclic(2)),)),
+    ...     ((((1, "v", "Z2->Z6"),),),))
     >>> expand(datum).boundaries[0].row_list()
     [[1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1]]
     """
@@ -306,12 +277,12 @@ def sl3_datum() -> GammaCWDatum:
     pivot blocks), so homology computed from them by Smith normal form is
     the homology of the geometric complex.
     """
-    cells = [
-        [(f"v{i + 1}", parse_name(s)) for i, s in enumerate(_SL3_VERTEX_STABILISERS)],
-        [(f"e{i + 1}", parse_name(s)) for i, s in enumerate(_SL3_EDGE_STABILISERS)],
-        [(f"t{i + 1}", parse_name(s)) for i, s in enumerate(_SL3_FACE_STABILISERS)],
-        [("T1", GroupId.trivial())],
-    ]
+    cells = (
+        tuple((f"v{i + 1}", parse_name(s)) for i, s in enumerate(_SL3_VERTEX_STABILISERS)),
+        tuple((f"e{i + 1}", parse_name(s)) for i, s in enumerate(_SL3_EDGE_STABILISERS)),
+        tuple((f"t{i + 1}", parse_name(s)) for i, s in enumerate(_SL3_FACE_STABILISERS)),
+        (("T1", GroupId.trivial()),),
+    )
     # Degree ranks: 26 <- 28 <- 11 <- 1.  The boundary out of dimension 1
     # has rank 18 (unit pivots in the first 18 rows); the boundary out of
     # dimension 2 has rank 10, supported on the complementary 10 rows; the
@@ -319,9 +290,7 @@ def sl3_datum() -> GammaCWDatum:
     d1 = _pivot_block(26, 28, 18)
     d2 = _pivot_block(28, 11, 10, row_offset=18)
     d3 = _pivot_block(11, 1, 1, row_offset=10)
-    return GammaCWDatum.build(
-        "sl3", cells, {1: d1, 2: d2, 3: d3}, snf_equivalent=True
-    )
+    return GammaCWDatum("sl3", cells, (d1, d2, d3), snf_equivalent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +348,7 @@ _LOOP_TERMS = ((1, "z", "id"), (-1, "z", "id"))
 def _fuchsian_graph(loops: int, free: GroupId, cones: list[GroupId], via: str):
     # (vertices, edges, edge terms): a vertex z with group `free` carrying
     # `loops` loops, and one pendant edge with group `free` from z into each
-    # cone vertex, embedded there by the spec `via->cone`.  Equal cones share
-    # one GroupId object, so datum validation checks each spec once.
-    shared: dict[GroupId, GroupId] = {}
-    cones = [shared.setdefault(cone, cone) for cone in cones]
+    # cone vertex, embedded there by the spec `via->cone`.
     vertices = (("z", free),)
     vertices += tuple((f"p{j + 1}", cone) for j, cone in enumerate(cones))
     edges = tuple(zip([f"l{i + 1}" for i in range(loops)], repeat(free)))
@@ -394,44 +360,35 @@ def _fuchsian_graph(loops: int, free: GroupId, cones: list[GroupId], via: str):
     return vertices, edges, terms
 
 
-def fuchsian_cocompact_datum(sig: Signature) -> GammaCWDatum:
-    """Fundamental-polygon datum for a cocompact signature [g, 0; m_1..m_r].
+def fuchsian_datum(sig: Signature) -> GammaCWDatum:
+    """The datum of a Fuchsian signature [g, s; m_1..m_r].
 
-    The graph of `fuchsian_noncocompact_datum` with 2g loops, plus a single
-    free 2-cell whose polygon boundary traverses every edge twice with
-    opposite orientations, so its chain boundary cancels to zero term by term.
+    One free vertex carrying 2g + s - 1 loops (2g when s = 0), plus one
+    pendant edge from it into each cone vertex Z/m_j.  A cocompact signature
+    adds a single free 2-cell whose polygon boundary traverses every edge
+    twice with opposite orientations, so its chain boundary cancels to zero
+    term by term.
     """
-    if not sig.is_cocompact():
-        raise DatumError("cocompact datum needs s = 0")
     trivial = GroupId.trivial()
     cones = [GroupId.cyclic(m) for m in sig.periods]
-    vertices, edges, terms = _fuchsian_graph(2 * sig.g, trivial, cones, "triv")
+    loops = 2 * sig.g + max(sig.s - 1, 0)
+    vertices, edges, terms = _fuchsian_graph(loops, trivial, cones, "triv")
+    if sig.s:
+        return GammaCWDatum(f"fuchsian{sig}", (vertices, edges), (terms,))
     face = tuple((sign, label, "id") for label, _ in edges for sign in (1, -1))
     return GammaCWDatum(
         f"fuchsian{sig}", (vertices, edges, (("w", trivial),)), (terms, (face,))
     )
 
 
-def fuchsian_noncocompact_datum(sig: Signature) -> GammaCWDatum:
-    """The 1-dimensional datum of a finite-covolume signature [g, s >= 1; m_1..m_r].
-
-    One free vertex carrying 2g + s - 1 loops, plus one pendant edge from it
-    into each cone vertex Z/m_j.
-    """
-    if sig.is_cocompact():
-        raise DatumError("graph-of-groups datum needs s >= 1")
-    cones = [GroupId.cyclic(m) for m in sig.periods]
-    loops = 2 * sig.g + sig.s - 1
-    vertices, edges, terms = _fuchsian_graph(loops, GroupId.trivial(), cones, "triv")
-    return GammaCWDatum(f"fuchsian{sig}", (vertices, edges), (terms,))
-
-
 def fuchsian_graph_of_groups(sig: Signature) -> GraphOfGroupsDatum:
     """Graph of groups for a finite-covolume signature [g, s >= 1; m_1..m_r].
 
-    The cells and terms of `fuchsian_noncocompact_datum`, as vertices and edges.
+    The cells and terms of `fuchsian_datum`, as vertices and edges.
     """
-    datum = fuchsian_noncocompact_datum(sig)
+    if sig.is_cocompact():
+        raise DatumError("graph-of-groups datum needs s >= 1")
+    datum = fuchsian_datum(sig)
     vertices, edges = datum.cells
     return GraphOfGroupsDatum(
         datum.name,

@@ -145,25 +145,26 @@ def parse_cw(text: str) -> GammaCWDatum:
         if n not in cells:
             raise CWFormatError(f"missing section [cells.{n}] (dimensions must be contiguous)")
 
-    layers = [cells[n] for n in range(top + 1)]
+    layers = tuple(tuple(cells[n]) for n in range(top + 1))
 
     for n in set(term_sections) | set(matrix_sections):
         if n > top or not cells[n]:
             raise CWFormatError(f"boundary section for dimension {n} has no cells")
 
-    boundaries: dict[int, IntMatrix | dict[str, tuple]] = {}
+    # The file gives term lists by label, the datum one per cell in cell
+    # order, so the label rules are checked here; unknown labels are reported
+    # once every dimension has passed the other two.
+    boundaries, unknown = [], []
     for n in range(1, top + 1):
         labels = [label for label, _ in layers[n]]
-        if not labels:
-            continue
         if n in matrix_sections:
             # the datum checks the shape against the stabilisers' ranks
-            boundaries[n] = IntMatrix.from_rows(matrix_sections[n])
+            boundaries.append(IntMatrix.from_rows(matrix_sections[n]))
             continue
-        if n not in term_sections:
+        if labels and n not in term_sections:
             raise CWFormatError(f"no boundary given for dimension {n}")
-        assigned = boundaries[n] = {}
-        for label, terms in term_sections[n]:
+        assigned = {}
+        for label, terms in term_sections.get(n, ()):
             if label in assigned:
                 raise CWFormatError(f"[boundary.{n}] assigns {label!r} twice")
             assigned[label] = terms
@@ -172,10 +173,16 @@ def parse_cw(text: str) -> GammaCWDatum:
             raise CWFormatError(
                 f"[boundary.{n}] is missing cells {missing} (write 'label =' for zero)"
             )
+        extra = sorted(set(assigned).difference(labels))
+        if extra:
+            unknown.append(f"boundary given for unknown {n}-cells {extra}")
+        boundaries.append(tuple(assigned[label] for label in labels))
+    if unknown:
+        raise CWFormatError(unknown[0])
 
     try:
-        return GammaCWDatum.build(header["name"], layers, boundaries,
-                                  header.get("snf_equivalent") == "true")
+        return GammaCWDatum(header["name"], layers, tuple(boundaries),
+                            header.get("snf_equivalent") == "true")
     except DatumError as exc:
         raise CWFormatError(str(exc)) from exc
 

@@ -69,19 +69,12 @@ class IntMatrix(Value):
                 _check_int(e)
 
     @classmethod
-    def from_rows(cls, data, cols: int | None = None) -> "IntMatrix":
-        """Build from a list of row lists; `cols` disambiguates empty shapes."""
+    def from_rows(cls, data) -> "IntMatrix":
+        """Build from a list of row lists; no rows make the 0 x 0 matrix."""
         data = [list(row) for row in data]
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        if cols is not None:
-            if data and width != cols:
-                raise ValueError(f"rows have width {width}, expected {cols}")
-            width = cols
+        width = len(data[0]) if data else 0
+        if any(len(row) != width for row in data):
+            raise ValueError("ragged rows")
         return cls(len(data), width, tuple(x for row in data for x in row))
 
     @classmethod

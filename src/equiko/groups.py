@@ -77,8 +77,10 @@ class GroupId(Value):
         return cls("trivial")
 
     @classmethod
+    @lru_cache(maxsize=None)
     def cyclic(cls, m: int) -> "GroupId":
-        """Z/m; Z/1 is the trivial group and gets its tag."""
+        """Z/m; Z/1 is the trivial group and gets its tag.  One object per m,
+        so a datum's identity-keyed checks see equal cones as one."""
         return cls.trivial() if m == 1 else cls("cyclic", m)
 
     @classmethod
@@ -393,16 +395,6 @@ _BASE_TABLES: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {
 }
 
 
-class CharacterTable(Value):
-    """Integer character table; `rows[i][c]` is the i-th character on class c."""
-
-    __slots__ = ("group", "rows")
-
-    def __init__(self, group: GroupId, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "rows", rows)
-
-
 def has_integer_table(gid: GroupId) -> bool:
     if gid.kind == "cyclic":
         return gid.m <= 2
@@ -411,14 +403,11 @@ def has_integer_table(gid: GroupId) -> bool:
     return True
 
 
-def _validate_character_table(table: CharacterTable) -> None:
-    g = build_group(table.group)
+def _validate_character_table(gid: GroupId, rows: tuple[tuple[int, ...], ...]) -> None:
+    g = build_group(gid)
     k = len(g.classes)
-    rows = table.rows
     if len(rows) != k or any(len(row) != k for row in rows):
-        raise UnsupportedGroupError(
-            f"character table for {table.group.name()} is not {k}x{k}"
-        )
+        raise UnsupportedGroupError(f"character table for {gid.name()} is not {k}x{k}")
     sizes = [len(c) for c in g.classes]
     order = g.order
     if any(row[0] <= 0 for row in rows):
@@ -439,8 +428,9 @@ def _validate_character_table(table: CharacterTable) -> None:
 
 
 @lru_cache(maxsize=None)
-def character_table(gid: GroupId) -> CharacterTable:
-    """The integer character table of a catalogue group, validated on build.
+def character_table(gid: GroupId) -> tuple[tuple[int, ...], ...]:
+    """The integer character table of a catalogue group, validated on build:
+    `rows[i][c]` is the i-th character on class c.
 
     Raises UnsupportedGroupError for cyclic groups of order >= 3 (and their
     Z/2-products): those characters are not integer-valued and are handled
@@ -452,7 +442,7 @@ def character_table(gid: GroupId) -> CharacterTable:
             "cyclic characters are handled in closed form"
         )
     if gid.kind == "z2x":
-        inner_tab = character_table(gid.inner)
+        inner_rows = character_table(gid.inner)
         inner_g = build_group(gid.inner)
         z2_g = build_group(GroupId.cyclic(2))
         g = build_group(gid)
@@ -465,15 +455,14 @@ def character_table(gid: GroupId) -> CharacterTable:
         z2_rows = _BASE_TABLES[("cyclic", 2)]
         rows = tuple(
             tuple(ri[ic] * rj[zc] for ic, zc in coords)
-            for ri in inner_tab.rows
+            for ri in inner_rows
             for rj in z2_rows
         )
-        table = CharacterTable(gid, rows)
     else:
         key = (gid.kind, gid.m if gid.kind in ("cyclic", "dihedral") else 0)
-        table = CharacterTable(gid, _BASE_TABLES[key])
-    _validate_character_table(table)
-    return table
+        rows = _BASE_TABLES[key]
+    _validate_character_table(gid, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -531,5 +520,4 @@ def all_tables_coincide(gid: GroupId) -> bool:
         # which never changes an indicator.
         return all_tables_coincide(gid.inner)
     g = build_group(gid)
-    table = character_table(gid)
-    return all(fs_indicator(g, row) == 1 for row in table.rows)
+    return all(fs_indicator(g, row) == 1 for row in character_table(gid))

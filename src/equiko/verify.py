@@ -170,8 +170,7 @@ def check_involution_counts() -> str:
     probes += [groups.GroupId.times_z2(g) for g in probes[:]]
     for gid in probes:
         g = groups.build_group(gid)
-        table = groups.character_table(gid)
-        lhs = sum(groups.fs_indicator(g, row) * row[0] for row in table.rows)
+        lhs = sum(groups.fs_indicator(g, row) * row[0] for row in groups.character_table(gid))
         involutions = sum(1 for x in range(g.order) if g.mult[x][x] == 0)
         _eq(lhs, involutions, f"involution count for {gid.name()}")
     return f"indicator-weighted degrees count involutions in {len(probes)} groups"
@@ -181,10 +180,10 @@ def check_hecke_closed_vs_chain(primes: list[int]) -> str:
     for p in primes:
         sig = fuchsian.hecke_signature(p)
         closed = fuchsian.bredon_closed_form(sig)
-        chain = bredon.bredon_homology(bredon.fuchsian_noncocompact_datum(sig))
+        chain = bredon.bredon_homology(bredon.fuchsian_datum(sig))
         _groups_eq(chain, [str(g) for g in closed], f"Gamma_0({p}) chain vs closed form")
     sig = fuchsian.MODULAR_SIGNATURE
-    chain = bredon.bredon_homology(bredon.fuchsian_noncocompact_datum(sig))
+    chain = bredon.bredon_homology(bredon.fuchsian_datum(sig))
     _groups_eq(chain, ("Z^4", "0"), "modular group Bredon homology")
     for p, (h0, h1) in HECKE_TABLE.items():
         _groups_eq(
@@ -271,9 +270,7 @@ def _minor_gcd_factors(m: IntMatrix) -> list[int]:
         gk = 0
         for rset in combinations(range(m.rows), k):
             for cset in combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows(
-                    [[rows[i][j] for j in cset] for i in rset], cols=k
-                )
+                sub = IntMatrix.from_rows([[rows[i][j] for j in cset] for i in rset])
                 gk = gcd(gk, abs(sub.determinant()))
                 if gk == 1:
                     break
@@ -326,8 +323,7 @@ def check_gauss_bonnet(primes: list[int]) -> str:
     data = [(bredon.sl3_datum(), (0, 1))]
     for sig_text in ("[0,0;2,3,7]", "[2,0;2,2]", "[1,2;2,3]", "[0,4;]", "[1,0;]"):
         sig = fuchsian.parse_signature(sig_text)
-        build = bredon.fuchsian_noncocompact_datum if sig.s else bredon.fuchsian_cocompact_datum
-        data.append((build(sig), sig.orbifold_euler()))
+        data.append((bredon.fuchsian_datum(sig), sig.orbifold_euler()))
     for datum, (chi, scale) in data:
         # sum_n (-1)^n sum_sigma 1/|G_sigma| over the n-cells sigma, scaled by
         # the lcm `common` of the stabiliser orders

@@ -23,8 +23,7 @@ from equiko.arithmetic_k import (
 from equiko.bredon import (
     bredon_homology,
     expand,
-    fuchsian_cocompact_datum,
-    fuchsian_noncocompact_datum,
+    fuchsian_datum,
     lifted_fuchsian_datum,
     sl3_datum,
 )
@@ -114,13 +113,13 @@ def test_criterion_04_hecke_closed_form_vs_chain():
         for p in [n for n in range(2, 201) if is_prime(n)]:
             sig = hecke_signature(p)
             closed = bredon_closed_form(sig)
-            chain = bredon_homology(fuchsian_noncocompact_datum(sig))
+            chain = bredon_homology(fuchsian_datum(sig))
             assert closed == chain, f"p = {p}"
             if p in table3:
                 assert (str(closed[0]), str(closed[1])) == table3[p], f"p = {p}"
         modular = bredon_closed_form(MODULAR_SIGNATURE)
         assert [str(g) for g in modular] == ["Z^4", "0"]
-        assert bredon_homology(fuchsian_noncocompact_datum(MODULAR_SIGNATURE)) == modular
+        assert bredon_homology(fuchsian_datum(MODULAR_SIGNATURE)) == modular
 
 
 def test_criterion_05_class_counts():
@@ -164,7 +163,7 @@ def test_criterion_07_sl_doubling():
             assert (sa.free_rank, sb.free_rank) == (2 * a.free_rank, 2 * b.free_rank)
         for p in [2, 3, 11, 13]:
             sig = hecke_signature(p)
-            base = bredon_homology(fuchsian_noncocompact_datum(sig))
+            base = bredon_homology(fuchsian_datum(sig))
             lifted = bredon_homology(lifted_fuchsian_datum(sig))
             assert [g.free_rank for g in lifted] == [2 * g.free_rank for g in base]
             assert not any(g.torsion for g in lifted)
@@ -210,7 +209,7 @@ def test_criterion_09_property_suites():
         ]:
             g = build_group(gid)
             total = sum(
-                fs_indicator(g, row) * row[0] for row in character_table(gid).rows
+                fs_indicator(g, row) * row[0] for row in character_table(gid)
             )
             involutions = sum(1 for x in range(g.order) if g.mult[x][x] == 0)
             assert total == involutions, gid.name()
@@ -225,10 +224,10 @@ def test_criterion_09_property_suites():
         ]
         for sig in [Signature(1, 0, (2, 4)), Signature(0, 0, (2, 3, 7))]:
             closed = [str(g) for g in bredon_closed_form(sig)]
-            expected.append((expand(fuchsian_cocompact_datum(sig)), closed))
+            expected.append((expand(fuchsian_datum(sig)), closed))
         for sig in [MODULAR_SIGNATURE] + [hecke_signature(p) for p in [2, 3, 13, 17, 19, 23]]:
             closed = [str(g) for g in bredon_closed_form(sig)]
-            expected.append((expand(fuchsian_noncocompact_datum(sig)), closed))
+            expected.append((expand(fuchsian_datum(sig)), closed))
         for c, groups in expected:
             assert [str(g) for g in all_homology(c)] == groups, c.ranks
 

@@ -11,12 +11,12 @@ from equiko.bredon import (
     GammaCWDatum,
     bredon_homology,
     expand,
-    fuchsian_cocompact_datum,
+    fuchsian_datum,
     fuchsian_graph_of_groups,
-    fuchsian_noncocompact_datum,
     lifted_fuchsian_datum,
     sl3_datum,
 )
+from equiko.cwfile import format_cw
 from equiko.exactlinalg import ChainComplexError, IntMatrix
 from equiko.fuchsian import (
     MODULAR_SIGNATURE,
@@ -28,11 +28,14 @@ from equiko.fuchsian import (
 from equiko.groups import GroupId, complex_irreducible_count, parse_name
 
 
+_EDGE_CELLS = ((("v", GroupId.trivial()),), (("e", GroupId.trivial()),))
+
+
 # -- expansion -------------------------------------------------------------------
 
 
 def test_expand_ranks_triangle_group():
-    datum = fuchsian_cocompact_datum(Signature(0, 0, (2, 3, 7)))
+    datum = fuchsian_datum(Signature(0, 0, (2, 3, 7)))
     c = expand(datum)
     # vertex rings 1 + 2 + 3 + 7, three edges, one face
     assert c.ranks == (13, 3, 1)
@@ -44,10 +47,10 @@ def test_expand_ranks_sl3():
 
 def test_expand_respects_signs_and_specs():
     # a single loop at a Z/2 vertex: boundary = id - id = 0
-    datum = GammaCWDatum.build(
+    datum = GammaCWDatum(
         "loop",
-        [[("v", GroupId.cyclic(2))], [("e", GroupId.cyclic(2))]],
-        {1: {"e": [(1, "v", "id"), (-1, "v", "id")]}},
+        ((("v", GroupId.cyclic(2)),), (("e", GroupId.cyclic(2)),)),
+        ((((1, "v", "id"), (-1, "v", "id")),),),
     )
     c = expand(datum)
     assert c.ranks == (2, 2)
@@ -57,11 +60,11 @@ def test_expand_respects_signs_and_specs():
 
 def test_expand_induction_spec():
     # an edge with trivial stabiliser from a Z/4 cone point to a free vertex
-    datum = GammaCWDatum.build(
+    datum = GammaCWDatum(
         "wedge",
-        [[("z", GroupId.trivial()), ("c", GroupId.cyclic(4))],
-         [("y", GroupId.trivial())]],
-        {1: {"y": [(1, "c", "triv->Z4"), (-1, "z", "id")]}},
+        ((("z", GroupId.trivial()), ("c", GroupId.cyclic(4))),
+         (("y", GroupId.trivial()),)),
+        ((((1, "c", "triv->Z4"), (-1, "z", "id")),),),
     )
     c = expand(datum)
     assert c.ranks == (5, 1)
@@ -72,42 +75,42 @@ def _mixed_induction_datum():
     # every induction kind of the catalogue: Z2->Z6 (twice into one block),
     # Z3->Z6, triv->Zm(5), and id on S4, D4 and Z2xS4
     g = parse_name
-    return GammaCWDatum.build(
+    return GammaCWDatum(
         "mixed",
-        [
-            [("z", g("1")), ("c5", g("Zm(5)")), ("c6", g("Z6")),
-             ("s", g("S4")), ("d", g("D4")), ("w", g("Z2xS4"))],
-            [("a", g("Z2")), ("b", g("Z3")), ("y", g("1")),
-             ("es", g("S4")), ("ed", g("D4")), ("ew", g("Z2xS4"))],
-            [("t", g("Z2")), ("u", g("Z2xS4"))],
-        ],
-        {
-            1: {
-                "a": [(1, "c6", "Z2->Z6"), (1, "c6", "Z2->Z6")],
-                "b": [(-1, "c6", "Z3->Z6")],
-                "y": [(1, "c5", "triv->Zm(5)"), (-1, "z", "id")],
-                "es": [(1, "s", "id")],
-                "ed": [(-1, "d", "id")],
-                "ew": [(1, "w", "id")],
-            },
-            2: {
-                "t": [(1, "a", "id"), (-1, "a", "id")],
-                "u": [(-1, "ew", "id"), (1, "ew", "id")],
-            },
-        },
+        (
+            (("z", g("1")), ("c5", g("Zm(5)")), ("c6", g("Z6")),
+             ("s", g("S4")), ("d", g("D4")), ("w", g("Z2xS4"))),
+            (("a", g("Z2")), ("b", g("Z3")), ("y", g("1")),
+             ("es", g("S4")), ("ed", g("D4")), ("ew", g("Z2xS4"))),
+            (("t", g("Z2")), ("u", g("Z2xS4"))),
+        ),
+        (
+            (
+                ((1, "c6", "Z2->Z6"), (1, "c6", "Z2->Z6")),  # a
+                ((-1, "c6", "Z3->Z6"),),  # b
+                ((1, "c5", "triv->Zm(5)"), (-1, "z", "id")),  # y
+                ((1, "s", "id"),),  # es
+                ((-1, "d", "id"),),  # ed
+                ((1, "w", "id"),),  # ew
+            ),
+            (
+                ((1, "a", "id"), (-1, "a", "id")),  # t
+                ((-1, "ew", "id"), (1, "ew", "id")),  # u
+            ),
+        ),
     )
 
 
 def _pinned_data():
     yield "sl3", sl3_datum()
     for text in ["[0,0;2,3,7]", "[2,0;2,2]", "[1,0;2,4]"]:
-        yield text, fuchsian_cocompact_datum(parse_signature(text))
+        yield text, fuchsian_datum(parse_signature(text))
     open_sigs = [MODULAR_SIGNATURE, parse_signature("[0,2;997,991]"),
                  parse_signature("[0,3;4,6,12]")]
     for sig in open_sigs:
-        yield str(sig), fuchsian_noncocompact_datum(sig)
+        yield str(sig), fuchsian_datum(sig)
     for p in (2, 3, 13, 17, 19, 23, 97):
-        yield f"hecke{p}", fuchsian_noncocompact_datum(hecke_signature(p))
+        yield f"hecke{p}", fuchsian_datum(hecke_signature(p))
     for sig in [MODULAR_SIGNATURE, parse_signature("[1,2;2,3]")]:
         yield f"lift{sig}", lifted_fuchsian_datum(sig)
     yield "mixed", _mixed_induction_datum()
@@ -165,7 +168,7 @@ def _reference_expand(datum):
                 for j in range(d):
                     for k in range(j, m, d):
                         rows[row + k][col + j] += sign
-        matrices.append(IntMatrix.from_rows(rows, cols=ranks[n]))
+        matrices.append(IntMatrix.from_rows(rows))
     return tuple(ranks), tuple(matrices)
 
 
@@ -184,8 +187,8 @@ def _shared_terms_datum(monkeypatch):
 def test_expand_matches_a_term_by_term_expansion(monkeypatch):
     data = [_shared_terms_datum(monkeypatch), _mixed_induction_datum(),
             lifted_fuchsian_datum(hecke_signature(13)),
-            fuchsian_noncocompact_datum(hecke_signature(97)),
-            fuchsian_cocompact_datum(parse_signature("[2,0;2,2]"))]
+            fuchsian_datum(hecke_signature(97)),
+            fuchsian_datum(parse_signature("[2,0;2,2]"))]
     for datum in data:
         c = expand(datum)
         assert (c.ranks, c.boundaries) == _reference_expand(datum), datum.name
@@ -200,7 +203,7 @@ def test_expand_matches_a_term_by_term_expansion(monkeypatch):
 def test_snf_round_trips_on_expanded_boundaries():
     # the transforms come from the homology kernel run on the bordered matrix
     data = [sl3_datum(), _mixed_induction_datum()]
-    data += [fuchsian_noncocompact_datum(hecke_signature(p)) for p in (13, 23)]
+    data += [fuchsian_datum(hecke_signature(p)) for p in (13, 23)]
     data.append(lifted_fuchsian_datum(hecke_signature(13)))
     for datum in data:
         for b in expand(datum).boundaries:
@@ -213,11 +216,7 @@ def test_snf_round_trips_on_expanded_boundaries():
 
 def test_matrix_mode_boundary():
     # a raw degree-2 map: the Moore space with H0 = Z/2
-    datum = GammaCWDatum.build(
-        "moore",
-        [[("v", GroupId.trivial())], [("e", GroupId.trivial())]],
-        {1: IntMatrix.from_rows([[2]])},
-    )
+    datum = GammaCWDatum("moore", _EDGE_CELLS, (IntMatrix.from_rows([[2]]),))
     assert [str(g) for g in bredon_homology(datum)] == ["Z/2", "0"]
 
 
@@ -226,25 +225,21 @@ def test_matrix_mode_boundary():
 
 def test_unknown_target_label_rejected():
     with pytest.raises(DatumError):
-        GammaCWDatum.build(
-            "bad",
-            [[("v", GroupId.trivial())], [("e", GroupId.trivial())]],
-            {1: {"e": [(1, "w", "id")]}},
-        )
+        GammaCWDatum("bad", _EDGE_CELLS, ((((1, "w", "id"),),),))
 
 
 def test_spec_group_mismatch_rejected():
     with pytest.raises(DatumError):
-        GammaCWDatum.build(
+        GammaCWDatum(
             "bad",
-            [[("v", GroupId.cyclic(3))], [("e", GroupId.cyclic(2))]],
-            {1: {"e": [(1, "v", "id")]}},  # Z2 != Z3
+            ((("v", GroupId.cyclic(3)),), (("e", GroupId.cyclic(2)),)),
+            ((((1, "v", "id"),),),),  # Z2 != Z3
         )
     with pytest.raises(DatumError):
-        GammaCWDatum.build(
+        GammaCWDatum(
             "bad",
-            [[("v", GroupId.cyclic(4))], [("e", GroupId.cyclic(3))]],
-            {1: {"e": [(1, "v", "Z3->Z4")]}},  # 3 does not divide 4
+            ((("v", GroupId.cyclic(4)),), (("e", GroupId.cyclic(3)),)),
+            ((((1, "v", "Z3->Z4"),),),),  # 3 does not divide 4
         )
 
 
@@ -260,13 +255,14 @@ _BAD_LAST_TERMS = [
 
 @pytest.mark.parametrize("group, term, message", _BAD_LAST_TERMS)
 def test_mismatched_last_term_after_many_loops_rejected(group, term, message):
-    loops = {f"l{i}": [(1, "z", "id"), (-1, "z", "id")] for i in range(1000)}
-    cells = [
-        [("z", GroupId.trivial()), ("c", GroupId.cyclic(3))],
-        [(label, GroupId.trivial()) for label in loops] + [("y", parse_name(group))],
-    ]
+    cells = (
+        (("z", GroupId.trivial()), ("c", GroupId.cyclic(3))),
+        tuple((f"l{i}", GroupId.trivial()) for i in range(1000)) + (("y", parse_name(group)),),
+    )
+    # one terms tuple per loop, as a file gives them
+    terms = tuple(tuple([(1, "z", "id"), (-1, "z", "id")]) for _ in range(1000)) + ((term,),)
     with pytest.raises(DatumError) as exc:
-        GammaCWDatum.build("bad", cells, {1: {**loops, "y": [term]}})
+        GammaCWDatum("bad", cells, (terms,))
     assert str(exc.value) == message
 
 
@@ -280,60 +276,36 @@ def test_shared_terms_are_checked_against_each_source():
     assert str(exc.value) == "spec 'triv->Z4' starts at 1 but the cell has stabiliser Z2"
 
 
-_EDGE_CELLS = ((("v", GroupId.trivial()),), (("e", GroupId.trivial()),))
-
-
 @pytest.mark.parametrize("sign", [2, 0, -2])
 def test_coefficients_other_than_one_rejected(sign):
-    message = f"boundary coefficients must be +1 or -1, got {sign}"
-    with pytest.raises(DatumError) as exc:
-        GammaCWDatum.build("bad", _EDGE_CELLS, {1: {"e": [(sign, "v", "id")]}})
-    assert str(exc.value) == message
     with pytest.raises(DatumError) as exc:
         GammaCWDatum("bad", _EDGE_CELLS, ((((sign, "v", "id"),),),))
-    assert str(exc.value) == message
-
-
-def test_build_stores_lists_as_tuples():
-    # the datum is immutable and hashable whichever sequences the caller passes
-    loop = {"e": [(1, "v", "id"), (-1, "v", "id")]}
-    from_lists = GammaCWDatum.build(
-        "loop", [[["v", GroupId.trivial()]], [["e", GroupId.trivial()]]],
-        {1: {"e": [list(term) for term in loop["e"]]}})
-    from_tuples = GammaCWDatum("loop", _EDGE_CELLS, ((tuple(loop["e"]),),))
-    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
-    assert from_lists == GammaCWDatum.build("loop", _EDGE_CELLS, {1: loop})
+    assert str(exc.value) == f"boundary coefficients must be +1 or -1, got {sign}"
 
 
 def test_matrix_shape_mismatch_rejected():
     with pytest.raises((DatumError, ChainComplexError)):
-        GammaCWDatum.build(
-            "bad",
-            [[("v", GroupId.trivial())], [("e", GroupId.trivial())]],
-            {1: IntMatrix.from_rows([[1, 0], [0, 1]])},
-        )
+        GammaCWDatum("bad", _EDGE_CELLS, (IntMatrix.from_rows([[1, 0], [0, 1]]),))
 
 
 @pytest.mark.parametrize("cells, matrix", [
-    ([[], [("e", GroupId.cyclic(2))]], IntMatrix(0, 2, ())),
-    ([[("v", GroupId.cyclic(2))], []], IntMatrix(2, 0, ())),
+    (((), (("e", GroupId.cyclic(2)),)), IntMatrix(0, 2, ())),
+    (((("v", GroupId.cyclic(2)),), ()), IntMatrix(2, 0, ())),
 ], ids=["0x2", "2x0"])
 def test_matrix_next_to_a_dimension_without_cells_rejected(cells, matrix):
     # such a boundary is the zero map, given as term lists; zero rows carry no
     # width, so a file could not read the matrix back
     with pytest.raises(DatumError, match="dimension 0 or 1 has no cells; give it as term lists"):
-        GammaCWDatum.build("zero", cells, {1: matrix})
-    assert GammaCWDatum.build("zero", cells, {}).boundaries == (((),) * len(cells[1]),)
+        GammaCWDatum("zero", cells, (matrix,))
+    GammaCWDatum("zero", cells, (((),) * len(cells[1]),))
 
 
 def test_nonsquaring_differential_rejected():
     # d1 @ d2 != 0 must be caught at expansion
-    datum = GammaCWDatum.build(
+    datum = GammaCWDatum(
         "bad",
-        [[("v", GroupId.trivial())],
-         [("e", GroupId.trivial())],
-         [("f", GroupId.trivial())]],
-        {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])},
+        _EDGE_CELLS + ((("f", GroupId.trivial()),),),
+        (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])),
     )
     with pytest.raises(ChainComplexError):
         expand(datum)
@@ -367,7 +339,7 @@ def test_cocompact_chain_matches_closed_form():
         g = rng.randint(0, 3)
         periods = tuple(rng.randint(2, 9) for _ in range(rng.randint(0, 4)))
         sig = Signature(g, 0, periods)
-        chain = bredon_homology(fuchsian_cocompact_datum(sig))
+        chain = bredon_homology(fuchsian_datum(sig))
         assert chain == bredon_closed_form(sig)
 
 
@@ -378,7 +350,7 @@ def test_noncocompact_chain_matches_closed_form():
         s = rng.randint(1, 4)
         periods = tuple(rng.randint(2, 9) for _ in range(rng.randint(0, 4)))
         sig = Signature(g, s, periods)
-        chain = bredon_homology(fuchsian_noncocompact_datum(sig))
+        chain = bredon_homology(fuchsian_datum(sig))
         assert chain == bredon_closed_form(sig)
 
 
@@ -405,15 +377,59 @@ def test_noncocompact_datum_is_the_written_out_graph():
         cones = [(f"p{j + 1}", GroupId.cyclic(m)) for j, m in enumerate(sig.periods)]
         loops = [f"l{i + 1}" for i in range(2 * sig.g + sig.s - 1)]
         pendants = [f"d{j + 1}" for j in range(len(cones))]
-        terms = {label: [(1, "z", "id"), (-1, "z", "id")] for label in loops}
-        for label, (vertex, cone) in zip(pendants, cones):
-            terms[label] = [(1, vertex, f"triv->{cone.name()}"), (-1, "z", "id")]
-        expected = GammaCWDatum.build(
+        terms = [((1, "z", "id"), (-1, "z", "id"))] * len(loops)
+        terms += [((1, vertex, f"triv->{cone.name()}"), (-1, "z", "id")) for vertex, cone in cones]
+        expected = GammaCWDatum(
             f"fuchsian{sig}",
-            [[("z", free)] + cones, [(label, free) for label in loops + pendants]],
-            {1: terms},
+            ((("z", free), *cones), tuple((label, free) for label in loops + pendants)),
+            (tuple(terms),),
         )
-        assert fuchsian_noncocompact_datum(sig) == expected
+        assert fuchsian_datum(sig) == expected
+
+
+#: `format_cw` of Fuchsian data, pinned literally: two polygons (s = 0), then
+#: three graphs (s >= 1)
+_FUCHSIAN_FILES = {
+    "[0,0;2,3,7]": (
+        "name = fuchsian[0,0;2,3,7]\n\n[cells.0]\nz = 1\np1 = Z2\np2 = Z3\np3 = Zm(7)\n\n"
+        "[cells.1]\nd1 = 1\nd2 = 1\nd3 = 1\n\n[cells.2]\nw = 1\n\n[boundary.1]\n"
+        "d1 = +1 * p1 : triv->Z2, -1 * z : id\nd2 = +1 * p2 : triv->Z3, -1 * z : id\n"
+        "d3 = +1 * p3 : triv->Zm(7), -1 * z : id\n\n[boundary.2]\n"
+        "w = +1 * d1 : id, -1 * d1 : id, +1 * d2 : id, -1 * d2 : id, +1 * d3 : id, -1 * d3 : id\n"
+    ),
+    "[2,0;2,2]": (
+        "name = fuchsian[2,0;2,2]\n\n[cells.0]\nz = 1\np1 = Z2\np2 = Z2\n\n[cells.1]\n"
+        "l1 = 1\nl2 = 1\nl3 = 1\nl4 = 1\nd1 = 1\nd2 = 1\n\n[cells.2]\nw = 1\n\n"
+        "[boundary.1]\nl1 = +1 * z : id, -1 * z : id\nl2 = +1 * z : id, -1 * z : id\n"
+        "l3 = +1 * z : id, -1 * z : id\nl4 = +1 * z : id, -1 * z : id\n"
+        "d1 = +1 * p1 : triv->Z2, -1 * z : id\nd2 = +1 * p2 : triv->Z2, -1 * z : id\n\n"
+        "[boundary.2]\nw = +1 * l1 : id, -1 * l1 : id, +1 * l2 : id, -1 * l2 : id, "
+        "+1 * l3 : id, -1 * l3 : id, +1 * l4 : id, -1 * l4 : id, +1 * d1 : id, -1 * d1 : id, "
+        "+1 * d2 : id, -1 * d2 : id\n"
+    ),
+    "[1,2;2,3]": (
+        "name = fuchsian[1,2;2,3]\n\n[cells.0]\nz = 1\np1 = Z2\np2 = Z3\n\n[cells.1]\n"
+        "l1 = 1\nl2 = 1\nl3 = 1\nd1 = 1\nd2 = 1\n\n[boundary.1]\n"
+        "l1 = +1 * z : id, -1 * z : id\nl2 = +1 * z : id, -1 * z : id\n"
+        "l3 = +1 * z : id, -1 * z : id\nd1 = +1 * p1 : triv->Z2, -1 * z : id\n"
+        "d2 = +1 * p2 : triv->Z3, -1 * z : id\n"
+    ),
+    "[0,4;]": (
+        "name = fuchsian[0,4;]\n\n[cells.0]\nz = 1\n\n[cells.1]\nl1 = 1\nl2 = 1\nl3 = 1\n\n"
+        "[boundary.1]\nl1 = +1 * z : id, -1 * z : id\nl2 = +1 * z : id, -1 * z : id\n"
+        "l3 = +1 * z : id, -1 * z : id\n"
+    ),
+    "[0,1;2,3]": (
+        "name = fuchsian[0,1;2,3]\n\n[cells.0]\nz = 1\np1 = Z2\np2 = Z3\n\n[cells.1]\n"
+        "d1 = 1\nd2 = 1\n\n[boundary.1]\nd1 = +1 * p1 : triv->Z2, -1 * z : id\n"
+        "d2 = +1 * p2 : triv->Z3, -1 * z : id\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", _FUCHSIAN_FILES)
+def test_fuchsian_datum_files_are_pinned(text):
+    assert format_cw(fuchsian_datum(parse_signature(text))) == _FUCHSIAN_FILES[text]
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -429,7 +445,7 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-@pytest.mark.parametrize("build", [fuchsian_noncocompact_datum, lifted_fuchsian_datum])
+@pytest.mark.parametrize("build", [fuchsian_datum, lifted_fuchsian_datum])
 @pytest.mark.parametrize("p", [1993, 1997, 1999])  # periods 2,2,3,3 / 2,2 / 3,3
 def test_hecke_datum_checks_each_spec_once(monkeypatch, build, p):
     sig = hecke_signature(p)
@@ -444,15 +460,13 @@ def test_hecke_datum_checks_each_spec_once(monkeypatch, build, p):
 
 
 def test_modular_group_datum():
-    h = bredon_homology(fuchsian_noncocompact_datum(MODULAR_SIGNATURE))
+    h = bredon_homology(fuchsian_datum(MODULAR_SIGNATURE))
     assert [str(g) for g in h] == ["Z^4", "0"]
 
 
-def test_cocompact_requires_no_punctures():
-    with pytest.raises(ValueError):
-        fuchsian_cocompact_datum(Signature(0, 1, (2, 3)))
-    with pytest.raises(ValueError):
-        fuchsian_noncocompact_datum(Signature(1, 0, ()))
+def test_graph_of_groups_requires_punctures():
+    with pytest.raises(DatumError, match="graph-of-groups datum needs s >= 1"):
+        fuchsian_graph_of_groups(Signature(1, 0, ()))
 
 
 # -- central extensions ----------------------------------------------------------------
@@ -464,7 +478,7 @@ def test_lift_doubles_bredon_homology():
         from equiko.fuchsian import parse_signature
 
         sig = parse_signature(text)
-        base = bredon_homology(fuchsian_noncocompact_datum(sig))
+        base = bredon_homology(fuchsian_datum(sig))
         lifted = bredon_homology(lifted_fuchsian_datum(sig))
         assert len(lifted) == len(base)
         for b, l in zip(base, lifted):

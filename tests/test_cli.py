@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from equiko import bredon, cli
-from equiko.bredon import fuchsian_noncocompact_datum
+from equiko.bredon import fuchsian_datum
 from equiko.cwfile import format_cw
 from equiko.exactlinalg import FinAbGroup
 from equiko.fuchsian import MODULAR_SIGNATURE
@@ -148,7 +148,7 @@ def test_output_is_deterministic(capsys):
 @pytest.fixture
 def modular_file(tmp_path):
     path = tmp_path / "modular.cw"
-    path.write_text(format_cw(fuchsian_noncocompact_datum(MODULAR_SIGNATURE)))
+    path.write_text(format_cw(fuchsian_datum(MODULAR_SIGNATURE)))
     return str(path)
 
 
@@ -398,7 +398,7 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     monkeypatch.setattr(
         bredon,
         "sl3_datum",
-        lambda: fuchsian_noncocompact_datum(MODULAR_SIGNATURE),
+        lambda: fuchsian_datum(MODULAR_SIGNATURE),
     )
     code, out, _ = run(capsys, "verify", "--primes", "2..40")
     assert code == 3

@@ -9,8 +9,7 @@ from equiko.bredon import (
     GammaCWDatum,
     bredon_homology,
     expand,
-    fuchsian_cocompact_datum,
-    fuchsian_noncocompact_datum,
+    fuchsian_datum,
     lifted_fuchsian_datum,
     sl3_datum,
 )
@@ -76,10 +75,10 @@ def test_id_joins_a_group_to_its_product_name(vertex, edge):
 def test_roundtrip_builtin_data():
     data = [
         sl3_datum(),
-        fuchsian_cocompact_datum(Signature(0, 0, (2, 3, 7))),
-        fuchsian_cocompact_datum(Signature(2, 0, ())),
-        fuchsian_noncocompact_datum(parse_signature("[0,1;2,3]")),
-        fuchsian_noncocompact_datum(parse_signature("[1,3;2,2,3]")),
+        fuchsian_datum(Signature(0, 0, (2, 3, 7))),
+        fuchsian_datum(Signature(2, 0, ())),
+        fuchsian_datum(parse_signature("[0,1;2,3]")),
+        fuchsian_datum(parse_signature("[1,3;2,2,3]")),
         lifted_fuchsian_datum(parse_signature("[0,2;2,3]")),
     ]
     for datum in data:
@@ -108,7 +107,7 @@ def test_roundtrip_graph_property(loops, g, periods, lift):
         sig = Signature(g, loops - 2 * g + 1, tuple(2 + m % 2 for m in periods))
         _assert_roundtrip(lifted_fuchsian_datum(sig))
     else:
-        _assert_roundtrip(fuchsian_noncocompact_datum(Signature(g, loops - 2 * g + 1, periods)))
+        _assert_roundtrip(fuchsian_datum(Signature(g, loops - 2 * g + 1, periods)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -116,7 +115,7 @@ def test_roundtrip_graph_property(loops, g, periods, lift):
 def test_roundtrip_polygon_property(g, periods):
     sig = Signature(g, 0, periods)
     assume(sig.is_hyperbolic())
-    _assert_roundtrip(fuchsian_cocompact_datum(sig))
+    _assert_roundtrip(fuchsian_datum(sig))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -125,9 +124,10 @@ def test_roundtrip_polygon_property(g, periods):
 def test_roundtrip_zero_maps_property(layers):
     # every boundary is the zero map, also next to dimensions without cells,
     # where it has no rows or no columns and is written as term lists
-    cells = [[(f"c{n}_{i}", parse_name(g)) for i, g in enumerate(layer)]
-             for n, layer in enumerate(layers)]
-    _assert_roundtrip(GammaCWDatum.build("zero", cells, {}))
+    cells = tuple(tuple((f"c{n}_{i}", parse_name(g)) for i, g in enumerate(layer))
+                  for n, layer in enumerate(layers))
+    zero_maps = tuple(((),) * len(layer) for layer in cells[1:])
+    _assert_roundtrip(GammaCWDatum("zero", cells, zero_maps))
 
 
 def test_matrix_sections_roundtrip():
@@ -296,9 +296,12 @@ _REFUSED = [
     ("name = x\n[cells.0]\n[cells.1]\ne = Z2\n[matrix.1]\n",
      "the boundary out of dimension 1 is zero, as dimension 0 or 1 has no cells; "
      "give it as term lists"),
+    # a cell missing in any dimension is reported before an unknown one
+    (_TWO_EDGES + "[cells.2]\nt = 1\n[boundary.1]\ne =\nf =\ng = +1 * v : id\n[boundary.2]\n",
+     "[boundary.2] is missing cells ['t'] (write 'label =' for zero)"),
 ]
 _REFUSED_IDS = ["unknown-cell", "unknown-target", "ragged", "few-rows", "wide", "empty",
-                "no-rows"]
+                "no-rows", "missing-before-unknown"]
 
 
 @pytest.mark.parametrize("text, message", _REFUSED, ids=_REFUSED_IDS)

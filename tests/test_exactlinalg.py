@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiko import exactlinalg, verify
-from equiko.bredon import bredon_homology, fuchsian_noncocompact_datum
+from equiko.bredon import bredon_homology, fuchsian_datum
 from equiko.exactlinalg import (
     ChainComplexError,
     FinAbGroup,
@@ -254,7 +254,7 @@ def _unimodular_pair(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
             p[i] = [x + c * y for x, y in zip(p[i], p[j])]
             for row in inv:
                 row[j] -= c * row[i]
-    return IntMatrix.from_rows(p, cols=n), IntMatrix.from_rows(inv, cols=n)
+    return IntMatrix.from_rows(p), IntMatrix.from_rows(inv)
 
 
 def _complex_with_known_homology(rng: random.Random, free: list[int], pieces):
@@ -274,11 +274,10 @@ def _complex_with_known_homology(rng: random.Random, free: list[int], pieces):
     bases = [_unimodular_pair(rng, r) for r in ranks]
     boundaries = []
     for n in range(1, top + 1):
-        d = IntMatrix.from_rows(
-            [[pieces[src[1]][1] if src[0] == "src" and dst == ("dst", src[1]) else 0
-              for src in basis[n]] for dst in basis[n - 1]],
-            cols=ranks[n],
-        )
+        d = IntMatrix(ranks[n - 1], ranks[n], tuple(
+            pieces[src[1]][1] if src[0] == "src" and dst == ("dst", src[1]) else 0
+            for dst in basis[n - 1] for src in basis[n]
+        ))
         boundaries.append(bases[n - 1][0] @ d @ bases[n][1])
     c = IntChainComplex(tuple(ranks), tuple(boundaries))
     expected = [
@@ -366,7 +365,7 @@ def test_one_elimination_serves_snf_and_homology(monkeypatch):
 
 def test_bredon_homology_eliminates_each_boundary_once(monkeypatch):
     shapes = _count_eliminations(monkeypatch)
-    datum = fuchsian_noncocompact_datum(parse_signature("[0,2;997,991]"))
+    datum = fuchsian_datum(parse_signature("[0,2;997,991]"))
     assert [str(g) for g in bredon_homology(datum)] == ["Z^1987", "Z"]
     assert shapes == [(1989, 3)]
 

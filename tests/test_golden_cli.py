@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from equiko import cli
-from equiko.bredon import fuchsian_noncocompact_datum, sl3_datum
+from equiko.bredon import fuchsian_datum, sl3_datum
 from equiko.cwfile import format_cw
 from equiko.fuchsian import MODULAR_SIGNATURE
 
@@ -29,7 +29,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 #: Input files of the `complex` cases, written under these relative names so
 #: that the JSON `inputs.file` field does not depend on the temporary path.
 FILES = {
-    "modular.cw": lambda: format_cw(fuchsian_noncocompact_datum(MODULAR_SIGNATURE)),
+    "modular.cw": lambda: format_cw(fuchsian_datum(MODULAR_SIGNATURE)),
     "sl3.cw": lambda: format_cw(sl3_datum()),
     # int() would read the entry as 10
     "underscore.cw": lambda: "name = x\n[cells.0]\nv = 1\n[cells.1]\ne = 1\n[matrix.1]\n1_0\n",

@@ -196,7 +196,7 @@ def test_square_class_map():
 
 
 def _degrees(gid):
-    return [row[0] for row in character_table(gid).rows]
+    return [row[0] for row in character_table(gid)]
 
 
 def test_character_tables_validate():
@@ -211,15 +211,12 @@ def test_character_tables_validate():
 def test_character_table_first_orthogonality():
     for gid in ["Z2xZ2", "D3", "D4", "D6", "S4"]:
         g = build_group(parse_name(gid))
-        table = character_table(g.group)
+        rows = character_table(g.group)
         sizes = [len(c) for c in g.classes]
-        k = len(table.rows)
+        k = len(rows)
         for i in range(k):
             for j in range(k):
-                inner = sum(
-                    s * a * b
-                    for s, a, b in zip(sizes, table.rows[i], table.rows[j])
-                )
+                inner = sum(s * a * b for s, a, b in zip(sizes, rows[i], rows[j]))
                 assert inner == (g.order if i == j else 0)
 
 
@@ -240,7 +237,7 @@ def test_product_table_is_kronecker():
     inner = GroupId.dihedral(4)  # Z/2 x D3 is tagged D6, not built as a product
     prod = GroupId.times_z2(inner)
     ti, tp = character_table(inner), character_table(prod)
-    assert len(tp.rows) == 2 * len(ti.rows)
+    assert len(tp) == 2 * len(ti)
     assert sum(d * d for d in _degrees(prod)) == 16
 
 
@@ -251,7 +248,7 @@ def test_fs_indicator_all_one_for_coinciding_groups():
     for name in ["1", "Z2", "Z2xZ2", "D3", "D4", "D6", "S4"]:
         gid = parse_name(name)
         g = build_group(gid)
-        for row in character_table(gid).rows:
+        for row in character_table(gid):
             assert fs_indicator(g, row) == 1
 
 
@@ -261,7 +258,7 @@ def test_fs_indicator_counts_involutions():
         g = build_group(parse_name(gid))
         total = sum(
             fs_indicator(g, row) * row[0]
-            for row in character_table(g.group).rows
+            for row in character_table(g.group)
         )
         involutions = sum(1 for x in range(g.order) if g.mult[x][x] == 0)
         assert total == involutions

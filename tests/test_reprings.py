@@ -10,11 +10,7 @@ def _block(spec):
     # one edge with the spec's source group, hitting one vertex with its
     # target group; the boundary is the induction matrix itself
     source, target = (parse_name(g) for g in spec.replace("triv", "1").split("->"))
-    datum = GammaCWDatum.build(
-        "block",
-        [[("v", target)], [("e", source)]],
-        {1: {"e": [(1, "v", spec)]}},
-    )
+    datum = GammaCWDatum("block", ((("v", target),), (("e", source),)), ((((1, "v", spec),),),))
     return expand(datum).boundaries[0]
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from equiko.bredon import fuchsian_noncocompact_datum
+from equiko.bredon import fuchsian_datum
 from equiko.cwfile import format_cw
 from equiko.fuchsian import MODULAR_SIGNATURE
 
@@ -29,7 +29,7 @@ def _stdout(argv) -> str:
                          ids=["sl3", "complex"])
 def test_traced_run_matches_the_plain_cli(argv, tmp_path):
     modular = tmp_path / "modular.cw"
-    modular.write_text(format_cw(fuchsian_noncocompact_datum(MODULAR_SIGNATURE)))
+    modular.write_text(format_cw(fuchsian_datum(MODULAR_SIGNATURE)))
     argv = [str(modular) if a == "modular.cw" else a for a in argv]
     trace = json.loads(_stdout([str(ROOT / "bench" / "tracer.py"), *argv]))
     assert trace["code"] == 0

@@ -16,7 +16,7 @@ from equiko.arithmetic_k import ClassCount
 from equiko.bredon import GammaCWDatum, GraphEdge, GraphOfGroupsDatum
 from equiko.exactlinalg import FinAbGroup, IntChainComplex, IntMatrix, SNFResult
 from equiko.fuchsian import Signature
-from equiko.groups import CharacterTable, FiniteGroupData, GroupId, build_group
+from equiko.groups import FiniteGroupData, GroupId, build_group
 from equiko.ko_assembly import GradedGroup
 from equiko.verify import CheckResult
 
@@ -41,7 +41,6 @@ VALUES = {
         class_index=_Z2_DATA.class_index, representatives=_Z2_DATA.representatives,
         square_class=_Z2_DATA.square_class,
     ), ("group", GroupId.klein4())),
-    CharacterTable: (dict(group=_Z2, rows=((1, 1), (1, -1))), ("rows", ((1, 1),))),
     GammaCWDatum: (dict(name="pt", cells=((_VERTEX,),), boundaries=(), snf_equivalent=False),
                    ("snf_equivalent", True)),
     GraphEdge: (dict(label="e", group=_1, head=("v", "id"), tail=("v", "id")),

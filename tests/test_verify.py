@@ -12,7 +12,7 @@ import pytest
 
 import equiko
 from equiko import bredon, cli, fuchsian, verify
-from equiko.bredon import fuchsian_cocompact_datum
+from equiko.bredon import fuchsian_datum
 from equiko.fuchsian import Signature
 
 
@@ -37,7 +37,7 @@ def test_corruption_is_trapped_not_raised(monkeypatch):
     # a wrong datum must turn checks red without crashing the sweep
     monkeypatch.setattr(
         bredon, "sl3_datum",
-        lambda: fuchsian_cocompact_datum(Signature(0, 0, (2, 3, 7))),
+        lambda: fuchsian_datum(Signature(0, 0, (2, 3, 7))),
     )
     results = verify.verify_all(2, 30)
     assert len(results) == 12

@@ -22,7 +22,7 @@ _hecke_signature = fuchsian.hecke_signature
 _bredon_closed_form = fuchsian.bredon_closed_form
 _kunneth_times_z2 = ko_assembly.kunneth_times_z2
 _psl_zp_k = arithmetic_k.psl_zp_k
-_fuchsian_cocompact_datum = bredon.fuchsian_cocompact_datum
+_fuchsian_datum = bredon.fuchsian_datum
 
 
 def _last_factor_dropped(m):
@@ -97,7 +97,7 @@ def _spheres_from_p_plus_1(p):
 
 
 def _polygon_without_face(sig):
-    datum = _fuchsian_cocompact_datum(sig)
+    datum = _fuchsian_datum(sig)
     return bredon.GammaCWDatum(datum.name, datum.cells[:2], datum.boundaries[:1])
 
 
@@ -131,7 +131,7 @@ MUTANTS = [
         ("sl2zp-doubling", bredon, "lifted_fuchsian_datum", _lift_without_central_edges),
         ("cstar", arithmetic_k, "_require_11_mod_12", _spheres_from_p_plus_1),
         ("snf", exactlinalg, "_eliminate", _border_left_alone),
-        ("gauss-bonnet", bredon, "fuchsian_cocompact_datum", _polygon_without_face),
+        ("gauss-bonnet", bredon, "fuchsian_datum", _polygon_without_face),
     ]
 ] + [pytest.param("gauss-bonnet", fuchsian, "hecke_signature", mutant, id=f"hecke_signature_{name}")
      for name, mutant in SWEEP_MUTANTS.items()]
