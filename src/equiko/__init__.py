@@ -9,6 +9,8 @@ reduced C*-algebras in the periodic case p = 11 mod 12.  User-supplied
 Gamma-CW complexes are accepted through a small text format (`cwfile`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .exactlinalg import (
     FinAbGroup,
     IntChainComplex,
@@ -70,53 +72,6 @@ from .verify import verify_all
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CWFormatError",
-    "DatumError",
-    "FinAbGroup",
-    "FiniteGroupData",
-    "GammaCWDatum",
-    "GradedGroup",
-    "GraphOfGroupsDatum",
-    "GroupId",
-    "IntChainComplex",
-    "IntMatrix",
-    "KO_POINT",
-    "MODULAR_SIGNATURE",
-    "Signature",
-    "SNFResult",
-    "UnsupportedGroupError",
-    "all_homology",
-    "all_tables_coincide",
-    "bredon_closed_form",
-    "bredon_homology",
-    "build_group",
-    "character_table",
-    "class_count_psl",
-    "collapse_complex",
-    "cstar_k_p11",
-    "cstar_ko_p11",
-    "cyclic_fs_indicator",
-    "direct_sum",
-    "expand",
-    "format_cw",
-    "fs_indicator",
-    "fuchsian_datum",
-    "fuchsian_graph_of_groups",
-    "hecke_signature",
-    "is_prime",
-    "ko_from_bredon",
-    "kunneth_times_z2",
-    "lifted_fuchsian_datum",
-    "parse_cw",
-    "parse_name",
-    "parse_signature",
-    "psl_zp_bredon",
-    "psl_zp_k",
-    "sl_zp_k",
-    "sl3_datum",
-    "smith_normal_form",
-    "tensor_z2",
-    "tor_z2",
-    "verify_all",
-]
+# Every name the imports above bind, except modules, is public.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

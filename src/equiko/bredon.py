@@ -199,16 +199,7 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
     >>> expand(datum).boundaries[0].row_list()
     [[1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1]]
     """
-    rank_of: dict[int, int] = {}  # id(stabiliser) -> rank, read once per object
-    cell_ranks = []
-    for layer in datum.cells:
-        layer_ranks = []
-        for _, gid in layer:
-            rank = rank_of.get(id(gid))
-            if rank is None:
-                rank = rank_of[id(gid)] = complex_irreducible_count(gid)
-            layer_ranks.append(rank)
-        cell_ranks.append(layer_ranks)
+    cell_ranks = [[complex_irreducible_count(gid) for _, gid in layer] for layer in datum.cells]
     ranks = [sum(layer_ranks) for layer_ranks in cell_ranks]
 
     matrices = []
@@ -297,30 +288,19 @@ def sl3_datum() -> GammaCWDatum:
 # Fuchsian data
 
 
-class GraphEdge(Value):
-    """An edge of a graph of groups; `head` gets +1, `tail` gets -1.
-
-    Each endpoint is (vertex label, induction spec) for the embedding of the
-    edge group into that vertex group.
-    """
-
-    __slots__ = ("label", "group", "head", "tail")
-
-    def __init__(self, label: str, group: GroupId, head: tuple[str, str],
-                 tail: tuple[str, str]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", tail)
-
-
 class GraphOfGroupsDatum(Value):
-    """A finite graph of catalogue groups, expandable as a 1-dimensional datum."""
+    """A finite graph of catalogue groups, expandable as a 1-dimensional datum.
+
+    `vertices` are pairs (label, group); each edge is a tuple
+    (label, group, head, tail), its endpoints `head` (sign +1) and `tail`
+    (sign -1) each a pair (vertex label, induction spec) for the embedding
+    of the edge group into that vertex group.
+    """
 
     __slots__ = ("name", "vertices", "edges")
 
     def __init__(self, name: str, vertices: tuple[tuple[str, GroupId], ...],
-                 edges: tuple[GraphEdge, ...]):
+                 edges: tuple[tuple[str, GroupId, tuple[str, str], tuple[str, str]], ...]):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
@@ -331,14 +311,14 @@ class GraphOfGroupsDatum(Value):
         by_label = dict(self.vertices)
         if len(by_label) != len(self.vertices):
             raise DatumError("duplicate vertex labels")
-        for e in self.edges:
-            for vertex_label, spec in (e.head, e.tail):
+        for label, group, head, tail in self.edges:
+            for vertex_label, spec in (head, tail):
                 if vertex_label not in by_label:
                     raise DatumError(
-                        f"edge {e.label!r} ends at unknown vertex {vertex_label!r}"
+                        f"edge {label!r} ends at unknown vertex {vertex_label!r}"
                     )
                 # Raises if the edge group does not embed as specified.
-                _check_spec(spec, e.group, by_label[vertex_label])
+                _check_spec(spec, group, by_label[vertex_label])
 
 
 # Every loop at z is bounded by z - z through the identity; all loops share it.
@@ -394,7 +374,7 @@ def fuchsian_graph_of_groups(sig: Signature) -> GraphOfGroupsDatum:
         datum.name,
         vertices,
         tuple(
-            GraphEdge(label, group, head[1:], tail[1:])
+            (label, group, head[1:], tail[1:])
             for (label, group), (head, tail) in zip(edges, datum.boundaries[0])
         ),
     )

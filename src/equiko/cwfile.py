@@ -25,7 +25,8 @@ stabilisers in declaration order; rows of one length, cells on both sides):
 Group names: "1", "Z2", "Z3", "Z4", "Z6", "Z2xZ2", "D3", "D4", "D6", "S4",
 "Zm(m)" for other cyclic orders, and a "Z2x" prefix for products with a
 central Z/2 (e.g. "Z2xS4").  Induction specs are "id", "triv->Zm" or
-"Zd->Zm".  `parse_cw` and `format_cw` are mutually inverse.
+"Zd->Zm".  For a datum `d` that `parse_cw` returned,
+`parse_cw(format_cw(d)) == d`, and emitting that again gives the same text.
 """
 
 from __future__ import annotations
@@ -188,7 +189,9 @@ def parse_cw(text: str) -> GammaCWDatum:
 
 
 def format_cw(datum: GammaCWDatum) -> str:
-    """Serialize a datum; `parse_cw(format_cw(d))` reproduces `d` exactly."""
+    """Serialize a datum in one fixed layout.  Only data from `parse_cw` are
+    sure to read back: a name holding `#` loses its comment part, and a
+    label that is not an identifier is refused."""
     lines = [f"name = {datum.name}"]
     if datum.snf_equivalent:
         lines.append("snf_equivalent = true")

@@ -161,7 +161,7 @@ class SNFResult(Value):
         for i, x in enumerate(d):
             if x <= 0:
                 raise ValueError("invariant factors must be positive")
-            if i and d[i - 1] != 0 and x % d[i - 1] != 0:
+            if i and x % d[i - 1]:
                 raise ValueError("invariant factors must form a divisibility chain")
 
 

@@ -8,7 +8,7 @@ given by closed formulas; the equivariant K-homology then collapses to
     K_0 = H_0 + H_2,    K_1 = H_1.
 
 The closed forms here are the fast path; the chain-level computation via
-`bredon.fuchsian_*_datum` + `bredon.bredon_homology` is the cross-check used
+`bredon.fuchsian_datum` + `bredon.bredon_homology` is the cross-check used
 throughout the test suite and the `verify` command.
 
 The congruence subgroups Gamma_0(p) of the modular group (and the modular

@@ -196,25 +196,20 @@ class FiniteGroupData(Value):
     is the index of the class containing the squares of class c.
     """
 
-    __slots__ = ("group", "order", "mult", "classes", "class_index", "representatives",
-                 "square_class")
+    __slots__ = ("order", "mult", "classes", "class_index", "square_class")
 
     def __init__(
         self,
-        group: GroupId,
         order: int,
         mult: tuple[tuple[int, ...], ...],
         classes: tuple[tuple[int, ...], ...],
         class_index: tuple[int, ...],
-        representatives: tuple[int, ...],
         square_class: tuple[int, ...],
     ):
-        object.__setattr__(self, "group", group)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "class_index", class_index)
-        object.__setattr__(self, "representatives", representatives)
         object.__setattr__(self, "square_class", square_class)
 
 
@@ -311,16 +306,13 @@ def build_group(gid: GroupId) -> FiniteGroupData:
     for ci, cls in enumerate(raw_classes):
         for x in cls:
             class_index[x] = ci
-    reps = tuple(cls[0] for cls in raw_classes)
-    square_class = tuple(class_index[mult[r][r]] for r in reps)
+    square_class = tuple(class_index[mult[cls[0]][cls[0]]] for cls in raw_classes)
 
     return FiniteGroupData(
-        group=gid,
         order=n,
         mult=tuple(tuple(row) for row in mult),
         classes=tuple(raw_classes),
         class_index=tuple(class_index),
-        representatives=reps,
         square_class=square_class,
     )
 
@@ -447,10 +439,10 @@ def character_table(gid: GroupId) -> tuple[tuple[int, ...], ...]:
         z2_g = build_group(GroupId.cyclic(2))
         g = build_group(gid)
         # Locate, for each product class, the classes of the two coordinates
-        # of its representative (element a*2 + b encodes the pair (a, b)).
+        # of its first element (element a*2 + b encodes the pair (a, b)).
         coords = []
-        for rep in g.representatives:
-            a, b = divmod(rep, 2)
+        for cls in g.classes:
+            a, b = divmod(cls[0], 2)
             coords.append((inner_g.class_index[a], z2_g.class_index[b]))
         z2_rows = _BASE_TABLES[("cyclic", 2)]
         rows = tuple(

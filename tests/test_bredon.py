@@ -9,6 +9,7 @@ from equiko import bredon, exactlinalg
 from equiko.bredon import (
     DatumError,
     GammaCWDatum,
+    GraphOfGroupsDatum,
     bredon_homology,
     expand,
     fuchsian_datum,
@@ -467,6 +468,22 @@ def test_modular_group_datum():
 def test_graph_of_groups_requires_punctures():
     with pytest.raises(DatumError, match="graph-of-groups datum needs s >= 1"):
         fuchsian_graph_of_groups(Signature(1, 0, ()))
+
+
+_Z6_VERTEX = ("v", GroupId.cyclic(6))
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    ((_Z6_VERTEX, ("v", GroupId.trivial())), (), "duplicate vertex labels"),
+    ((_Z6_VERTEX,), (("e", GroupId.cyclic(2), ("v", "Z2->Z6"), ("w", "Z2->Z6")),),
+     "edge 'e' ends at unknown vertex 'w'"),
+    ((_Z6_VERTEX,), (("e", GroupId.cyclic(4), ("v", "Z4->Z6"), ("v", "Z4->Z6")),),
+     "spec 'Z4->Z6' is not a subgroup inclusion"),
+], ids=["duplicate-vertex", "unknown-vertex", "no-embedding"])
+def test_graph_of_groups_refusals(vertices, edges, message):
+    with pytest.raises(DatumError) as exc:
+        GraphOfGroupsDatum("bad", vertices, edges)
+    assert str(exc.value) == message
 
 
 # -- central extensions ----------------------------------------------------------------

@@ -136,6 +136,50 @@ def test_matrix_sections_roundtrip():
     assert "snf_equivalent = true" in text
 
 
+_MESSY = """
+# comments, extra spaces and other names for the same groups
+name   =  demo   # not part of the name
+[cells.0]
+z  = 1
+p =Zm(01)
+q = Z2xZ3   # Z/6
+r = Z2x1
+[cells.1]
+e = 1
+f = Z2
+[boundary.1]
+e = +1 * z : id ,   -1 * z : id
+f = +1*r:id, -1 * q : Z2->Z6
+"""
+
+_MESSY_EMITTED = """name = demo
+
+[cells.0]
+z = 1
+p = 1
+q = Z6
+r = Z2
+
+[cells.1]
+e = 1
+f = Z2
+
+[boundary.1]
+e = +1 * z : id, -1 * z : id
+f = +1 * r : id, -1 * q : Z2->Z6
+"""
+
+
+def test_parsed_text_reemits_in_one_layout():
+    # format_cw keeps the parsed datum, not the text: comments, spacing and
+    # group spellings go, and the emitted text parses back and re-emits as is
+    datum = parse_cw(_MESSY)
+    text = format_cw(datum)
+    assert text == _MESSY_EMITTED
+    assert parse_cw(text) == datum
+    assert format_cw(parse_cw(text)) == text
+
+
 def _expect_error(text, fragment):
     with pytest.raises(CWFormatError) as err:
         parse_cw(text)

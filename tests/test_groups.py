@@ -209,9 +209,10 @@ def test_character_tables_validate():
 
 
 def test_character_table_first_orthogonality():
-    for gid in ["Z2xZ2", "D3", "D4", "D6", "S4"]:
-        g = build_group(parse_name(gid))
-        rows = character_table(g.group)
+    for name in ["Z2xZ2", "D3", "D4", "D6", "S4"]:
+        gid = parse_name(name)
+        g = build_group(gid)
+        rows = character_table(gid)
         sizes = [len(c) for c in g.classes]
         k = len(rows)
         for i in range(k):
@@ -254,11 +255,12 @@ def test_fs_indicator_all_one_for_coinciding_groups():
 
 def test_fs_indicator_counts_involutions():
     # sum of indicator * degree = number of solutions of x^2 = e
-    for gid in ["Z2", "Z2xZ2", "D3", "D4", "D6", "S4"]:
-        g = build_group(parse_name(gid))
+    for name in ["Z2", "Z2xZ2", "D3", "D4", "D6", "S4"]:
+        gid = parse_name(name)
+        g = build_group(gid)
         total = sum(
             fs_indicator(g, row) * row[0]
-            for row in character_table(g.group)
+            for row in character_table(gid)
         )
         involutions = sum(1 for x in range(g.order) if g.mult[x][x] == 0)
         assert total == involutions

@@ -13,7 +13,7 @@ import itertools
 import pytest
 
 from equiko.arithmetic_k import ClassCount
-from equiko.bredon import GammaCWDatum, GraphEdge, GraphOfGroupsDatum
+from equiko.bredon import GammaCWDatum, GraphOfGroupsDatum
 from equiko.exactlinalg import FinAbGroup, IntChainComplex, IntMatrix, SNFResult
 from equiko.fuchsian import Signature
 from equiko.groups import FiniteGroupData, GroupId, build_group
@@ -24,7 +24,7 @@ _1 = GroupId.trivial()
 _Z2 = GroupId.cyclic(2)
 _Z2_DATA = build_group(_Z2)
 _VERTEX = ("v", _1)
-_LOOP = GraphEdge("e", _1, ("v", "id"), ("v", "id"))
+_LOOP = ("e", _1, ("v", "id"), ("v", "id"))
 
 #: class -> (keyword arguments naming every field, in field order;
 #:           one field and a value that makes an unequal instance)
@@ -37,14 +37,11 @@ VALUES = {
                       ("boundaries", (IntMatrix(1, 1, (2,)),))),
     GroupId: (dict(kind="z2x", m=0, inner=GroupId.sym4()), ("inner", GroupId.dihedral(4))),
     FiniteGroupData: (dict(
-        group=_Z2, order=2, mult=_Z2_DATA.mult, classes=_Z2_DATA.classes,
-        class_index=_Z2_DATA.class_index, representatives=_Z2_DATA.representatives,
-        square_class=_Z2_DATA.square_class,
-    ), ("group", GroupId.klein4())),
+        order=2, mult=_Z2_DATA.mult, classes=_Z2_DATA.classes,
+        class_index=_Z2_DATA.class_index, square_class=_Z2_DATA.square_class,
+    ), ("order", 3)),
     GammaCWDatum: (dict(name="pt", cells=((_VERTEX,),), boundaries=(), snf_equivalent=False),
                    ("snf_equivalent", True)),
-    GraphEdge: (dict(label="e", group=_1, head=("v", "id"), tail=("v", "id")),
-                ("tail", ("w", "id"))),
     GraphOfGroupsDatum: (dict(name="loop", vertices=(_VERTEX,), edges=(_LOOP,)),
                          ("edges", ())),
     Signature: (dict(g=0, s=1, periods=(2, 3)), ("s", 2)),
