@@ -29,7 +29,7 @@ from itertools import repeat
 from ._value import Value
 from .exactlinalg import FinAbGroup, IntChainComplex, IntMatrix, all_homology
 from .fuchsian import Signature
-from .groups import GroupId, complex_irreducible_count, parse_name
+from .groups import GroupId, UnsupportedGroupError, complex_irreducible_count, parse_name
 
 
 class DatumError(ValueError):
@@ -46,23 +46,52 @@ def _cyclic_or_trivial(gid: GroupId) -> bool:
     return gid.kind in ("cyclic", "trivial")
 
 
+# The grammar of a datum: what `cwfile.format_cw` writes, `parse_cw` reads
+# back unchanged.  The constructor refuses anything else.
+
+
+def _one_line(text) -> bool:
+    # a str without outer whitespace or a line break (any separator that
+    # str.splitlines splits on; each of them is also whitespace)
+    return isinstance(text, str) and text == text.strip() and len(text.splitlines()) <= 1
+
+
+def are_cell_labels(labels) -> bool:
+    """Whether every label in a collection is an ASCII identifier,
+    `[A-Za-z_][A-Za-z0-9_]*`.
+
+    Two C-level passes, whatever the count: `join` refuses a label that is
+    not a str, and the joined text knows whether it is ASCII.
+    """
+    try:
+        joined = "".join(labels)
+    except TypeError:
+        return False
+    return joined.isascii() and all(map(str.isidentifier, labels))
+
+
 @lru_cache(maxsize=256)
 def parse_induction_spec(spec: str) -> tuple[str, GroupId | None, GroupId | None]:
     """Split an induction spec into (kind, source, target).
 
     Kinds: "id"; "cyclic" (induction along a cyclic inclusion, where the
-    source "triv" names the trivial group).  Results are memoized on the
-    spec string; a malformed spec raises on every call.
+    source "triv" names the trivial group).  A spec is one line without
+    outer whitespace.  Results are memoized on the spec string; a malformed
+    spec raises `DatumError` on every call.
     """
-    spec = spec.strip()
+    if not _one_line(spec):
+        raise DatumError(f"malformed induction spec {spec!r}")
     if spec == "id":
         return ("id", None, None)
     if "->" in spec:
         left, right = (part.strip() for part in spec.split("->", 1))
-        target = parse_name(right)
-        if not _cyclic_or_trivial(target):
-            raise DatumError(f"induction target in {spec!r} must be cyclic")
-        source = GroupId.trivial() if left == "triv" else parse_name(left)
+        try:
+            target = parse_name(right)
+            if not _cyclic_or_trivial(target):
+                raise DatumError(f"induction target in {spec!r} must be cyclic")
+            source = GroupId.trivial() if left == "triv" else parse_name(left)
+        except UnsupportedGroupError as exc:
+            raise DatumError(str(exc)) from exc
         if not _cyclic_or_trivial(source):
             raise DatumError(f"induction source in {spec!r} must be cyclic")
         return ("cyclic", source, target)
@@ -101,6 +130,12 @@ class GammaCWDatum(Value):
     terms (sign, target label, spec).  Data whose boundaries are only
     unimodularly equivalent to the geometric ones is flagged
     `snf_equivalent`; homology is unaffected.
+
+    The constructor accepts only what a Gamma-CW file carries, so
+    `parse_cw(format_cw(d)) == d` for every datum: the name is a str of one
+    line without `#` or outer whitespace; labels are ASCII identifiers;
+    specs are one line without outer whitespace; stabilisers are `GroupId`s,
+    `snf_equivalent` a bool, and every container a tuple (not a subclass).
     """
 
     __slots__ = ("name", "cells", "boundaries", "snf_equivalent")
@@ -115,6 +150,13 @@ class GammaCWDatum(Value):
 
     def __post_init__(self):
         # validation; `bench/tracer.py` times it by wrapping this name
+        if not _one_line(self.name) or "#" in self.name:
+            raise DatumError(f"datum name {self.name!r} must be one line "
+                             "without '#' or outer whitespace")
+        if not isinstance(self.snf_equivalent, bool):
+            raise DatumError(f"snf_equivalent must be a bool, got {self.snf_equivalent!r}")
+        if not (type(self.cells) is tuple and type(self.boundaries) is tuple):
+            raise DatumError("cells and boundaries must be tuples")
         if not self.cells:
             raise DatumError("a datum needs at least dimension 0")
         if len(self.boundaries) != len(self.cells) - 1:
@@ -122,9 +164,26 @@ class GammaCWDatum(Value):
                 f"expected {len(self.cells) - 1} boundary descriptions, "
                 f"got {len(self.boundaries)}"
             )
+        by_label = []  # per dimension, label -> stabiliser
         for dim, layer in enumerate(self.cells):
-            if len(dict(layer)) != len(layer):
+            # whole-layer passes in C: on the 43,372 cells of the Gamma_0(p)
+            # data for p up to 1900 they add ~6 ms, a loop over cells ~10 ms
+            try:  # dict() also refuses items that are not pairs, and unhashable labels
+                if not (type(layer) is tuple and set(map(type, layer)) <= {tuple}):
+                    raise TypeError
+                stabilisers = dict(layer)
+            except (TypeError, ValueError):
+                raise DatumError(
+                    f"the {dim}-cells must be a tuple of (label, GroupId) pairs") from None
+            by_label.append(stabilisers)
+            if len(stabilisers) != len(layer):
                 raise DatumError(f"duplicate cell labels in dimension {dim}")
+            if not are_cell_labels(stabilisers):
+                bad = next(label for label in stabilisers if not are_cell_labels((label,)))
+                raise DatumError(f"bad cell label {bad!r}")
+            if not set(map(type, stabilisers.values())) <= {GroupId}:
+                bad = next(g for g in stabilisers.values() if type(g) is not GroupId)
+                raise DatumError(f"the stabiliser of a {dim}-cell is {bad!r}, not a GroupId")
         for n, b in enumerate(self.boundaries, start=1):
             if isinstance(b, IntMatrix):
                 if not (self.cells[n - 1] and self.cells[n]):
@@ -138,12 +197,15 @@ class GammaCWDatum(Value):
                         f"{b.rows}x{b.cols}, expected {rows}x{cols}"
                     )
                 continue
+            if type(b) is not tuple:
+                raise DatumError(f"the boundary out of dimension {n} must be an "
+                                 "IntMatrix or a tuple of term tuples")
             if len(b) != len(self.cells[n]):
                 raise DatumError(
                     f"dimension {n} has {len(self.cells[n])} cells but "
                     f"{len(b)} term lists"
                 )
-            below = dict(self.cells[n - 1])
+            below = by_label[n - 1]
             # A cell's terms are checked against its stabiliser and the
             # stabilisers they hit, so cells sharing one terms tuple and one
             # source (every loop of a Fuchsian graph) are checked once, and
@@ -157,6 +219,10 @@ class GammaCWDatum(Value):
                 if pair in seen:
                     continue
                 seen.add(pair)
+                if not (type(terms) is tuple
+                        and all(type(t) is tuple and len(t) == 3 for t in terms)):
+                    raise DatumError(f"the boundary of {label!r} must be a tuple of "
+                                     f"(sign, target, spec) tuples, got {terms!r}")
                 for sign, target_label, spec in terms:
                     if sign not in (1, -1):
                         raise DatumError(f"boundary coefficients must be +1 or -1, got {sign}")

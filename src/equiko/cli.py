@@ -181,11 +181,11 @@ def _cmd_complex(args) -> int:
     )
 
 
-_PRIMES_RE = re.compile(r"^([0-9]+)\.\.([0-9]+)$")
+_PRIMES_RE = re.compile(r"([0-9]+)\.\.([0-9]+)")
 
 
 def _cmd_verify(args) -> int:
-    m = _PRIMES_RE.match(args.primes)
+    m = _PRIMES_RE.fullmatch(args.primes)
     if not m:
         print(f"error: --primes expects A..B, got {args.primes!r}", file=sys.stderr)
         return 2

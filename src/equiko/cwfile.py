@@ -25,15 +25,21 @@ stabilisers in declaration order; rows of one length, cells on both sides):
 Group names: "1", "Z2", "Z3", "Z4", "Z6", "Z2xZ2", "D3", "D4", "D6", "S4",
 "Zm(m)" for other cyclic orders, and a "Z2x" prefix for products with a
 central Z/2 (e.g. "Z2xS4").  Induction specs are "id", "triv->Zm" or
-"Zd->Zm".  For a datum `d` that `parse_cw` returned,
-`parse_cw(format_cw(d)) == d`, and emitting that again gives the same text.
+"Zd->Zm".
+
+Every datum round-trips: `parse_cw(format_cw(d)) == d`, and emitting that
+again gives the same text.  The `GammaCWDatum` constructor holds the grammar
+that makes this so, and `parse_cw` calls its rules: the name is one line
+without `#` or outer whitespace, cell labels are ASCII identifiers, specs
+are one line without outer whitespace.  Comments, spacing and alternative
+group names (`Zm(01)`, `Z2xZ3`) are not kept.
 """
 
 from __future__ import annotations
 
 import re
 
-from .bredon import DatumError, GammaCWDatum, parse_induction_spec
+from .bredon import DatumError, GammaCWDatum, are_cell_labels, parse_induction_spec
 from .exactlinalg import IntMatrix, ascii_int
 from .groups import GroupId, UnsupportedGroupError, parse_name
 
@@ -43,8 +49,8 @@ class CWFormatError(ValueError):
 
 
 _SECTION_RE = re.compile(r"^\[(cells|boundary|matrix)\.([0-9]+)\]$")
-_LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_TERM_RE = re.compile(r"^([+-]?1)\s*\*\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+)$")
+# the target: a run of text without spaces or colons, refused unless a cell label
+_TERM_RE = re.compile(r"^([+-]?1)\s*\*\s*([^\s:]*)\s*:\s*(.+)$")
 
 
 def _parse_terms(body: str, lineno: int) -> tuple[tuple[int, str, str], ...]:
@@ -55,7 +61,7 @@ def _parse_terms(body: str, lineno: int) -> tuple[tuple[int, str, str], ...]:
     for part in body.split(","):
         part = part.strip()
         m = _TERM_RE.match(part)
-        if not m:
+        if not (m and are_cell_labels((m.group(2),))):
             raise CWFormatError(
                 f"line {lineno}: bad boundary term {part!r} "
                 "(expected '+1 * label : spec')"
@@ -64,7 +70,7 @@ def _parse_terms(body: str, lineno: int) -> tuple[tuple[int, str, str], ...]:
         spec = m.group(3).strip()
         try:
             parse_induction_spec(spec)
-        except (DatumError, UnsupportedGroupError) as exc:
+        except DatumError as exc:
             raise CWFormatError(f"line {lineno}: {exc}") from exc
         terms.append((sign, m.group(2), spec))
     return tuple(terms)
@@ -116,7 +122,7 @@ def parse_cw(text: str) -> GammaCWDatum:
             if "=" not in line:
                 raise CWFormatError(f"line {lineno}: expected 'label = group'")
             label, _, group = (x.strip() for x in line.partition("="))
-            if not _LABEL_RE.match(label):
+            if not are_cell_labels((label,)):
                 raise CWFormatError(f"line {lineno}: bad cell label {label!r}")
             try:
                 gid = parse_name(group)
@@ -189,9 +195,9 @@ def parse_cw(text: str) -> GammaCWDatum:
 
 
 def format_cw(datum: GammaCWDatum) -> str:
-    """Serialize a datum in one fixed layout.  Only data from `parse_cw` are
-    sure to read back: a name holding `#` loses its comment part, and a
-    label that is not an identifier is refused."""
+    """Serialize a datum in one fixed layout, which `parse_cw` reads back as
+    the same datum; the `GammaCWDatum` constructor refused whatever the
+    layout could not carry."""
     lines = [f"name = {datum.name}"]
     if datum.snf_equivalent:
         lines.append("snf_equivalent = true")

@@ -48,6 +48,8 @@ class GroupId(Value):
         object.__setattr__(self, "inner", inner)
         if kind not in _KINDS:
             raise UnsupportedGroupError(f"unknown group kind {kind!r}")
+        if type(m) is not int:  # 2.0 == 2, but its name Z2.0 reads back as no group
+            raise UnsupportedGroupError(f"group parameter must be an int, got {m!r}")
         if kind == "cyclic":
             if m < 1:
                 raise UnsupportedGroupError("cyclic order must be >= 1")

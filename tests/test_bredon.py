@@ -301,6 +301,72 @@ def test_matrix_next_to_a_dimension_without_cells_rejected(cells, matrix):
     GammaCWDatum("zero", cells, (((),) * len(cells[1]),))
 
 
+def _edge_datum(name="edge", label="e", group=GroupId.cyclic(2), spec="Z2->Z6",
+                snf_equivalent=False):
+    return GammaCWDatum(name, ((("v", GroupId.cyclic(6)),), ((label, group),)),
+                        ((((1, "v", spec),),),), snf_equivalent)
+
+
+_NAME_RULE = "must be one line without '#' or outer whitespace"
+
+
+# values a Gamma-CW file cannot carry: format_cw would write them and
+# parse_cw read back another datum or refuse the text, so the constructor
+# refuses them
+@pytest.mark.parametrize("change, message", [
+    ({"name": "x # y"}, f"datum name 'x # y' {_NAME_RULE}"),
+    ({"name": " x "}, f"datum name ' x ' {_NAME_RULE}"),
+    ({"name": "x\ny"}, f"datum name 'x\\ny' {_NAME_RULE}"),
+    ({"name": "x\u2028y"}, f"datum name 'x\\u2028y' {_NAME_RULE}"),
+    ({"name": 5}, f"datum name 5 {_NAME_RULE}"),
+    ({"label": "a b"}, "bad cell label 'a b'"),
+    ({"label": "é"}, "bad cell label 'é'"),
+    ({"label": "a=b"}, "bad cell label 'a=b'"),
+    ({"label": 5}, "bad cell label 5"),
+    ({"spec": " Z2->Z6 "}, "malformed induction spec ' Z2->Z6 '"),
+    ({"spec": "Z2 ->\nZ6"}, "malformed induction spec 'Z2 ->\\nZ6'"),
+    ({"snf_equivalent": "yes"}, "snf_equivalent must be a bool, got 'yes'"),
+    ({"snf_equivalent": 1}, "snf_equivalent must be a bool, got 1"),
+    ({"group": "Z2"}, "the stabiliser of a 1-cell is 'Z2', not a GroupId"),
+], ids=lambda value: repr(value) if isinstance(value, dict) else "")
+def test_values_a_file_cannot_carry_rejected(change, message):
+    with pytest.raises(DatumError) as exc:
+        _edge_datum(**change)
+    assert str(exc.value) == message
+
+
+_V = ("v", GroupId.cyclic(6))
+_E = ("e", GroupId.cyclic(2))
+
+
+@pytest.mark.parametrize("cells, boundaries, message", [
+    ([(_V,), (_E,)], ((((1, "v", "Z2->Z6"),),),), "cells and boundaries must be tuples"),
+    (((_V,), (_E,)), [(((1, "v", "Z2->Z6"),),)], "cells and boundaries must be tuples"),
+    (((_V,), [_E]), ((((1, "v", "Z2->Z6"),),),),
+     "the 1-cells must be a tuple of (label, GroupId) pairs"),
+    (((list(_V),), (_E,)), ((((1, "v", "Z2->Z6"),),),),
+     "the 0-cells must be a tuple of (label, GroupId) pairs"),
+    (((_V + ("x",),), (_E,)), ((((1, "v", "Z2->Z6"),),),),
+     "the 0-cells must be a tuple of (label, GroupId) pairs"),
+    (((_V, (["w"], GroupId.trivial())), (_E,)), ((((1, "v", "Z2->Z6"),),),),
+     "the 0-cells must be a tuple of (label, GroupId) pairs"),
+    (((_V,), (_E,)), ([((1, "v", "Z2->Z6"),)],),
+     "the boundary out of dimension 1 must be an IntMatrix or a tuple of term tuples"),
+    (((_V,), (_E,)), (([(1, "v", "Z2->Z6")],),),
+     "the boundary of 'e' must be a tuple of (sign, target, spec) tuples, "
+     "got [(1, 'v', 'Z2->Z6')]"),
+    (((_V,), (_E,)), ((([1, "v", "Z2->Z6"],),),),
+     "the boundary of 'e' must be a tuple of (sign, target, spec) tuples, "
+     "got ([1, 'v', 'Z2->Z6'],)"),
+], ids=["cells", "boundaries", "layer", "cell", "triple", "unhashable-label", "boundary",
+        "terms", "term"])
+def test_containers_other_than_tuples_rejected(cells, boundaries, message):
+    # a file reads every container back as a tuple, which never equals a list
+    with pytest.raises(DatumError) as exc:
+        GammaCWDatum("edge", cells, boundaries)
+    assert str(exc.value) == message
+
+
 def test_nonsquaring_differential_rejected():
     # d1 @ d2 != 0 must be caught at expansion
     datum = GammaCWDatum(

@@ -212,9 +212,13 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     (("hecke", "-p", "١٣"), "invalid ascii_int value: '١٣'"),
     (("hecke", "-p", "1_3"), "invalid ascii_int value: '1_3'"),
     (("verify", "--primes", "٢..١٠"), "--primes expects A..B, got '٢..١٠'"),
+    (("hecke", "-p", "13\n"), "invalid ascii_int value: '13\\n'"),
+    (("verify", "--primes", "2..5\n"), "--primes expects A..B, got '2..5\\n'"),
 ])
 def test_integers_in_other_digits_exit_two(capsys, argv, message):
-    # argparse's type=int and the --primes pattern's \d read these as 13 and 2..10
+    # argparse's type=int and the --primes pattern's \d read these as 13 and
+    # 2..10; int() also strips a trailing newline, and a pattern's `$` matches
+    # before one
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err

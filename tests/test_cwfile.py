@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from equiko import cli
 from equiko.bredon import (
+    DatumError,
     GammaCWDatum,
     bredon_homology,
     expand,
@@ -15,7 +16,7 @@ from equiko.bredon import (
 )
 from equiko.cwfile import CWFormatError, format_cw, parse_cw
 from equiko.fuchsian import Signature, parse_signature
-from equiko.groups import parse_name
+from equiko.groups import GroupId, parse_name
 
 
 def test_minimal_document():
@@ -128,6 +129,59 @@ def test_roundtrip_zero_maps_property(layers):
                   for n, layer in enumerate(layers))
     zero_maps = tuple(((),) * len(layer) for layer in cells[1:])
     _assert_roundtrip(GammaCWDatum("zero", cells, zero_maps))
+
+
+# every separator str.splitlines splits on, and other text a file treats
+# specially: comments, keys, term and list separators, non-ASCII
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+_PAD = st.one_of(st.just(""), st.sampled_from(
+    _LINE_BREAKS + [" ", "\t", "\xa0", "#", "=", ",", ":", "*", "[", "é", "²"]))
+
+
+def _padded(core):
+    # core text with awkward text or nothing before, inside and after it
+    return st.builds(lambda a, x, b, y, c: a + x + b + y + c, _PAD, core, _PAD, core, _PAD)
+
+
+_LABEL = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+_CONTAINERS = ("cells", "layer", "pair", "terms", "term")
+# per field of a small datum: values a file carries, and arbitrary values
+_GOOD = {
+    "name": st.sampled_from(["edge", "x y", "a=b", "[x", "é", "", "x\ty"]),
+    "v": _LABEL, "w": _LABEL.map("w_".__add__), "e": _LABEL,
+    "spec": st.sampled_from(["Z2->Z6", "Z2 -> Z6", "Z2->\tZm(6)", "Z2x1->Z2xZ3",
+                             "Z2\xa0->Z6"]),
+    "flag": st.booleans(),
+    **dict.fromkeys(_CONTAINERS, st.just(tuple)),
+}
+_ANY = {
+    "name": st.one_of(st.text(), _padded(st.text("ab ", max_size=2)), st.integers(),
+                      st.none()),
+    **dict.fromkeys("vwe", st.one_of(st.text(max_size=4), _padded(_LABEL), st.integers())),
+    "spec": st.one_of(st.builds(lambda a, b, c, d: a + "Z2" + b + "->" + c + "Z6" + d,
+                                _PAD, _PAD, _PAD, _PAD), st.text(max_size=8)),
+    "flag": st.one_of(st.integers(-1, 2), st.text(max_size=4), st.none(), st.just([True])),
+    **dict.fromkeys(_CONTAINERS, st.sampled_from([tuple, list])),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_datum_the_constructor_accepts_round_trips(data):
+    # an edge e (Z/2) from a vertex v (Z/6), next to a free vertex w; up to
+    # three fields take arbitrary values, the others values a file carries
+    spoilt = data.draw(st.sets(st.sampled_from(sorted(_GOOD)), max_size=3))
+    x = {f: data.draw(_ANY[f] if f in spoilt else _GOOD[f], label=f) for f in sorted(_GOOD)}
+    outer, layer, pair, terms, term = (x[c] for c in _CONTAINERS)
+    cells = outer([layer([pair([x["v"], GroupId.cyclic(6)]), pair([x["w"], GroupId.trivial()])]),
+                   layer([pair([x["e"], GroupId.cyclic(2)])])])
+    boundaries = outer([outer([terms([term([1, x["v"], x["spec"]])])])])
+    try:
+        datum = GammaCWDatum(x["name"], cells, boundaries, x["flag"])
+    except DatumError:
+        return
+    _assert_roundtrip(datum)
 
 
 def test_matrix_sections_roundtrip():
@@ -343,9 +397,17 @@ _REFUSED = [
     # a cell missing in any dimension is reported before an unknown one
     (_TWO_EDGES + "[cells.2]\nt = 1\n[boundary.1]\ne =\nf =\ng = +1 * v : id\n[boundary.2]\n",
      "[boundary.2] is missing cells ['t'] (write 'label =' for zero)"),
+    # labels are ASCII identifiers, in cells and in boundary terms
+    *((f"name = x\n[cells.0]\nv = 1\n{label} = Z2\n", f"line 4: bad cell label {label!r}")
+      for label in ["a b", "é", "1a", "a-b"]),
+    *((_TWO_EDGES + f"[boundary.1]\ne = {term}\nf =\n",
+       f"line 9: bad boundary term {term!r} (expected '+1 * label : spec')")
+      for term in ["+1 * é : id", "+1 * 1a : id", "+1 * a b : id", "+1 *  : id"]),
 ]
 _REFUSED_IDS = ["unknown-cell", "unknown-target", "ragged", "few-rows", "wide", "empty",
-                "no-rows", "missing-before-unknown"]
+                "no-rows", "missing-before-unknown", "label-space", "label-non-ascii",
+                "label-digit", "label-dash", "target-non-ascii", "target-digit",
+                "target-space", "target-empty"]
 
 
 @pytest.mark.parametrize("text, message", _REFUSED, ids=_REFUSED_IDS)

@@ -92,6 +92,10 @@ def test_bad_identifiers_rejected():
         parse_name("Q8")
     with pytest.raises(UnsupportedGroupError):
         parse_name("")
+    # equal to Z/2 and D3, but named Z2.0 and D3.0, which no file can carry
+    for kind, m in [("cyclic", 2.0), ("dihedral", 3.0), ("cyclic", True)]:
+        with pytest.raises(UnsupportedGroupError):
+            GroupId(kind, m)
 
 
 @pytest.mark.parametrize("mult, message", [
