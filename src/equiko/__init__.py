@@ -13,6 +13,7 @@ from types import ModuleType as _ModuleType
 
 from .exactlinalg import (
     FinAbGroup,
+    InputError,
     IntChainComplex,
     IntMatrix,
     SNFResult,

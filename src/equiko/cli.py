@@ -5,14 +5,14 @@ cstar), closed forms for arbitrary signatures (fuchsian), user-supplied
 Gamma-CW files (complex), and the full regression sweep (verify).  Output is
 deterministic: identical invocations produce identical bytes.
 
-Exit codes: 0 success; 1 domain error (composite prime, prime beyond the
-proven range 2**64, failed hypothesis, invalid lift) or a result too large
-to build in memory, with nothing on stdout; 2 invalid input
-(malformed or non-hyperbolic signature; unreadable, undecodable or malformed
-file, or one whose boundaries do not compose to zero; descending or
-prime-free prime range; an integer in digits other than ASCII 0-9, or with
-underscores, in a signature, a file, `-p` or `--primes`);
-3 verification failure.  A process run through `run` (the `equiko` script
+Exit codes: 0 success; 3 verification failure.  Errors are coded by type
+in `main` alone, which prints one `error:` line and nothing on stdout: an
+`InputError`, input that cannot be read (a malformed or non-hyperbolic
+signature, a bad file or `--primes` range, an integer not in ASCII digits
+0-9), exits 2; any other ValueError, a domain error (a composite prime, a
+prime beyond the proven range 2**64, a failed hypothesis, an invalid
+lift), or a MemoryError, a result too large to build, exits 1.  argparse's
+usage errors exit 2 too.  A process run through `run` (the `equiko` script
 and `python -m equiko.cli`) that cannot write its output, such as stdout
 on a full disk, prints one `error: cannot write output` line and exits 1.
 """
@@ -27,7 +27,7 @@ import sys
 
 from . import arithmetic_k, bredon, cwfile, fuchsian, ko_assembly
 from . import verify as verify_mod
-from .exactlinalg import ChainComplexError, ascii_int
+from .exactlinalg import InputError, ascii_int
 
 BOTT_NOTE = "remaining groups by Bott periodicity"
 
@@ -103,17 +103,12 @@ def _cmd_sl3_gl3(args) -> int:
 
 
 def _cmd_fuchsian(args) -> int:
-    try:
-        sig = fuchsian.parse_signature(args.signature)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sig = fuchsian.parse_signature(args.signature)
     # An impossible lift stays a domain error (exit 1) on any signature.
     datum = bredon.lifted_fuchsian_datum(sig) if args.lift else None
     if not sig.is_hyperbolic():
-        print(f"error: signature {sig} is not hyperbolic: orbifold Euler "
-              "characteristic 2-2g-s-sum(1-1/m_j) >= 0", file=sys.stderr)
-        return 2
+        raise InputError(f"signature {sig} is not hyperbolic: orbifold Euler "
+                         "characteristic 2-2g-s-sum(1-1/m_j) >= 0")
     inputs = {"signature": str(sig), "lift": bool(args.lift)}
     h = fuchsian.bredon_closed_form(sig) if datum is None else bredon.bredon_homology(datum)
     groups, lines = _k_payload(*ko_assembly.collapse_complex(h))
@@ -153,17 +148,12 @@ def _cmd_complex(args) -> int:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(exc) from exc
     datum = cwfile.parse_cw(text)
     if args.emit:
         print(cwfile.format_cw(datum), end="")
         return 0
-    try:
-        h = bredon.bredon_homology(datum)
-    except ChainComplexError as exc:  # d o d != 0: a malformed file
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    h = bredon.bredon_homology(datum)  # d o d != 0 raises ChainComplexError: exit 2
     groups = {f"H{n}": g for n, g in enumerate(h)}
     lines = [(f"name = {datum.name}",)]
     lines += [(f"H{n} = ", g) for n, g in enumerate(h)]
@@ -187,16 +177,13 @@ _PRIMES_RE = re.compile(r"([0-9]+)\.\.([0-9]+)")
 def _cmd_verify(args) -> int:
     m = _PRIMES_RE.fullmatch(args.primes)
     if not m:
-        print(f"error: --primes expects A..B, got {args.primes!r}", file=sys.stderr)
-        return 2
+        raise InputError(f"--primes expects A..B, got {args.primes!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
-        print(f"error: --primes expects A <= B, got {args.primes!r}", file=sys.stderr)
-        return 2
+        raise InputError(f"--primes expects A <= B, got {args.primes!r}")
     if not any(fuchsian.is_prime(p) for p in range(lo, hi + 1)):
         # the prime sweeps would pass with nothing swept
-        print(f"error: --primes range {args.primes!r} contains no prime", file=sys.stderr)
-        return 2
+        raise InputError(f"--primes range {args.primes!r} contains no prime")
     results = verify_mod.verify_all(lo, hi)
     passed = all(r.passed for r in results)
     if args.format == "json":
@@ -287,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except cwfile.CWFormatError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -40,11 +40,11 @@ from __future__ import annotations
 import re
 
 from .bredon import DatumError, GammaCWDatum, are_cell_labels, parse_induction_spec
-from .exactlinalg import IntMatrix, ascii_int
+from .exactlinalg import InputError, IntMatrix, ascii_int
 from .groups import GroupId, UnsupportedGroupError, parse_name
 
 
-class CWFormatError(ValueError):
+class CWFormatError(InputError):
     """Raised for malformed Gamma-CW files."""
 
 

@@ -22,22 +22,26 @@ from math import gcd
 from ._value import Value
 
 
-class ChainComplexError(ValueError):
-    """Raised when chain-complex data is malformed (shapes or d∘d != 0)."""
-
-
 def _check_int(x) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"expected a Python int, got {x!r}")
     return x
 
 
+class InputError(ValueError):
+    """Input from outside that the program cannot read; the CLI exits 2 on it."""
+
+
 def ascii_int(text: str) -> int:
     """An optionally signed integer in ASCII digits; `int` alone also reads
     other Unicode digits and underscores, which input may not use."""
     if not (text.isascii() and text.lstrip("+-").isdigit()):
-        raise ValueError(f"invalid integer {text!r}: expected ASCII digits")
+        raise InputError(f"invalid integer {text!r}: expected ASCII digits")
     return int(text)
+
+
+class ChainComplexError(InputError):
+    """Raised when chain-complex data is malformed (shapes or d∘d != 0)."""
 
 
 class IntMatrix(Value):

@@ -22,7 +22,7 @@ import re
 from math import lcm
 
 from ._value import Value
-from .exactlinalg import FinAbGroup
+from .exactlinalg import FinAbGroup, InputError
 
 
 class Signature(Value):
@@ -37,12 +37,15 @@ class Signature(Value):
     def __init__(self, g: int, s: int, periods: tuple[int, ...] = ()):
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "s", s)
-        if g < 0 or s < 0:
-            raise ValueError("genus and cusp count must be nonnegative")
         periods = tuple(periods)  # a one-shot iterable is read once
         object.__setattr__(self, "periods", periods)
+        # 2.0 == 2, but [0,1;2.0,3] reads back as no signature
+        if any(type(x) is not int for x in (g, s, *periods)):
+            raise InputError(f"signature entries must be ints, got {(g, s, periods)!r}")
+        if g < 0 or s < 0:
+            raise InputError("genus and cusp count must be nonnegative")
         if any(m < 2 for m in periods):
-            raise ValueError("periods must be >= 2")
+            raise InputError("periods must be >= 2")
 
     def __eq__(self, other):
         if not isinstance(other, Signature):
@@ -98,16 +101,12 @@ def parse_signature(text: str) -> Signature:
     """
     m = _SIGNATURE_RE.match(text.strip())
     if not m:
-        raise ValueError(f"malformed signature {text!r}; expected [g,s;m1,m2,...]")
-    g, s = int(m.group(1)), int(m.group(2))
+        raise InputError(f"malformed signature {text!r}; expected [g,s;m1,m2,...]")
     body = m.group(3).strip()
-    periods: tuple[int, ...] = ()
-    if body:
-        parts = [p.strip() for p in body.split(",")]
-        if any(not p for p in parts):
-            raise ValueError(f"malformed period list in {text!r}")
-        periods = tuple(int(p) for p in parts)
-    return Signature(g, s, periods)
+    parts = [p.strip() for p in body.split(",")] if body else []
+    if not all(parts):
+        raise InputError(f"malformed period list in {text!r}")
+    return Signature(int(m.group(1)), int(m.group(2)), tuple(int(p) for p in parts))
 
 
 # ---------------------------------------------------------------------------

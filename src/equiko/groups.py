@@ -79,10 +79,16 @@ class GroupId(Value):
         return cls("trivial")
 
     @classmethod
-    @lru_cache(maxsize=None)
     def cyclic(cls, m: int) -> "GroupId":
         """Z/m; Z/1 is the trivial group and gets its tag.  One object per m,
         so a datum's identity-keyed checks see equal cones as one."""
+        if type(m) is not int:  # the cache keys 2.0 as 2 and True as 1
+            raise UnsupportedGroupError(f"group parameter must be an int, got {m!r}")
+        return cls._cyclic(m)
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def _cyclic(cls, m: int) -> "GroupId":
         return cls.trivial() if m == 1 else cls("cyclic", m)
 
     @classmethod

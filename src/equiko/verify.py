@@ -18,7 +18,7 @@ from functools import cache
 from itertools import chain, combinations, islice
 from math import gcd, lcm
 
-from . import arithmetic_k, bredon, fuchsian, groups, ko_assembly
+from . import arithmetic_k, bredon, exactlinalg, fuchsian, groups, ko_assembly
 from ._value import Value
 from .exactlinalg import FinAbGroup, IntMatrix, smith_normal_form
 
@@ -298,9 +298,8 @@ def _run_snf_part(matrices: tuple[list[IntMatrix], list[IntMatrix]], index: int)
     """Part `index` of the snf check on `_snf_matrices()`; raises on the first failure."""
     round_trips, oracle = matrices
     if index == _ROUND_TRIP_PARTS:
-        for m in oracle:
-            res = smith_normal_form(m)
-            if list(res.d) != _minor_gcd_factors(m):
+        for m in oracle:  # through the module, so a replaced kernel is the one checked
+            if list(exactlinalg._smith_factors(m)) != _minor_gcd_factors(m):
                 raise AssertionError("SNF disagrees with the minor-gcd oracle")
         return
     size = len(round_trips) // _ROUND_TRIP_PARTS

@@ -10,9 +10,11 @@ import pytest
 
 from equiko import bredon, cli
 from equiko.bredon import fuchsian_datum
-from equiko.cwfile import format_cw
-from equiko.exactlinalg import FinAbGroup
-from equiko.fuchsian import MODULAR_SIGNATURE
+from equiko.cwfile import CWFormatError, format_cw, parse_cw
+from equiko.exactlinalg import (
+    ChainComplexError, FinAbGroup, InputError, IntChainComplex, IntMatrix,
+)
+from equiko.fuchsian import MODULAR_SIGNATURE, Signature, parse_signature
 
 
 def run(capsys, *argv):
@@ -164,7 +166,7 @@ def test_complex_text(capsys, modular_file):
 def test_complex_emit_roundtrip(capsys, modular_file):
     code, out, _ = run(capsys, "complex", "--file", modular_file, "--emit")
     assert code == 0
-    assert out == open(modular_file).read()
+    assert out == Path(modular_file).read_text()
 
 
 def test_complex_json(capsys, modular_file):
@@ -198,14 +200,35 @@ def test_prime_beyond_proven_range_exits_one(capsys):
 
 
 def test_parse_errors_exit_two(capsys, tmp_path):
-    assert run(capsys, "fuchsian", "--signature", "nope")[0] == 2
-    assert run(capsys, "complex", "--file", str(tmp_path / "missing.cw"))[0] == 2
+    def assert_refused(*argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    assert_refused("fuchsian", "--signature", "nope")
+    assert_refused("complex", "--file", str(tmp_path / "missing.cw"))
     bad = tmp_path / "bad.cw"
     bad.write_text("name = x\n[cells.0]\nv = Q8\n")
-    assert run(capsys, "complex", "--file", str(bad))[0] == 2
+    assert_refused("complex", "--file", str(bad))
     bad.write_text("name = x\n[cells.0]\nz = Zm(²)\n")
-    assert run(capsys, "complex", "--file", str(bad))[0] == 2
-    assert run(capsys, "verify", "--primes", "zzz")[0] == 2
+    assert_refused("complex", "--file", str(bad))
+    assert_refused("verify", "--primes", "zzz")
+
+
+def test_input_errors_are_one_type():
+    # main codes exit 2 by this type alone; each is still a ValueError
+    refusals = [
+        (CWFormatError, lambda: parse_cw("name = x\n[cells.0]\nv = Q8\n")),
+        (ChainComplexError, lambda: IntChainComplex((1, 1), (IntMatrix.from_rows([[1, 1]]),))),
+        (InputError, lambda: parse_signature("nope")),
+        (InputError, lambda: parse_signature("[0,0;2,,3]")),
+        (InputError, lambda: Signature(-1, 0, ())),
+    ]
+    for kind, refuse in refusals:
+        with pytest.raises(InputError) as err:
+            refuse()
+        assert type(err.value) is kind
+    assert issubclass(InputError, ValueError)
 
 
 @pytest.mark.parametrize("argv, message", [

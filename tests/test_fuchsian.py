@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from equiko.exactlinalg import InputError
 from equiko.fuchsian import (
     MODULAR_SIGNATURE,
     Signature,
@@ -51,6 +52,15 @@ def test_period_validation():
         Signature(0, 0, (1,))  # periods must be >= 2
     with pytest.raises(ValueError):
         Signature(-1, 0, ())
+
+
+@pytest.mark.parametrize("g, s, periods", [
+    (0, 1, (2.0, 3)), (0.0, 1, (2, 3)), (0, True, (2, 3)), (0, 1, (True, 3)),
+], ids=["float-period", "float-genus", "bool-cusps", "bool-period"])
+def test_signature_refuses_non_int_entries(g, s, periods):
+    # [0,1;2.0,3] would print as text that parse_signature refuses
+    with pytest.raises(InputError, match="must be ints"):
+        Signature(g, s, periods)
 
 
 def test_periods_from_a_one_shot_iterable():

@@ -112,6 +112,15 @@ def test_bad_multiplication_table_rejected(mult, message):
         groups._validate_table(mult)
 
 
+@pytest.mark.parametrize("m", [2.0, True], ids=["float", "bool"])
+def test_cyclic_refuses_non_ints_after_the_int_is_cached(m):
+    # lru_cache keys 2.0 as 2 and True as 1, so the cached Z2 or trivial
+    # tag would answer them
+    GroupId.cyclic(int(m))
+    with pytest.raises(UnsupportedGroupError, match="must be an int"):
+        GroupId.cyclic(m)
+
+
 def test_cyclic_order_one_is_the_trivial_group():
     # one tag per group: Z/1 is spelled GroupId.trivial() everywhere
     assert GroupId.cyclic(1) == GroupId.trivial()

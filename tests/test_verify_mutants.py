@@ -33,6 +33,11 @@ def _factors_doubled(m):
     return tuple(2 * d for d in _smith_factors(m))
 
 
+def _torsion_forgotten(m):
+    # every built-in datum has unit factors only, so only the snf oracle sees this
+    return tuple(1 for _ in _smith_factors(m))
+
+
 def _border_left_alone(a, nrows, ncols):
     # the column operations never reach the rows below the block, so
     # `smith_normal_form` returns the identity as its right transform
@@ -131,6 +136,7 @@ MUTANTS = [
         ("sl2zp-doubling", bredon, "lifted_fuchsian_datum", _lift_without_central_edges),
         ("cstar", arithmetic_k, "_require_11_mod_12", _spheres_from_p_plus_1),
         ("snf", exactlinalg, "_eliminate", _border_left_alone),
+        ("snf", exactlinalg, "_smith_factors", _torsion_forgotten),
         ("gauss-bonnet", bredon, "fuchsian_datum", _polygon_without_face),
     ]
 ] + [pytest.param("gauss-bonnet", fuchsian, "hecke_signature", mutant, id=f"hecke_signature_{name}")
