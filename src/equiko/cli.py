@@ -9,12 +9,14 @@ Exit codes: 0 success; 3 verification failure.  Errors are coded by type
 in `main` alone, which prints one `error:` line and nothing on stdout: an
 `InputError`, input that cannot be read (a malformed or non-hyperbolic
 signature, a bad file or `--primes` range, an integer not in ASCII digits
-0-9), exits 2; any other ValueError, a domain error (a composite prime, a
-prime beyond the proven range 2**64, a failed hypothesis, an invalid
-lift), or a MemoryError, a result too large to build, exits 1.  argparse's
-usage errors exit 2 too.  A process run through `run` (the `equiko` script
-and `python -m equiko.cli`) that cannot write its output, such as stdout
-on a full disk, prints one `error: cannot write output` line and exits 1.
+0-9 or too long for `int`), exits 2; any other ValueError, a domain error
+(a composite prime, a prime beyond the proven range 2**64, a failed
+hypothesis, an invalid lift), or a MemoryError, a result too large to
+build, exits 1.  A `ChainComplexError` (d∘d != 0) is an InputError even
+from built-in chain data, where it means a defect.  argparse's usage
+errors exit 2 too.  A process run through `run` (the `equiko` script and
+`python -m equiko.cli`) that cannot write its output, such as stdout on a
+full disk, prints one `error: cannot write output` line and exits 1.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def _cmd_verify(args) -> int:
     m = _PRIMES_RE.fullmatch(args.primes)
     if not m:
         raise InputError(f"--primes expects A..B, got {args.primes!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = ascii_int(m.group(1)), ascii_int(m.group(2))
     if lo > hi:
         raise InputError(f"--primes expects A <= B, got {args.primes!r}")
     if not any(fuchsian.is_prime(p) for p in range(lo, hi + 1)):

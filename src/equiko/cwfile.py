@@ -92,7 +92,10 @@ def parse_cw(text: str) -> GammaCWDatum:
             m = _SECTION_RE.match(line)
             if not m:
                 raise CWFormatError(f"line {lineno}: bad section header {line!r}")
-            kind, n = m.group(1), int(m.group(2))
+            try:
+                kind, n = m.group(1), ascii_int(m.group(2))
+            except InputError as exc:
+                raise CWFormatError(f"line {lineno}: {exc}") from exc
             if kind != "cells" and n < 1:
                 raise CWFormatError(f"line {lineno}: [{kind}.{n}] needs dimension >= 1")
             store = {"cells": cells, "boundary": term_sections, "matrix": matrix_sections}[kind]

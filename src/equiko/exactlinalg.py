@@ -37,7 +37,10 @@ def ascii_int(text: str) -> int:
     other Unicode digits and underscores, which input may not use."""
     if not (text.isascii() and text.lstrip("+-").isdigit()):
         raise InputError(f"invalid integer {text!r}: expected ASCII digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than int() converts (3.11+)
+        raise InputError(exc) from exc
 
 
 class ChainComplexError(InputError):

@@ -22,7 +22,7 @@ import re
 from math import lcm
 
 from ._value import Value
-from .exactlinalg import FinAbGroup, InputError
+from .exactlinalg import FinAbGroup, InputError, ascii_int
 
 
 class Signature(Value):
@@ -90,7 +90,7 @@ class Signature(Value):
     __repr__ = __str__
 
 
-_SIGNATURE_RE = re.compile(r"^\[\s*([0-9]+)\s*,\s*([0-9]+)\s*;\s*([0-9\s,]*)\]$")
+_SIGNATURE_RE = re.compile(r"\[\s*([0-9]+)\s*,\s*([0-9]+)\s*;\s*((?:[0-9]+(?:\s*,\s*[0-9]+)*)?)\s*\]")
 
 
 def parse_signature(text: str) -> Signature:
@@ -99,14 +99,11 @@ def parse_signature(text: str) -> Signature:
     >>> parse_signature("[1, 2; 2, 2, 3]")
     [1,2;2,2,3]
     """
-    m = _SIGNATURE_RE.match(text.strip())
+    m = _SIGNATURE_RE.fullmatch(text.strip())
     if not m:
         raise InputError(f"malformed signature {text!r}; expected [g,s;m1,m2,...]")
-    body = m.group(3).strip()
-    parts = [p.strip() for p in body.split(",")] if body else []
-    if not all(parts):
-        raise InputError(f"malformed period list in {text!r}")
-    return Signature(int(m.group(1)), int(m.group(2)), tuple(int(p) for p in parts))
+    periods = tuple(map(ascii_int, re.findall("[0-9]+", m.group(3))))
+    return Signature(ascii_int(m.group(1)), ascii_int(m.group(2)), periods)
 
 
 # ---------------------------------------------------------------------------

@@ -79,17 +79,11 @@ class GroupId(Value):
         return cls("trivial")
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)  # untyped, it keys 2.0 as 2 and True as 1
     def cyclic(cls, m: int) -> "GroupId":
         """Z/m; Z/1 is the trivial group and gets its tag.  One object per m,
         so a datum's identity-keyed checks see equal cones as one."""
-        if type(m) is not int:  # the cache keys 2.0 as 2 and True as 1
-            raise UnsupportedGroupError(f"group parameter must be an int, got {m!r}")
-        return cls._cyclic(m)
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def _cyclic(cls, m: int) -> "GroupId":
-        return cls.trivial() if m == 1 else cls("cyclic", m)
+        return cls.trivial() if type(m) is int and m == 1 else cls("cyclic", m)
 
     @classmethod
     def klein4(cls) -> "GroupId":
@@ -186,7 +180,11 @@ def parse_name(text: str) -> GroupId:
         # str.isdigit also accepts non-ASCII digits such as '²' and '٣'
         if not (body.isascii() and body.isdigit()):
             raise UnsupportedGroupError(f"bad cyclic order in {text!r}")
-        return GroupId.cyclic(int(body))
+        try:
+            order = int(body)
+        except ValueError as exc:  # more digits than int() converts (3.11+)
+            raise UnsupportedGroupError(f"bad cyclic order in {text!r}: {exc}") from exc
+        return GroupId.cyclic(order)
     if text in ("Z2", "Z3", "Z4", "Z6"):
         return GroupId.cyclic(int(text[1:]))
     raise UnsupportedGroupError(f"unknown group name {text!r}")

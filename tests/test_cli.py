@@ -206,11 +206,20 @@ def test_parse_errors_exit_two(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     assert_refused("fuchsian", "--signature", "nope")
+    assert_refused("fuchsian", "--signature", "[0,0;2 3,7]")
+    # int() refuses more than 4300 digits with a plain ValueError
+    huge = "9" * 5000
+    assert_refused("fuchsian", "--signature", f"[0,0;2,{huge}]")
+    assert_refused("verify", "--primes", f"2..{huge}")
     assert_refused("complex", "--file", str(tmp_path / "missing.cw"))
     bad = tmp_path / "bad.cw"
     bad.write_text("name = x\n[cells.0]\nv = Q8\n")
     assert_refused("complex", "--file", str(bad))
     bad.write_text("name = x\n[cells.0]\nz = Zm(²)\n")
+    assert_refused("complex", "--file", str(bad))
+    bad.write_text(f"name = x\n[cells.{huge}]\nv = 1\n")
+    assert_refused("complex", "--file", str(bad))
+    bad.write_text(f"name = x\n[cells.0]\nz = Zm({huge})\n")
     assert_refused("complex", "--file", str(bad))
     assert_refused("verify", "--primes", "zzz")
 
@@ -222,6 +231,9 @@ def test_input_errors_are_one_type():
         (ChainComplexError, lambda: IntChainComplex((1, 1), (IntMatrix.from_rows([[1, 1]]),))),
         (InputError, lambda: parse_signature("nope")),
         (InputError, lambda: parse_signature("[0,0;2,,3]")),
+        (InputError, lambda: parse_signature("[0,0;2 3]")),
+        (InputError, lambda: parse_signature(f"[0,0;2,{'9' * 5000}]")),
+        (CWFormatError, lambda: parse_cw(f"name = x\n[cells.{'9' * 5000}]\nv = 1\n")),
         (InputError, lambda: Signature(-1, 0, ())),
     ]
     for kind, refuse in refusals:
