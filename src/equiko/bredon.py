@@ -41,11 +41,6 @@ class DatumError(ValueError):
 Boundary = IntMatrix | tuple[tuple[tuple[int, str, str], ...], ...]
 
 
-def _cyclic_or_trivial(gid: GroupId) -> bool:
-    # the trivial group is Z/1 and may stand on either side of an induction
-    return gid.kind in ("cyclic", "trivial")
-
-
 # The grammar of a datum: what `cwfile.format_cw` writes, `parse_cw` reads
 # back unchanged.  The constructor refuses anything else.
 
@@ -87,12 +82,12 @@ def parse_induction_spec(spec: str) -> tuple[str, GroupId | None, GroupId | None
         left, right = (part.strip() for part in spec.split("->", 1))
         try:
             target = parse_name(right)
-            if not _cyclic_or_trivial(target):
+            if target.kind != "cyclic":
                 raise DatumError(f"induction target in {spec!r} must be cyclic")
             source = GroupId.trivial() if left == "triv" else parse_name(left)
         except UnsupportedGroupError as exc:
             raise DatumError(str(exc)) from exc
-        if not _cyclic_or_trivial(source):
+        if source.kind != "cyclic":
             raise DatumError(f"induction source in {spec!r} must be cyclic")
         return ("cyclic", source, target)
     raise DatumError(f"malformed induction spec {spec!r}")

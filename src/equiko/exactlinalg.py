@@ -23,7 +23,9 @@ from ._value import Value
 
 
 def _check_int(x) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
+    # exactly int: str() of a bool, or of an IntEnum member on Python 3.10,
+    # is a name, which no file reads back as a number
+    if type(x) is not int:
         raise ValueError(f"expected a Python int, got {x!r}")
     return x
 
@@ -65,12 +67,14 @@ class IntMatrix(Value):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+        if type(rows) is not int or type(cols) is not int:
+            raise ValueError(f"matrix dimensions must be ints, got {rows!r} x {cols!r}")
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         # one C-level pass over the types; the per-entry check runs only when
-        # some entry is not an exact int, and gives the same accept/reject
+        # some entry is not an exact int, to name it
         if not set(map(type, entries)) <= {int}:
             for e in entries:
                 _check_int(e)

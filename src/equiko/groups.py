@@ -1,11 +1,12 @@
 """The finite-group catalogue: stabiliser groups, conjugacy data, characters.
 
 The groups that occur as cell stabilisers in the complexes we care about are
-cyclic groups, the Klein group, the dihedral groups of order 6, 8 and 12, the
-symmetric group on four letters, and direct products of any of these with a
-central Z/2.  For each of them we carry a concrete multiplication table,
-conjugacy classes in a fixed order, and -- except for cyclic groups of order
-at least 3, whose characters are not rational -- an integer character table.
+cyclic groups (the trivial group among them, as Z/1), the Klein group, the
+dihedral groups of order 6, 8 and 12, the symmetric group on four letters,
+and direct products of any of these with a central Z/2.  For each of them
+we carry a concrete multiplication table, conjugacy classes in a fixed
+order, and -- except for cyclic groups of order at least 3, whose characters
+are not rational -- an integer character table.
 
 Conjugacy classes are always listed identity first, then by increasing
 element order, ties broken by class size and then by the smallest element
@@ -27,14 +28,15 @@ class UnsupportedGroupError(ValueError):
     """Raised for groups outside the catalogue or without an integer table."""
 
 
-_KINDS = ("trivial", "cyclic", "klein4", "dihedral", "sym4", "z2x")
+_KINDS = ("cyclic", "klein4", "dihedral", "sym4", "z2x")
 
 
 class GroupId(Value):
     """Symbolic tag for a catalogue group.
 
     `m` is the order parameter for cyclic groups and the gonality for
-    dihedral groups (the dihedral group D_n here has order 2n); `inner` is
+    dihedral groups (the dihedral group D_n here has order 2n); the trivial
+    group is the cyclic group with m = 1, named `1`.  `inner` is
     the other factor of a direct product with Z/2, at most one level deep
     and never one whose product has a tag of its own (`_own_product_tag`),
     so that each group has one tag.
@@ -53,8 +55,6 @@ class GroupId(Value):
         if kind == "cyclic":
             if m < 1:
                 raise UnsupportedGroupError("cyclic order must be >= 1")
-            if m == 1:
-                raise UnsupportedGroupError("Z/1 is the trivial group, tagged 'trivial'")
         elif kind == "dihedral":
             if m not in (3, 4, 6):
                 raise UnsupportedGroupError("dihedral parameter must be 3, 4 or 6")
@@ -76,14 +76,14 @@ class GroupId(Value):
 
     @classmethod
     def trivial(cls) -> "GroupId":
-        return cls("trivial")
+        return cls.cyclic(1)
 
     @classmethod
     @lru_cache(maxsize=None, typed=True)  # untyped, it keys 2.0 as 2 and True as 1
     def cyclic(cls, m: int) -> "GroupId":
-        """Z/m; Z/1 is the trivial group and gets its tag.  One object per m,
-        so a datum's identity-keyed checks see equal cones as one."""
-        return cls.trivial() if type(m) is int and m == 1 else cls("cyclic", m)
+        """Z/m.  One object per m, so a datum's identity-keyed checks see
+        equal cones, and all trivial cells, as one."""
+        return cls("cyclic", m)
 
     @classmethod
     def klein4(cls) -> "GroupId":
@@ -106,8 +106,6 @@ class GroupId(Value):
     # -- basic attributes --------------------------------------------------
 
     def order(self) -> int:
-        if self.kind == "trivial":
-            return 1
         if self.kind == "cyclic":
             return self.m
         if self.kind == "klein4":
@@ -126,9 +124,9 @@ class GroupId(Value):
         >>> GroupId.times_z2(GroupId.cyclic(8)).name()
         'Z2xZm(8)'
         """
-        if self.kind == "trivial":
-            return "1"
         if self.kind == "cyclic":
+            if self.m == 1:
+                return "1"
             return f"Z{self.m}" if self.m in (2, 3, 4, 6) else f"Zm({self.m})"
         if self.kind == "klein4":
             return "Z2xZ2"
@@ -141,10 +139,10 @@ class GroupId(Value):
 
 def _own_product_tag(inner: GroupId) -> GroupId | None:
     """The tag of Z/2 x inner when that group has one outside the "z2x" kind:
-    Z/2 x 1 is Z/2, Z/2 x Z/2 the Klein group, Z/2 x Z/m for odd m is Z/2m
-    and Z/2 x D3 is D6."""
-    if inner.kind == "trivial" or (inner.kind == "cyclic" and inner.m % 2):
-        return GroupId.cyclic(2 * inner.order())
+    Z/2 x Z/m for odd m is Z/2m (so Z/2 x 1 is Z/2), Z/2 x Z/2 the Klein
+    group and Z/2 x D3 is D6."""
+    if inner.kind == "cyclic" and inner.m % 2:
+        return GroupId.cyclic(2 * inner.m)
     if inner == GroupId.cyclic(2):
         return GroupId.klein4()
     if inner == GroupId.dihedral(3):
@@ -220,8 +218,6 @@ class FiniteGroupData(Value):
 
 
 def _mult_table(gid: GroupId) -> list[list[int]]:
-    if gid.kind == "trivial":
-        return [[0]]
     if gid.kind == "cyclic":
         m = gid.m
         return [[(i + j) % m for j in range(m)] for i in range(m)]
@@ -329,8 +325,6 @@ def complex_irreducible_count(gid: GroupId) -> int:
     Cyclic groups are answered in closed form so that large cyclic
     stabilisers never force a table build.
     """
-    if gid.kind == "trivial":
-        return 1
     if gid.kind == "cyclic":
         return gid.m
     if gid.kind == "z2x":
@@ -347,7 +341,7 @@ def complex_irreducible_count(gid: GroupId) -> int:
 # symbolically, their character j by its index (`cyclic_fs_indicator`).
 
 _BASE_TABLES: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {
-    ("trivial", 0): ((1,),),
+    ("cyclic", 1): ((1,),),
     ("cyclic", 2): (
         (1, 1),
         (1, -1),
@@ -457,8 +451,7 @@ def character_table(gid: GroupId) -> tuple[tuple[int, ...], ...]:
             for rj in z2_rows
         )
     else:
-        key = (gid.kind, gid.m if gid.kind in ("cyclic", "dihedral") else 0)
-        rows = _BASE_TABLES[key]
+        rows = _BASE_TABLES[(gid.kind, gid.m)]
     _validate_character_table(gid, rows)
     return rows
 

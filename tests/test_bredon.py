@@ -72,6 +72,12 @@ def test_expand_induction_spec():
     assert c.boundaries[0].row_list() == [[-1], [1], [1], [1], [1]]
 
 
+def test_triv_spells_the_cyclic_source_zm1():
+    _, source, target = bredon.parse_induction_spec("triv->Z6")
+    assert (source, target) == bredon.parse_induction_spec("Zm(1)->Z6")[1:]
+    assert source is GroupId.trivial()
+
+
 def _mixed_induction_datum():
     # every induction kind of the catalogue: Z2->Z6 (twice into one block),
     # Z3->Z6, triv->Zm(5), and id on S4, D4 and Z2xS4
