@@ -11,8 +11,8 @@ in `main` alone, which prints one `error:` line and nothing on stdout: an
 signature, a bad file or `--primes` range, an integer not in ASCII digits
 0-9 or too long for `int`), exits 2; any other ValueError, a domain error
 (a composite prime, a prime beyond the proven range 2**64, a failed
-hypothesis, an invalid lift), or a MemoryError, a result too large to
-build, exits 1.  A `ChainComplexError` (d∘d != 0) is an InputError even
+hypothesis, an invalid lift), or a MemoryError or OverflowError, a result
+too large to build or to index, exits 1.  A `ChainComplexError` (d∘d != 0) is an InputError even
 from built-in chain data, where it means a defect.  argparse's usage
 errors exit 2 too.  A process run through `run` (the `equiko` script and
 `python -m equiko.cli`) that cannot write its output, such as stdout on a
@@ -284,6 +284,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:  # e.g. the (Z/2)^b lines of cstar --ko for p near 2**64
         print("error: out of memory: the result is too large to build", file=sys.stderr)
+        return 1
+    except OverflowError:  # e.g. a chain group whose rank no list can index
+        print("error: the result is too large to build: a size exceeds an index", file=sys.stderr)
         return 1
 
 

@@ -22,10 +22,10 @@ stabilisers in declaration order; rows of one length, cells on both sides):
     0 1 0
     1 0 0
 
-Group names: "1", "Z2", "Z3", "Z4", "Z6", "Z2xZ2", "D3", "D4", "D6", "S4",
-"Zm(m)" for other cyclic orders, and a "Z2x" prefix for products with a
-central Z/2 (e.g. "Z2xS4").  Induction specs are "id", "triv->Zm" or
-"Zd->Zm".
+Group names: "1", "Z2", "Z3", "Z4", "Z6", "D3", "D4", "D6", "S4", "Zm(m)"
+for other cyclic orders, and a "Z2x" prefix per central Z/2 factor; the
+prefixes nest ("Z2xZ2" is the Klein group, "Z2xZ2xS4"), and "D6" is
+Z/2 x D3.  Induction specs are "id", "triv->Zm" or "Zd->Zm".
 
 Every datum round-trips: `parse_cw(format_cw(d)) == d`, and emitting that
 again gives the same text.  The `GammaCWDatum` constructor holds the grammar

@@ -1,24 +1,25 @@
 """The finite-group catalogue: stabiliser groups, conjugacy data, characters.
 
-The groups that occur as cell stabilisers in the complexes we care about are
-cyclic groups (the trivial group among them, as Z/1), the Klein group, the
-dihedral groups of order 6, 8 and 12, the symmetric group on four letters,
-and direct products of any of these with a central Z/2.  For each of them
-we carry a concrete multiplication table, conjugacy classes in a fixed
-order, and -- except for cyclic groups of order at least 3, whose characters
-are not rational -- an integer character table.
+Every catalogue group is a base group times (Z/2)^k, the k factors central.
+The bases are the cyclic groups (the trivial group among them, as Z/1), the
+dihedral groups of order 6 and 8, and the symmetric group on four letters;
+so the Klein group is Z/2 x Z/2 and the dihedral group of order 12 is
+Z/2 x D3.  For each group we carry a concrete multiplication table,
+conjugacy classes in a fixed order, and -- except for cyclic bases of order
+at least 3, whose characters are not rational -- an integer character table.
 
 Conjugacy classes are always listed identity first, then by increasing
 element order, ties broken by class size and then by the smallest element
 index.  Character-table columns follow that same order; rows start with the
-trivial character.  Tables are validated at import of the corresponding
-group by both orthogonality relations and the degree-sum identity, so a
-corrupted entry cannot survive to a computation.
+trivial character.  Tables are validated on first use by both
+orthogonality relations and the degree-sum identity, so a corrupted entry
+cannot survive to a computation.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 
 from ._value import Value
@@ -28,49 +29,44 @@ class UnsupportedGroupError(ValueError):
     """Raised for groups outside the catalogue or without an integer table."""
 
 
-_KINDS = ("cyclic", "klein4", "dihedral", "sym4", "z2x")
+_KINDS = ("cyclic", "dihedral", "sym4")
 
 
 class GroupId(Value):
-    """Symbolic tag for a catalogue group.
+    """Symbolic tag for a catalogue group: a base group times (Z/2)^twos.
 
-    `m` is the order parameter for cyclic groups and the gonality for
-    dihedral groups (the dihedral group D_n here has order 2n); the trivial
-    group is the cyclic group with m = 1, named `1`.  `inner` is
-    the other factor of a direct product with Z/2, at most one level deep
-    and never one whose product has a tag of its own (`_own_product_tag`),
-    so that each group has one tag.
+    `kind` and `m` name the base: the cyclic group Z/m (m >= 1; the trivial
+    group is Z/1, named `1`), the dihedral group D_m of order 2m (m = 3 or
+    4), or the symmetric group S4 (m = 0).  `twos` counts the central Z/2
+    factors.  Each group has one tag: Z/2 x Z/m for odd m is Z/2m, so an
+    odd cyclic base takes no Z/2 factor.
     """
 
-    __slots__ = ("kind", "m", "inner")
+    __slots__ = ("kind", "m", "twos")
 
-    def __init__(self, kind: str, m: int = 0, inner: "GroupId | None" = None):
+    def __init__(self, kind: str, m: int = 0, twos: int = 0):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "twos", twos)
         if kind not in _KINDS:
             raise UnsupportedGroupError(f"unknown group kind {kind!r}")
-        if type(m) is not int:  # 2.0 == 2, but its name Z2.0 reads back as no group
-            raise UnsupportedGroupError(f"group parameter must be an int, got {m!r}")
+        for x in (m, twos):
+            if type(x) is not int:  # 2.0 == 2, but its name Z2.0 reads back as no group
+                raise UnsupportedGroupError(f"group parameter must be an int, got {x!r}")
+        if twos < 0:
+            raise UnsupportedGroupError("the number of Z/2 factors must be >= 0")
         if kind == "cyclic":
             if m < 1:
                 raise UnsupportedGroupError("cyclic order must be >= 1")
+            if twos and m % 2:
+                raise UnsupportedGroupError(
+                    f"Z/2 x Z/{m} is Z/{2 * m}; build it with times_z2"
+                )
         elif kind == "dihedral":
-            if m not in (3, 4, 6):
-                raise UnsupportedGroupError("dihedral parameter must be 3, 4 or 6")
+            if m not in (3, 4):
+                raise UnsupportedGroupError("dihedral parameter must be 3 or 4")
         elif m != 0:
             raise UnsupportedGroupError(f"{kind} takes no integer parameter")
-        if kind == "z2x":
-            if inner is None:
-                raise UnsupportedGroupError("product needs an inner factor")
-            if inner.kind == "z2x":
-                raise UnsupportedGroupError("products with Z/2 nest at most once")
-            if _own_product_tag(inner) is not None:
-                raise UnsupportedGroupError(
-                    f"Z/2 x {inner.name()} has its own tag; build it with times_z2"
-                )
-        elif inner is not None:
-            raise UnsupportedGroupError(f"{kind} takes no inner factor")
 
     # -- constructors ------------------------------------------------------
 
@@ -86,10 +82,6 @@ class GroupId(Value):
         return cls("cyclic", m)
 
     @classmethod
-    def klein4(cls) -> "GroupId":
-        return cls("klein4")
-
-    @classmethod
     def dihedral(cls, n: int) -> "GroupId":
         return cls("dihedral", n)
 
@@ -98,56 +90,44 @@ class GroupId(Value):
         return cls("sym4")
 
     @classmethod
-    def times_z2(cls, inner: "GroupId") -> "GroupId":
-        """Z/2 x inner, under the group's one tag (see `_own_product_tag`)."""
-        own = _own_product_tag(inner)
-        return cls("z2x", inner=inner) if own is None else own
+    def times_z2(cls, gid: "GroupId") -> "GroupId":
+        """Z/2 x gid, under the group's one tag: Z/2m for an odd Z/m."""
+        if gid.kind == "cyclic" and gid.m % 2:
+            return cls.cyclic(2 * gid.m)
+        return cls(gid.kind, gid.m, gid.twos + 1)
 
     # -- basic attributes --------------------------------------------------
 
     def order(self) -> int:
-        if self.kind == "cyclic":
-            return self.m
-        if self.kind == "klein4":
-            return 4
-        if self.kind == "dihedral":
-            return 2 * self.m
-        if self.kind == "sym4":
-            return 24
-        return 2 * self.inner.order()
+        kind = self.kind
+        base = self.m if kind == "cyclic" else 2 * self.m if kind == "dihedral" else 24
+        return base << self.twos
 
     def name(self) -> str:
-        """Render the reference name used in input files (`parse_name` inverts).
+        """Render the reference name used in input files (`parse_name` inverts):
+        a `Z2x` prefix per Z/2 factor, except that Z/2 x D3 is `D6`.
 
         >>> GroupId.dihedral(4).name()
         'D4'
         >>> GroupId.times_z2(GroupId.cyclic(8)).name()
         'Z2xZm(8)'
+        >>> GroupId("dihedral", 3, 2).name()
+        'Z2xD6'
         """
+        m, twos = self.m, self.twos
         if self.kind == "cyclic":
-            if self.m == 1:
-                return "1"
-            return f"Z{self.m}" if self.m in (2, 3, 4, 6) else f"Zm({self.m})"
-        if self.kind == "klein4":
-            return "Z2xZ2"
-        if self.kind == "dihedral":
-            return f"D{self.m}"
-        if self.kind == "sym4":
-            return "S4"
-        return "Z2x" + self.inner.name()
+            base = "1" if m == 1 else f"Z{m}" if m in (2, 3, 4, 6) else f"Zm({m})"
+        elif self.kind == "dihedral":
+            base = f"D{m}"
+            if m == 3 and twos:
+                base, twos = "D6", twos - 1
+        else:
+            base = "S4"
+        return "Z2x" * twos + base
 
 
-def _own_product_tag(inner: GroupId) -> GroupId | None:
-    """The tag of Z/2 x inner when that group has one outside the "z2x" kind:
-    Z/2 x Z/m for odd m is Z/2m (so Z/2 x 1 is Z/2), Z/2 x Z/2 the Klein
-    group and Z/2 x D3 is D6."""
-    if inner.kind == "cyclic" and inner.m % 2:
-        return GroupId.cyclic(2 * inner.m)
-    if inner == GroupId.cyclic(2):
-        return GroupId.klein4()
-    if inner == GroupId.dihedral(3):
-        return GroupId.dihedral(6)
-    return None
+#: The `Z2x` prefixes of a name, each followed by optional whitespace.
+_PREFIXES_RE = re.compile(r"(?:Z2x\s*)*")
 
 
 def parse_name(text: str) -> GroupId:
@@ -157,23 +137,26 @@ def parse_name(text: str) -> GroupId:
     True
     >>> parse_name("Z2xS4") == GroupId.times_z2(GroupId.sym4())
     True
-    >>> parse_name("Z2xZm(2)") == GroupId.klein4()
+    >>> parse_name("Z2xZm(2)") == parse_name("Z2xZ2")
     True
-    >>> parse_name("Z2xD3") == GroupId.dihedral(6)
+    >>> parse_name("Z2xD3") == parse_name("D6")
     True
     """
     text = text.strip()
+    prefixes = _PREFIXES_RE.match(text).end()
+    twos = text.count("Z2x", 0, prefixes)
+    text = text[prefixes:]
     if text == "1":
-        return GroupId.trivial()
-    if text == "Z2xZ2":
-        return GroupId.klein4()
-    if text == "S4":
-        return GroupId.sym4()
-    if text in ("D3", "D4", "D6"):
-        return GroupId.dihedral(int(text[1:]))
-    if text.startswith("Z2x"):
-        return GroupId.times_z2(parse_name(text[3:]))
-    if text.startswith("Zm(") and text.endswith(")"):
+        gid = GroupId.trivial()
+    elif text == "S4":
+        gid = GroupId.sym4()
+    elif text in ("D3", "D4"):
+        gid = GroupId.dihedral(int(text[1:]))
+    elif text == "D6":
+        gid = GroupId("dihedral", 3, 1)
+    elif text in ("Z2", "Z3", "Z4", "Z6"):
+        gid = GroupId.cyclic(int(text[1:]))
+    elif text.startswith("Zm(") and text.endswith(")"):
         body = text[3:-1]
         # str.isdigit also accepts non-ASCII digits such as '²' and '٣'
         if not (body.isascii() and body.isdigit()):
@@ -182,10 +165,12 @@ def parse_name(text: str) -> GroupId:
             order = int(body)
         except ValueError as exc:  # more digits than int() converts (3.11+)
             raise UnsupportedGroupError(f"bad cyclic order in {text!r}: {exc}") from exc
-        return GroupId.cyclic(order)
-    if text in ("Z2", "Z3", "Z4", "Z6"):
-        return GroupId.cyclic(int(text[1:]))
-    raise UnsupportedGroupError(f"unknown group name {text!r}")
+        gid = GroupId.cyclic(order)
+    else:
+        raise UnsupportedGroupError(f"unknown group name {text!r}")
+    if twos:  # only the first Z/2 can change the base (Z/m to Z/2m for odd m)
+        gid = GroupId.times_z2(gid)
+    return GroupId(gid.kind, gid.m, gid.twos + twos - 1) if twos > 1 else gid
 
 
 # ---------------------------------------------------------------------------
@@ -218,35 +203,29 @@ class FiniteGroupData(Value):
 
 
 def _mult_table(gid: GroupId) -> list[list[int]]:
+    n = gid.m
     if gid.kind == "cyclic":
-        m = gid.m
-        return [[(i + j) % m for j in range(m)] for i in range(m)]
-    if gid.kind == "klein4":
-        return [[i ^ j for j in range(4)] for i in range(4)]
-    if gid.kind == "dihedral":
+        base = [[(i + j) % n for j in range(n)] for i in range(n)]
+    elif gid.kind == "dihedral":
         # Element f*n + r acts on Z/n by x -> r + (-1)^f x; composition of
         # symmetries gives the table.
-        n = gid.m
-
         def compose(g, h):
             fg, rg = divmod(g, n)
             fh, rh = divmod(h, n)
             return (fg ^ fh) * n + (rg + (rh if fg == 0 else -rh)) % n
 
-        return [[compose(g, h) for h in range(2 * n)] for g in range(2 * n)]
-    if gid.kind == "sym4":
+        base = [[compose(g, h) for h in range(2 * n)] for g in range(2 * n)]
+    else:
         perms = list(itertools.permutations(range(4)))
         index = {p: i for i, p in enumerate(perms)}
-        return [
-            [index[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms
-        ]
-    # Product with a central Z/2: element a*2 + b encodes the pair (a, b).
-    inner = _mult_table(gid.inner)
-    k = len(inner)
+        base = [[index[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms]
+    # The product with (Z/2)^twos: element a*2^twos + b encodes the pair
+    # (a, b), b a bit vector that multiplies by xor.
+    t, k = 1 << gid.twos, len(base)
     return [
-        [inner[a1][a2] * 2 + (b1 ^ b2) for a2 in range(k) for b2 in range(2)]
+        [base[a1][a2] * t + (b1 ^ b2) for a2 in range(k) for b2 in range(t)]
         for a1 in range(k)
-        for b1 in range(2)
+        for b1 in range(t)
     ]
 
 
@@ -322,21 +301,19 @@ def build_group(gid: GroupId) -> FiniteGroupData:
 def complex_irreducible_count(gid: GroupId) -> int:
     """Number of irreducible complex representations (= rank of R_C).
 
-    Cyclic groups are answered in closed form so that large cyclic
-    stabilisers never force a table build.
+    The base's count doubles with each Z/2 factor.  Cyclic bases are
+    answered in closed form so that large cyclic stabilisers never force a
+    table build.
     """
-    if gid.kind == "cyclic":
-        return gid.m
-    if gid.kind == "z2x":
-        return 2 * complex_irreducible_count(gid.inner)
-    return len(build_group(gid).classes)
+    base = gid.m if gid.kind == "cyclic" else len(build_group(GroupId(gid.kind, gid.m)).classes)
+    return base << gid.twos
 
 
 # ---------------------------------------------------------------------------
 # Character tables
 
 # Rows are irreducible characters (trivial first), columns are conjugacy
-# classes in the catalogue order.  Only groups whose characters are all
+# classes in the catalogue order.  Only bases whose characters are all
 # integer-valued appear here; cyclic groups of order >= 3 are handled
 # symbolically, their character j by its index (`cyclic_fs_indicator`).
 
@@ -345,13 +322,6 @@ _BASE_TABLES: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {
     ("cyclic", 2): (
         (1, 1),
         (1, -1),
-    ),
-    # columns: e, (0,1), (1,0), (1,1)
-    ("klein4", 0): (
-        (1, 1, 1, 1),
-        (1, -1, 1, -1),
-        (1, 1, -1, -1),
-        (1, -1, -1, 1),
     ),
     # columns: e, reflections, rotations
     ("dihedral", 3): (
@@ -367,15 +337,6 @@ _BASE_TABLES: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {
         (1, 1, -1, 1, -1),
         (2, -2, 0, 0, 0),
     ),
-    # columns: e, r^3, {s, sr^2, sr^4}, {sr, sr^3, sr^5}, {r^2, r^4}, {r, r^5}
-    ("dihedral", 6): (
-        (1, 1, 1, 1, 1, 1),
-        (1, 1, -1, -1, 1, 1),
-        (1, -1, 1, -1, 1, -1),
-        (1, -1, -1, 1, 1, -1),
-        (2, -2, 0, 0, -1, 1),
-        (2, 2, 0, 0, -1, -1),
-    ),
     # columns: e, double transpositions, transpositions, 3-cycles, 4-cycles
     ("sym4", 0): (
         (1, 1, 1, 1, 1),
@@ -388,11 +349,7 @@ _BASE_TABLES: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {
 
 
 def has_integer_table(gid: GroupId) -> bool:
-    if gid.kind == "cyclic":
-        return gid.m <= 2
-    if gid.kind == "z2x":
-        return has_integer_table(gid.inner)
-    return True
+    return gid.kind != "cyclic" or gid.m <= 2
 
 
 def _validate_character_table(gid: GroupId, rows: tuple[tuple[int, ...], ...]) -> None:
@@ -424,7 +381,9 @@ def character_table(gid: GroupId) -> tuple[tuple[int, ...], ...]:
     """The integer character table of a catalogue group, validated on build:
     `rows[i][c]` is the i-th character on class c.
 
-    Raises UnsupportedGroupError for cyclic groups of order >= 3 (and their
+    The rows of a product are the base's rows times the 2^twos sign
+    characters b -> (-1)^popcount(b & c) of (Z/2)^twos.  Raises
+    UnsupportedGroupError for cyclic groups of order >= 3 (and their
     Z/2-products): those characters are not integer-valued and are handled
     in closed form by `cyclic_fs_indicator`.
     """
@@ -433,25 +392,18 @@ def character_table(gid: GroupId) -> tuple[tuple[int, ...], ...]:
             f"{gid.name()} has no integer character table; "
             "cyclic characters are handled in closed form"
         )
-    if gid.kind == "z2x":
-        inner_rows = character_table(gid.inner)
-        inner_g = build_group(gid.inner)
-        z2_g = build_group(GroupId.cyclic(2))
-        g = build_group(gid)
-        # Locate, for each product class, the classes of the two coordinates
-        # of its first element (element a*2 + b encodes the pair (a, b)).
-        coords = []
-        for cls in g.classes:
-            a, b = divmod(cls[0], 2)
-            coords.append((inner_g.class_index[a], z2_g.class_index[b]))
-        z2_rows = _BASE_TABLES[("cyclic", 2)]
+    rows = _BASE_TABLES[(gid.kind, gid.m)]
+    if gid.twos:
+        t = 1 << gid.twos
+        base_classes = build_group(GroupId(gid.kind, gid.m)).class_index
+        # the first element of each product class as the pair (a, b) it
+        # encodes: a in the base, b the bit vector in (Z/2)^twos
+        coords = [divmod(c[0], t) for c in build_group(gid).classes]
         rows = tuple(
-            tuple(ri[ic] * rj[zc] for ic, zc in coords)
-            for ri in inner_rows
-            for rj in z2_rows
+            tuple(row[base_classes[a]] * (-1) ** (b & c).bit_count() for a, b in coords)
+            for row in rows
+            for c in range(t)
         )
-    else:
-        rows = _BASE_TABLES[(gid.kind, gid.m)]
     _validate_character_table(gid, rows)
     return rows
 
@@ -500,15 +452,15 @@ def all_tables_coincide(gid: GroupId) -> bool:
     """Whether complex = real = quaternionic representation rings for `gid`.
 
     Equivalent to every irreducible character having Frobenius-Schur
-    indicator 1, and decided that way: from the table and the power map for
-    integer-table groups, from the closed-form indicator for cyclic groups
-    (true exactly for orders 1 and 2), factorwise for products.
+    indicator 1, and decided that way on the base: the indicator is
+    multiplicative over direct products and every character of a Z/2
+    factor has indicator 1, so the Z/2 factors never change the answer.
+    The base decides from the table and the power map when its table is
+    integer, from the closed-form indicator when it is cyclic of order
+    >= 3 (false then, as only orders 1 and 2 coincide).
     """
     if gid.kind == "cyclic" and gid.m >= 3:
         return all(cyclic_fs_indicator(gid.m, j) == 1 for j in range(gid.m))
-    if gid.kind == "z2x" and not has_integer_table(gid):
-        # The Z/2 factor only tensors each character by a sign character,
-        # which never changes an indicator.
-        return all_tables_coincide(gid.inner)
-    g = build_group(gid)
-    return all(fs_indicator(g, row) == 1 for row in character_table(gid))
+    base = GroupId(gid.kind, gid.m)
+    g = build_group(base)
+    return all(fs_indicator(g, row) == 1 for row in character_table(base))

@@ -35,7 +35,9 @@ from equiko.fuchsian import (
     hecke_signature,
     is_prime,
 )
-from equiko.groups import GroupId, all_tables_coincide, build_group, character_table, fs_indicator
+from equiko.groups import (
+    GroupId, all_tables_coincide, build_group, character_table, fs_indicator, parse_name,
+)
 from equiko.ko_assembly import collapse_complex, ko_from_bredon, kunneth_times_z2
 
 
@@ -88,8 +90,8 @@ def test_criterion_02_gl3_ko(capsys):
 def test_criterion_03_table_coincidence():
     with criterion(3, "character tables coincide for the exact expected list"):
         coinciding = [
-            GroupId.trivial(), GroupId.cyclic(2), GroupId.klein4(),
-            GroupId.dihedral(3), GroupId.dihedral(4), GroupId.dihedral(6),
+            GroupId.trivial(), GroupId.cyclic(2), parse_name("Z2xZ2"),
+            GroupId.dihedral(3), GroupId.dihedral(4), parse_name("D6"),
             GroupId.sym4(),
         ]
         not_coinciding = [
@@ -203,8 +205,8 @@ def test_criterion_09_property_suites():
             for a, b in zip(res.d, res.d[1:]):
                 assert a > 0 and b % a == 0
         for gid in [
-            GroupId.trivial(), GroupId.cyclic(2), GroupId.klein4(),
-            GroupId.dihedral(3), GroupId.dihedral(4), GroupId.dihedral(6),
+            GroupId.trivial(), GroupId.cyclic(2), parse_name("Z2xZ2"),
+            GroupId.dihedral(3), GroupId.dihedral(4), parse_name("D6"),
             GroupId.sym4(), GroupId.times_z2(GroupId.sym4()),
         ]:
             g = build_group(gid)

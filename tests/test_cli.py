@@ -303,6 +303,37 @@ def test_output_too_large_to_build_exits_one(fmt):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+_HUGE_CONE = "Zm(1000000000000000000000)"
+
+
+@pytest.mark.parametrize("text, flags", [
+    # a chain group of rank 10^21: no list has that many entries
+    (f"name = big\n[cells.0]\nv = {_HUGE_CONE}\n[cells.1]\ne = 1\n"
+     f"[boundary.1]\ne = +1 * v : triv->{_HUGE_CONE}\n", ()),
+    # (Z/2)^70: its KO1 has 2^70 summands Z/2, a count no string repeat takes
+    ("name = twos\n[cells.0]\nv = " + "Z2x" * 69 + "Z2\n", ("--ko",)),
+], ids=["rank", "summands"])
+def test_result_too_large_to_index_exits_one(capsys, tmp_path, text, flags):
+    path = tmp_path / "huge.cw"
+    path.write_text(text)
+    code, out, err = run(capsys, "complex", "--file", str(path), *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_nested_z2_products_are_read(capsys, tmp_path):
+    path = tmp_path / "z2-to-the-4.cw"
+    path.write_text("name = z2-to-the-4\n\n[cells.0]\nv = Z2xZ2xZ2xZ2\n")
+    code, out, _ = run(capsys, "complex", "--file", str(path))
+    assert code == 0 and "H0 = Z^16" in out.splitlines()
+    code, out, _ = run(capsys, "complex", "--file", str(path), "--ko")
+    lines = out.splitlines()
+    assert code == 0
+    assert "KO0 = Z^16" in lines
+    assert f"KO1 = {FinAbGroup(0, ((2, 16),))}" in lines
+    assert run(capsys, "complex", "--file", str(path), "--emit") == (0, path.read_text(), "")
+
+
 def _spawn(*argv, unbuffered=False, **options):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "COLUMNS": "80"}
     env.pop("PYTHONUNBUFFERED", None)

@@ -24,27 +24,56 @@ CATALOGUE = [
     GroupId.cyclic(3),
     GroupId.cyclic(4),
     GroupId.cyclic(6),
-    GroupId.klein4(),
+    parse_name("Z2xZ2"),
     GroupId.dihedral(3),
     GroupId.dihedral(4),
-    GroupId.dihedral(6),
+    parse_name("D6"),
     GroupId.sym4(),
 ]
+
+#: The base groups of the catalogue: every group is one of them times (Z/2)^k.
+BASES = [
+    GroupId.trivial(),
+    GroupId.cyclic(2),
+    GroupId.cyclic(4),
+    GroupId.cyclic(6),
+    GroupId.cyclic(8),
+    GroupId.dihedral(3),
+    GroupId.dihedral(4),
+    GroupId.sym4(),
+]
+
+
+def _times_z2(gid, k):
+    for _ in range(k):
+        gid = GroupId.times_z2(gid)
+    return gid
 
 
 # -- identifiers ---------------------------------------------------------------
 
 
 def test_names_round_trip():
-    for gid in CATALOGUE + [GroupId.times_z2(GroupId.dihedral(6))]:
+    for gid in CATALOGUE + [GroupId.times_z2(parse_name("D6"))]:
         assert parse_name(gid.name()) == gid
+    for base in BASES:
+        for k in range(4):
+            gid = _times_z2(base, k)
+            assert parse_name(gid.name()) == gid, gid
+
+
+def test_many_prefixes_parse_without_recursion():
+    gid = parse_name("Z2x" * 10**5 + "S4")
+    assert (gid.kind, gid.twos) == ("sym4", 10**5)
 
 
 def test_specific_names():
     assert GroupId.trivial().name() == "1"
     assert GroupId.cyclic(2).name() == "Z2"
     assert GroupId.cyclic(7).name() == "Zm(7)"
-    assert GroupId.klein4().name() == "Z2xZ2"
+    assert GroupId("cyclic", 2, 1).name() == "Z2xZ2"
+    assert GroupId("dihedral", 3, 1).name() == "D6"
+    assert GroupId("dihedral", 3, 2).name() == "Z2xD6"
     assert GroupId.dihedral(4).name() == "D4"
     assert GroupId.sym4().name() == "S4"
     assert GroupId.times_z2(GroupId.sym4()).name() == "Z2xS4"
@@ -54,25 +83,27 @@ def test_specific_names():
 
 
 def test_each_group_has_one_tag():
+    # a base group times (Z/2)^twos; Klein is Z/2 x Z/2 and D6 is Z/2 x D3
     assert GroupId.times_z2(GroupId.trivial()) == GroupId.cyclic(2)
-    assert GroupId.times_z2(GroupId.cyclic(2)) == GroupId.klein4()
-    assert GroupId.times_z2(GroupId.times_z2(GroupId.trivial())) == GroupId.klein4()
-    # Z/2 x Z/m is Z/2m for odd m, and Z/2 x D3 is D6
+    assert GroupId.times_z2(GroupId.cyclic(2)) == GroupId("cyclic", 2, 1)
+    assert _times_z2(GroupId.trivial(), 2) == parse_name("Z2xZ2")
+    assert GroupId.times_z2(GroupId.dihedral(3)) == GroupId("dihedral", 3, 1)
+    assert GroupId.times_z2(parse_name("D6")) == GroupId("dihedral", 3, 2)
+    assert GroupId.times_z2(GroupId.cyclic(4)) == GroupId("cyclic", 4, 1)
+    # Z/2 x Z/m is Z/2m for odd m, so an odd cyclic base takes no Z/2
     assert GroupId.times_z2(GroupId.cyclic(3)) == GroupId.cyclic(6)
     assert GroupId.times_z2(GroupId.cyclic(5)) == GroupId.cyclic(10)
-    assert GroupId.times_z2(GroupId.dihedral(3)) == GroupId.dihedral(6)
-    # Z/2 x Z/4 is not cyclic and keeps the product tag
-    assert GroupId.times_z2(GroupId.cyclic(4)).kind == "z2x"
-    for inner in (GroupId.trivial(), GroupId.cyclic(2), GroupId.cyclic(3),
-                  GroupId.cyclic(5), GroupId.dihedral(3)):
-        with pytest.raises(UnsupportedGroupError, match="has its own tag"):
-            GroupId("z2x", inner=inner)
-    # the old names of the second tags parse to the canonical ones
+    for m in (1, 3, 5):
+        with pytest.raises(UnsupportedGroupError, match="build it with times_z2"):
+            GroupId("cyclic", m, 1)
+    # the alternative spellings parse to the one tag
     assert parse_name("Z2x1") == GroupId.cyclic(2)
-    assert parse_name("Z2xZm(2)") == GroupId.klein4()
+    assert parse_name("Z2xZm(2)") == parse_name("Z2xZ2")
+    assert parse_name("Z2x Z2") == parse_name("Z2xZ2")
     assert parse_name("Z2xZ3") == GroupId.cyclic(6)
+    assert parse_name("Z2xZ2xZ3") == GroupId("cyclic", 6, 1)
     assert parse_name("Z2xZm(5)") == GroupId.cyclic(10)
-    assert parse_name("Z2xD3") == GroupId.dihedral(6)
+    assert parse_name("Z2xD3") == parse_name("D6")
 
 
 def test_orders():
@@ -87,7 +118,11 @@ def test_bad_identifiers_rejected():
     with pytest.raises(UnsupportedGroupError):
         GroupId.cyclic(0)
     with pytest.raises(UnsupportedGroupError):
-        GroupId.times_z2(GroupId.times_z2(GroupId.sym4()))
+        GroupId.dihedral(6)  # Z/2 x D3, named D6
+    with pytest.raises(UnsupportedGroupError):
+        GroupId("sym4", 0, -1)
+    # products with Z/2 nest
+    assert GroupId.times_z2(GroupId.times_z2(GroupId.sym4())) == GroupId("sym4", 0, 2)
     with pytest.raises(UnsupportedGroupError):
         parse_name("Q8")
     with pytest.raises(UnsupportedGroupError):
@@ -96,6 +131,8 @@ def test_bad_identifiers_rejected():
     for kind, m in [("cyclic", 2.0), ("dihedral", 3.0), ("cyclic", True)]:
         with pytest.raises(UnsupportedGroupError):
             GroupId(kind, m)
+    with pytest.raises(UnsupportedGroupError, match="must be an int"):
+        GroupId("cyclic", 2, 1.0)
 
 
 @pytest.mark.parametrize("mult, message", [
@@ -178,7 +215,7 @@ def test_class_partition_and_ordering():
 
 
 def test_conjugacy_closed_under_conjugation():
-    for gid in [GroupId.dihedral(6), GroupId.sym4()]:
+    for gid in [parse_name("D6"), GroupId.sym4()]:
         g = build_group(gid)
         for x in range(g.order):
             for h in range(g.order):
@@ -216,9 +253,9 @@ def test_character_tables_validate():
     # construction itself runs the orthogonality checks; degrees are standard
     assert sorted(_degrees(GroupId.sym4())) == [1, 1, 2, 3, 3]
     assert sorted(_degrees(GroupId.dihedral(4))) == [1, 1, 1, 1, 2]
-    assert sorted(_degrees(GroupId.dihedral(6))) == [1, 1, 1, 1, 2, 2]
+    assert sorted(_degrees(parse_name("D6"))) == [1, 1, 1, 1, 2, 2]
     assert sorted(_degrees(GroupId.dihedral(3))) == [1, 1, 2]
-    assert _degrees(GroupId.klein4()) == [1, 1, 1, 1]
+    assert _degrees(parse_name("Z2xZ2")) == [1, 1, 1, 1]
 
 
 def test_character_table_first_orthogonality():
@@ -248,7 +285,7 @@ def test_non_integral_tables_refused():
 
 
 def test_product_table_is_kronecker():
-    inner = GroupId.dihedral(4)  # Z/2 x D3 is tagged D6, not built as a product
+    inner = GroupId.dihedral(4)
     prod = GroupId.times_z2(inner)
     ti, tp = character_table(inner), character_table(prod)
     assert len(tp) == 2 * len(ti)
@@ -324,6 +361,19 @@ def test_all_tables_coincide_z2_products():
     for gid in CATALOGUE:
         prod = GroupId.times_z2(gid)
         assert all_tables_coincide(prod) == all_tables_coincide(gid)
+
+
+def test_all_tables_coincide_matches_the_full_table():
+    # decided on the base; the reference builds the product's own table
+    for base in BASES:
+        for k in range(3):
+            gid = _times_z2(base, k)
+            if has_integer_table(gid):
+                g = build_group(gid)
+                expected = all(fs_indicator(g, row) == 1 for row in character_table(gid))
+                assert all_tables_coincide(gid) == expected, gid
+            else:
+                assert not all_tables_coincide(gid), gid
 
 
 def test_all_tables_coincide_more_cyclic():

@@ -6,7 +6,7 @@ import pytest
 
 from equiko.bredon import bredon_homology, sl3_datum
 from equiko.exactlinalg import FinAbGroup, tensor_z2, tor_z2
-from equiko.groups import GroupId
+from equiko.groups import GroupId, parse_name
 from equiko.ko_assembly import (
     KO_POINT,
     GradedGroup,
@@ -152,7 +152,7 @@ def test_kunneth_rejects_torsion():
 def test_hypothesis_accepts_coinciding_stabilisers():
     gg = ko_from_bredon(
         [FinAbGroup.free(2)],
-        [GroupId.sym4(), GroupId.dihedral(6), GroupId.trivial(), GroupId.klein4()],
+        [GroupId.sym4(), parse_name("D6"), GroupId.trivial(), parse_name("Z2xZ2")],
     )
     assert gg.entry(0) == FinAbGroup.free(2)
 

@@ -35,7 +35,7 @@ VALUES = {
     FinAbGroup: (dict(free_rank=1, torsion=((2, 1), (4, 1))), ("free_rank", 2)),
     IntChainComplex: (dict(ranks=(1, 1), boundaries=(IntMatrix(1, 1, (0,)),)),
                       ("boundaries", (IntMatrix(1, 1, (2,)),))),
-    GroupId: (dict(kind="z2x", m=0, inner=GroupId.sym4()), ("inner", GroupId.dihedral(4))),
+    GroupId: (dict(kind="dihedral", m=3, twos=1), ("twos", 2)),
     FiniteGroupData: (dict(
         order=2, mult=_Z2_DATA.mult, classes=_Z2_DATA.classes,
         class_index=_Z2_DATA.class_index, square_class=_Z2_DATA.square_class,
@@ -73,7 +73,7 @@ def test_keyword_and_positional_calls_agree(cls):
 #: (class, keyword arguments, the defaults of the fields left out)
 DEFAULTS = [
     (FinAbGroup, dict(free_rank=1), dict(torsion=())),
-    (GroupId, dict(kind="sym4"), dict(m=0, inner=None)),
+    (GroupId, dict(kind="sym4"), dict(m=0, twos=0)),
     (GammaCWDatum, dict(name="pt", cells=((_VERTEX,),), boundaries=()),
      dict(snf_equivalent=False)),
     (Signature, dict(g=2, s=0), dict(periods=())),
