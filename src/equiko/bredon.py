@@ -82,12 +82,12 @@ def parse_induction_spec(spec: str) -> tuple[str, GroupId | None, GroupId | None
         left, right = (part.strip() for part in spec.split("->", 1))
         try:
             target = parse_name(right)
-            if target.kind != "cyclic":
+            if target.kind != "cyclic" or target.twos:
                 raise DatumError(f"induction target in {spec!r} must be cyclic")
             source = GroupId.trivial() if left == "triv" else parse_name(left)
         except UnsupportedGroupError as exc:
             raise DatumError(str(exc)) from exc
-        if source.kind != "cyclic":
+        if source.kind != "cyclic" or source.twos:
             raise DatumError(f"induction source in {spec!r} must be cyclic")
         return ("cyclic", source, target)
     raise DatumError(f"malformed induction spec {spec!r}")

@@ -39,7 +39,8 @@ class GroupId(Value):
     group is Z/1, named `1`), the dihedral group D_m of order 2m (m = 3 or
     4), or the symmetric group S4 (m = 0).  `twos` counts the central Z/2
     factors.  Each group has one tag: Z/2 x Z/m for odd m is Z/2m, so an
-    odd cyclic base takes no Z/2 factor.
+    odd cyclic base takes no Z/2 factor.  `kind` names the base only: a
+    group is cyclic exactly when `kind == "cyclic" and twos == 0`.
     """
 
     __slots__ = ("kind", "m", "twos")

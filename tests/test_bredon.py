@@ -78,6 +78,18 @@ def test_triv_spells_the_cyclic_source_zm1():
     assert source is GroupId.trivial()
 
 
+# Z/2 x Z/m has kind "cyclic" for its base only; induction runs along cyclic
+# inclusions, so a product at either end of a spec is refused
+@pytest.mark.parametrize("spec, end", [
+    ("triv->Z2xZ2", "target"), ("Z2->Z2xZ2", "target"), ("Z4->Z2xZ4", "target"),
+    ("Z2xZ2->Z2xZ4", "target"), ("Z2xZ2->Z4", "source"),
+])
+def test_induction_spec_with_a_product_refused(spec, end):
+    with pytest.raises(DatumError) as exc:
+        bredon.parse_induction_spec(spec)
+    assert str(exc.value) == f"induction {end} in {spec!r} must be cyclic"
+
+
 def _mixed_induction_datum():
     # every induction kind of the catalogue: Z2->Z6 (twice into one block),
     # Z3->Z6, triv->Zm(5), and id on S4, D4 and Z2xS4

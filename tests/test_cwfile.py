@@ -403,11 +403,18 @@ _REFUSED = [
     *((_TWO_EDGES + f"[boundary.1]\ne = {term}\nf =\n",
        f"line 9: bad boundary term {term!r} (expected '+1 * label : spec')")
       for term in ["+1 * é : id", "+1 * 1a : id", "+1 * a b : id", "+1 *  : id"]),
+    # induction runs along cyclic inclusions; Z/2 x Z/m is no cyclic target
+    *((f"name = x\n[cells.0]\nv = {target}\n[cells.1]\ne = {source}\n"
+       f"[boundary.1]\ne = +1 * v : {spec}\n",
+       f"line 7: induction target in {spec!r} must be cyclic")
+      for source, target, spec in [("1", "Z2xZ2", "triv->Z2xZ2"), ("Z2", "Z2xZ2", "Z2->Z2xZ2"),
+                                   ("Z4", "Z2xZ4", "Z4->Z2xZ4")]),
 ]
 _REFUSED_IDS = ["unknown-cell", "unknown-target", "ragged", "few-rows", "wide", "empty",
                 "no-rows", "missing-before-unknown", "label-space", "label-non-ascii",
                 "label-digit", "label-dash", "target-non-ascii", "target-digit",
-                "target-space", "target-empty"]
+                "target-space", "target-empty", "induce-to-klein", "induce-z2-to-klein",
+                "induce-z4-to-z2xz4"]
 
 
 @pytest.mark.parametrize("text, message", _REFUSED, ids=_REFUSED_IDS)
