@@ -234,12 +234,7 @@ class GammaCWDatum(Value):
 
     def stabilisers(self) -> list[GroupId]:
         """All stabilisers, deduplicated, in order of first appearance."""
-        seen: list[GroupId] = []
-        for layer in self.cells:
-            for _, gid in layer:
-                if gid not in seen:
-                    seen.append(gid)
-        return seen
+        return list(dict.fromkeys(gid for layer in self.cells for _, gid in layer))
 
 
 def expand(datum: GammaCWDatum) -> IntChainComplex:

@@ -322,21 +322,23 @@ def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
     return _eliminate(m.row_list(), m.rows, m.cols)
 
 
-def _invariant_factors(orders) -> tuple[tuple[int, int], ...]:
-    """Normalize a list of cyclic orders into an invariant-factor chain of
-    (factor, copies) runs.
+def _invariant_factors(orders, chain) -> tuple[tuple[int, int], ...]:
+    """Fold a list of cyclic orders into `chain`, an invariant-factor chain
+    of (factor, copies) runs: factors > 1, each dividing the next.
 
-    This is the Smith form of the diagonal matrix of the orders, by pairwise
+    This is the Smith form of the diagonal matrix of the factors, by pairwise
     gcd and lcm: Z/f + Z/n = Z/gcd(f, n) + Z/lcm(f, n).  Each order meets
     the chain built so far from its smallest factor up, leaving the gcd in
-    place and carrying the lcm; no order is ever factored.
+    place and carrying the lcm; no order is ever factored, and a run is
+    never expanded.
 
-    >>> _invariant_factors([2, 3])
+    >>> _invariant_factors([2, 3], ())
     ((6, 1),)
-    >>> _invariant_factors([2, 4, 3, 2])
+    >>> _invariant_factors([2, 4, 3, 2], ())
     ((2, 2), (12, 1))
+    >>> _invariant_factors([3], ((2, 10**6),))
+    ((2, 999999), (6, 1))
     """
-    chain: list[tuple[int, int]] = []  # (factor > 1, copies), each dividing the next
     for n in orders:
         _check_int(n)
         if n < 1:
@@ -405,7 +407,7 @@ class FinAbGroup(Value):
     @classmethod
     def of(cls, free_rank: int, cyclic_orders=()) -> "FinAbGroup":
         """Normalize: drop order-1 factors, restore the divisibility chain."""
-        return cls(free_rank, _invariant_factors(cyclic_orders))
+        return cls(free_rank, _invariant_factors(cyclic_orders, ()))
 
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -431,8 +433,11 @@ def direct_sum(*groups: FinAbGroup) -> FinAbGroup:
     'Z^7'
     """
     rank = sum(g.free_rank for g in groups)
-    orders = [d for g in groups for d, copies in g.torsion for _ in range(copies)]
-    return FinAbGroup.of(rank, orders)
+    # the other groups' factors fold into the runs of the one with the most
+    torsions = sorted((g.torsion for g in groups), key=lambda t: sum(c for _, c in t))
+    runs = torsions.pop() if torsions else ()
+    orders = [d for torsion in torsions for d, copies in torsion for _ in range(copies)]
+    return FinAbGroup(rank, _invariant_factors(orders, runs))
 
 
 def tensor_z2(g: FinAbGroup) -> FinAbGroup:

@@ -99,6 +99,9 @@ PSL_K_TABLE = {
     59: (18, 0),
 }
 
+#: Cocompact signatures, whose closed form `hecke` checks beside the Gamma_0(p).
+COCOMPACT_SIGNATURES = ("[0,0;2,3,7]", "[2,0;2,2]", "[1,0;]")
+
 LIFT_PRIMES = (2, 3, 11, 13)
 CSTAR_PRIMES = (11, 23, 47, 59)
 
@@ -177,11 +180,12 @@ def check_involution_counts() -> str:
 
 
 def check_hecke_closed_vs_chain(primes: list[int]) -> str:
-    for p in primes:
-        sig = fuchsian.hecke_signature(p)
+    named = [(f"Gamma_0({p})", fuchsian.hecke_signature(p)) for p in primes]
+    named += [(text, fuchsian.parse_signature(text)) for text in COCOMPACT_SIGNATURES]
+    for name, sig in named:
         closed = fuchsian.bredon_closed_form(sig)
         chain = bredon.bredon_homology(bredon.fuchsian_datum(sig))
-        _groups_eq(chain, [str(g) for g in closed], f"Gamma_0({p}) chain vs closed form")
+        _groups_eq(chain, [str(g) for g in closed], f"{name} chain vs closed form")
     sig = fuchsian.MODULAR_SIGNATURE
     chain = bredon.bredon_homology(bredon.fuchsian_datum(sig))
     _groups_eq(chain, ("Z^4", "0"), "modular group Bredon homology")
@@ -283,33 +287,26 @@ def _minor_gcd_factors(m: IntMatrix) -> list[int]:
     return out
 
 
-#: The snf check's 1000 round trips run in this many equal parts, and its
-#: 120 minor-gcd oracle matches in one part more, the last.
-_ROUND_TRIP_PARTS = 10
-_SNF_PARTS = _ROUND_TRIP_PARTS + 1
+#: The snf check runs in this many self-contained parts, which together
+#: make its 1000 round trips and 120 minor-gcd oracle matches.
+_SNF_PARTS = 20
 
 
-def _snf_matrices() -> tuple[list[IntMatrix], list[IntMatrix]]:
-    """The snf check's seeded matrices: 1000 for round trips, 120 for the oracle."""
-    return _random_matrices(_SEED, 1000, 8), _random_matrices(_SEED + 1, 120, 5)
-
-
-def _run_snf_part(matrices: tuple[list[IntMatrix], list[IntMatrix]], index: int) -> None:
-    """Part `index` of the snf check on `_snf_matrices()`; raises on the first failure."""
-    round_trips, oracle = matrices
-    if index == _ROUND_TRIP_PARTS:
-        for m in oracle:  # through the module, so a replaced kernel is the one checked
-            if list(exactlinalg._smith_factors(m)) != _minor_gcd_factors(m):
-                raise AssertionError("SNF disagrees with the minor-gcd oracle")
-        return
-    size = len(round_trips) // _ROUND_TRIP_PARTS
-    for m in round_trips[index * size:(index + 1) * size]:
+def _run_snf_part(index: int) -> None:
+    """Part `index` of the snf check: 50 round trips and 6 oracle matches on
+    matrices it draws from its own seeds; raises on the first failure."""
+    seed = _SEED + 2 * index
+    for m in _random_matrices(seed, 50, 8):
         res = smith_normal_form(m)
         recomposed = res.left @ m @ res.right
         if recomposed != IntMatrix.diagonal(res.d, m.rows, m.cols):
             raise AssertionError(f"SNF round-trip failed for {m.rows}x{m.cols} matrix")
         if abs(res.left.determinant()) != 1 or abs(res.right.determinant()) != 1:
             raise AssertionError("SNF transforms are not unimodular")
+    for m in _random_matrices(seed + 1, 6, 5):
+        # through the module, so a replaced kernel is the one checked
+        if list(exactlinalg._smith_factors(m)) != _minor_gcd_factors(m):
+            raise AssertionError("SNF disagrees with the minor-gcd oracle")
 
 
 def check_gauss_bonnet(primes: list[int]) -> str:
@@ -320,7 +317,7 @@ def check_gauss_bonnet(primes: list[int]) -> str:
         chi, scale = fuchsian.hecke_signature(p).orbifold_euler()
         _eq(6 * chi, -(p + 1) * scale, f"6 chi_orb(Gamma_0({p})) scaled by {scale}")
     data = [(bredon.sl3_datum(), (0, 1))]
-    for sig_text in ("[0,0;2,3,7]", "[2,0;2,2]", "[1,2;2,3]", "[0,4;]", "[1,0;]"):
+    for sig_text in COCOMPACT_SIGNATURES + ("[1,2;2,3]", "[0,4;]"):
         sig = fuchsian.parse_signature(sig_text)
         data.append((bredon.fuchsian_datum(sig), sig.orbifold_euler()))
     for datum, (chi, scale) in data:
@@ -352,7 +349,6 @@ class _SnfLanes:
     """
 
     def __init__(self):
-        self.matrices = _snf_matrices()
         self.done: list[tuple[int, bool, str | None]] = []  # the parts this process ran
         self.tokens, write_fd = os.pipe()
         os.write(write_fd, bytes(range(_SNF_PARTS)))
@@ -378,7 +374,7 @@ class _SnfLanes:
         done = []
         while token := os.read(self.tokens, 1):
             index = token[0]
-            done.append(_run_check(index, lambda: _run_snf_part(self.matrices, index)))
+            done.append(_run_check(index, lambda: _run_snf_part(index)))
         return done
 
     def drain(self) -> None:

@@ -180,16 +180,22 @@ def test_snf_matches_minor_gcd_oracle():
         assert exactlinalg._smith_factors(m) == d
 
 
-def test_snf_transforms_of_the_verify_matrices_are_pinned():
-    # the 1000 seeded matrices of `verify`'s snf check; the digest was retaken,
-    # with the kernel unchanged, when the matrices came to be drawn from bytes
-    round_trips, _ = verify._snf_matrices()
+def test_snf_transforms_of_the_verify_matrices_are_pinned(monkeypatch):
+    # the 1000 seeded round-trip matrices of `verify`'s snf parts; the digest
+    # was retaken, with the kernel unchanged, when the matrices came to be
+    # drawn from bytes and again when each part came to draw its own
     digest = hashlib.sha256()
-    for m in round_trips:
+
+    def pinned(m):
         res = smith_normal_form(m)
         digest.update(repr((res.d, res.left.entries, res.right.entries)).encode())
+        return res
+
+    monkeypatch.setattr(verify, "smith_normal_form", pinned)
+    for index in range(verify._SNF_PARTS):
+        verify._run_snf_part(index)
     assert digest.hexdigest() == (
-        "fec04ca2be48276ab1cf3941b4688b9ebf14fce9a066908c62835147f7779ce1")
+        "679dacca77bc809ac39186ac0cc54ba51dcc0f952e9d7fcc283ca20469ff3d73")
 
 
 # each id is the matrix, one text line per row
@@ -421,6 +427,24 @@ def test_invariant_factors_of_many_equal_orders():
     g = FinAbGroup.of(0, [2] * 50_000 + [3, 4])
     assert g.torsion == ((2, 50_000), (12, 1))
     assert direct_sum(g, g).torsion == ((2, 100_000), (12, 2))
+
+
+def test_direct_sum_folds_into_the_most_factors_without_expanding_them(monkeypatch):
+    # (Z/2)^(10^6) + Z/3 = (Z/2)^999999 + Z/6: only the order 3 is folded,
+    # into the runs of the group with the most factors, wherever it stands
+    folded = []
+    fold = exactlinalg._invariant_factors
+
+    def spy(orders, *chain):
+        folded.extend(orders)
+        return fold(orders, *chain)
+
+    monkeypatch.setattr(exactlinalg, "_invariant_factors", spy)
+    many = FinAbGroup(0, ((2, 10**6),))
+    for summands, rank in [((many, FinAbGroup.of(0, [3])), 0), ((FinAbGroup.of(1, [3]), many), 1)]:
+        folded.clear()
+        assert direct_sum(*summands) == FinAbGroup(rank, ((2, 999_999), (6, 1)))
+        assert folded == [3]
 
 
 def test_group_rejects_bad_input():

@@ -73,7 +73,7 @@ def _placed_parts(child_runs_all, fault=lambda index, in_child: None):
     run_part, gauss_bonnet = verify._run_snf_part, verify.check_gauss_bonnet
     ran = []
 
-    def runner(matrices, index):
+    def runner(index):
         in_child = os.getpid() != parent
         if not in_child:
             ran.append(index)
@@ -84,7 +84,7 @@ def _placed_parts(child_runs_all, fault=lambda index, in_child: None):
             if not child_runs_all:
                 select.select([go_r], [], [], 60)
         fault(index, in_child)
-        return run_part(matrices, index)
+        return run_part(index)
 
     def waiting_gauss_bonnet(primes):
         os.close(claimed_w)  # a child that dies unannounced reads as end of file
@@ -175,14 +175,27 @@ def test_without_fork_snf_runs_inline(monkeypatch):
     run_part = verify._run_snf_part
     ran = []
 
-    def runner(matrices, index):
+    def runner(index):
         ran.append(index)
-        return run_part(matrices, index)
+        return run_part(index)
 
     monkeypatch.setattr(verify, "_run_snf_part", runner)
     monkeypatch.delattr(os, "fork")
     assert verify.verify_all(2, 30) == forked
     assert ran == list(range(LAST + 1))
+
+
+def test_snf_parts_draw_their_own_matrices_and_total_the_check(monkeypatch):
+    # every part is one unit: it draws the same matrices on each call, and
+    # the parts together make the 1000 round trips and 120 oracle matches
+    round_trips = _count_calls(monkeypatch, verify, "smith_normal_form")
+    oracle = _count_calls(monkeypatch, verify, "_minor_gcd_factors")
+    for index in range(verify._SNF_PARTS):
+        verify._run_snf_part(index)
+    assert (len(round_trips), len(oracle)) == (1000, 120)
+    part_7 = (round_trips[350:400], oracle[42:48])
+    verify._run_snf_part(7)
+    assert (round_trips[1000:], oracle[120:]) == part_7
 
 
 def test_verify_sweeps_one_prime_list_with_one_signature_per_prime(monkeypatch):

@@ -69,6 +69,14 @@ def _closed_form_one_loop_more(sig):
     return [h[0], FinAbGroup.free(h[1].free_rank + 1)] + h[2:]
 
 
+def _cocompact_h1_one_more(sig):
+    # only cocompact signatures reach the changed branch; every Gamma_0(p) has cusps
+    h = _bredon_closed_form(sig)
+    if sig.is_cocompact():
+        h[1] = FinAbGroup.free(h[1].free_rank + 1)
+    return h
+
+
 def _classes_fused_backwards(edge):
     return arithmetic_k.ClassCount(1, 2 if 2 in edge.periods else 1,
                                    4 if 3 in edge.periods else 2)
@@ -129,6 +137,7 @@ MUTANTS = [
         ("character-tables", groups, "cyclic_fs_indicator", _every_cyclic_character_real),
         ("involution-counts", groups, "fs_indicator", _indicator_without_power_map),
         ("hecke", fuchsian, "bredon_closed_form", _closed_form_one_loop_more),
+        ("hecke", fuchsian, "bredon_closed_form", _cocompact_h1_one_more),
         ("class-counts", arithmetic_k, "_class_count", _classes_fused_backwards),
         ("psl2zp", arithmetic_k, "collapse_complex", _collapse_without_h2),
         ("sl2zp-doubling", arithmetic_k, "sl_zp_k", _sl_doubles_k0_only),
