@@ -48,6 +48,19 @@ FILES = {
         "w = +1 * a1 : id, -1 * a1 : id, +1 * a2 : id, -1 * a2 : id, "
         "+1 * y1 : id, -1 * y1 : id, +1 * y2 : id, -1 * y2 : id\n"
     ),
+    # H = Z, Z, Z/2, 0: K0 is an extension of H2 = Z/2 by H0 = Z
+    "moore.cw": lambda: (
+        "name = moore\n"
+        "[cells.0]\nv = 1\n[cells.1]\ne = 1\n[cells.2]\nf = 1\n[cells.3]\nt = 1\n"
+        "[boundary.1]\ne = +1 * v : id, -1 * v : id\n[boundary.2]\nf =\n[matrix.3]\n2\n"
+    ),
+    # the lens space L(6): H = Z, Z/6, 0, Z, so no collapse to K
+    "lens6.cw": lambda: (
+        "name = lens6\n"
+        "[cells.0]\nv = 1\n[cells.1]\ne = 1\n[cells.2]\nf = 1\n[cells.3]\nt = 1\n"
+        "[boundary.1]\ne = +1 * v : id, -1 * v : id\n[matrix.2]\n6\n"
+        "[boundary.3]\nt = +1 * f : id, -1 * f : id\n"
+    ),
 }
 
 _BOTH_FORMATS = [
@@ -71,6 +84,8 @@ _BOTH_FORMATS = [
     ["complex", "--file", "sl3.cw", "--ko"],
     ["complex", "--file", "polygon.cw"],
     ["complex", "--file", "polygon.cw", "--ko"],  # H1 = Z^2: exit 1
+    ["complex", "--file", "moore.cw"],
+    ["complex", "--file", "lens6.cw"],
     ["verify", "--primes", "2..50"],
 ]
 
