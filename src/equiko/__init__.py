@@ -49,7 +49,6 @@ from .bredon import (
     bredon_homology,
     expand,
     fuchsian_datum,
-    fuchsian_graph_of_groups,
     lifted_fuchsian_datum,
     sl3_datum,
 )
@@ -57,6 +56,7 @@ from .cwfile import CWFormatError, format_cw, parse_cw
 from .ko_assembly import (
     KO_POINT,
     GradedGroup,
+    collapse_ambiguous_degrees,
     collapse_complex,
     ko_from_bredon,
     kunneth_times_z2,

@@ -70,9 +70,10 @@ def _print_doc(args, inputs: dict, groups: dict, text_lines: list[tuple],
     return 0
 
 
-def _k_payload(k0, k1) -> tuple[dict, list[tuple]]:
+def _k_payload(k0, k1, ambiguous=frozenset()) -> tuple[dict, list[tuple]]:
     groups = {"K0": k0, "K1": k1}
-    return groups, [("K0 = ", k0, ", K1 = ", k1), (BOTT_NOTE,)]
+    flag = " (up to extension)" if 0 in ambiguous else ""
+    return groups, [("K0 = ", k0, flag, ", K1 = ", k1), (BOTT_NOTE,)]
 
 
 def _ko_payload(gg) -> tuple[dict, list[tuple]]:
@@ -84,11 +85,14 @@ def _ko_payload(gg) -> tuple[dict, list[tuple]]:
     return groups, lines + [(BOTT_NOTE,)]
 
 
-def _assemble(h, stabilisers, ko: bool) -> tuple[dict, list[tuple]]:
-    """K by collapse, or KO (which checks every stabiliser's tables)."""
+def _assemble(h, stabilisers, ko: bool) -> tuple[dict, list[tuple], frozenset]:
+    """K by collapse, or KO (which checks every stabiliser's tables), and
+    the degrees known only up to extension."""
     if ko:
-        return _ko_payload(ko_assembly.ko_from_bredon(h, stabilisers))
-    return _k_payload(*ko_assembly.collapse_complex(h))
+        gg = ko_assembly.ko_from_bredon(h, stabilisers)
+        return (*_ko_payload(gg), gg.extension_ambiguous)
+    ambiguous = ko_assembly.collapse_ambiguous_degrees(h)
+    return (*_k_payload(*ko_assembly.collapse_complex(h), ambiguous), ambiguous)
 
 
 # -- commands ----------------------------------------------------------------
@@ -100,8 +104,7 @@ def _cmd_sl3_gl3(args) -> int:
     if args.command == "gl3":
         # GL_3(Z) = SL_3(Z) x Z/2, the Z/2 central and acting trivially.
         h, stabilisers = ko_assembly.kunneth_times_z2(h, stabilisers)
-    groups, lines = _assemble(h, stabilisers, args.ko)
-    return _print_doc(args, {}, groups, lines)
+    return _print_doc(args, {}, *_assemble(h, stabilisers, args.ko))
 
 
 def _cmd_fuchsian(args) -> int:
@@ -113,8 +116,7 @@ def _cmd_fuchsian(args) -> int:
                          "characteristic 2-2g-s-sum(1-1/m_j) >= 0")
     inputs = {"signature": str(sig), "lift": bool(args.lift)}
     h = fuchsian.bredon_closed_form(sig) if datum is None else bredon.bredon_homology(datum)
-    groups, lines = _k_payload(*ko_assembly.collapse_complex(h))
-    return _print_doc(args, inputs, groups, lines)
+    return _print_doc(args, inputs, *_assemble(h, (), ko=False))
 
 
 def _cmd_hecke(args) -> int:
@@ -159,16 +161,17 @@ def _cmd_complex(args) -> int:
     groups = {f"H{n}": g for n, g in enumerate(h)}
     lines = [(f"name = {datum.name}",)]
     lines += [(f"H{n} = ", g) for n, g in enumerate(h)]
-    parts = []
+    parts, ambiguous = [], frozenset()
     if all(g.is_zero() for g in h[3:]):
         parts.append(_assemble(h, datum.stabilisers(), ko=False))
     if args.ko:
         parts.append(_assemble(h, datum.stabilisers(), ko=True))
-    for part_groups, part_lines in parts:
+    for part_groups, part_lines, part_ambiguous in parts:
         groups.update(part_groups)
         lines += part_lines
+        ambiguous |= part_ambiguous
     return _print_doc(
-        args, {"file": args.file, "ko": args.ko}, groups, lines,
+        args, {"file": args.file, "ko": args.ko}, groups, lines, ambiguous,
         extra={"name": datum.name},
     )
 

@@ -4,7 +4,8 @@ For the complexes in this package the Atiyah-Hirzebruch-style spectral
 sequence degenerates in one of two ways:
 
 * complex K: when Bredon homology vanishes in degrees >= 3, the sequence
-  collapses and K_0 = H_0 + H_2, K_1 = H_1 (`collapse_complex`);
+  collapses, K_1 = H_1 and K_0 = H_0 + H_2 up to extension
+  (`collapse_complex`, `collapse_ambiguous_degrees`);
 * real KO: when every stabiliser has coinciding complex, real and
   quaternionic tables and the E^2 page with KO-point coefficients is
   concentrated in column p = 0, that column is the KO-homology
@@ -21,6 +22,8 @@ break the shortcut and is rejected).
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from ._value import Value
 from .exactlinalg import FinAbGroup, direct_sum, tensor_z2, tor_z2
@@ -77,6 +80,23 @@ def collapse_complex(h) -> tuple[FinAbGroup, FinAbGroup]:
     while len(h) < 3:
         h.append(FinAbGroup.zero())
     return direct_sum(h[0], h[2]), h[1]
+
+
+def collapse_ambiguous_degrees(h) -> frozenset[int]:
+    """The degrees where `collapse_complex(h)` is known only up to extension.
+
+    The collapse gives 0 -> H0 -> K0 -> H2 -> 0, and `collapse_complex`
+    reports the split sum H0 + H2.  That is K0 when Ext(H2, H0) = 0, the sum
+    of H0/aH0 over the torsion orders a of H2: when H2 is free (always in
+    dimension <= 2, where H2 is the top cycles), or when H0 is finite with
+    every order prime to each order of H2.  Otherwise degree 0 is flagged.
+
+    >>> collapse_ambiguous_degrees([FinAbGroup.free(1)] * 2 + [FinAbGroup.of(0, [2])])
+    frozenset({0})
+    """
+    h0, _, h2 = (list(h) + [_0] * 3)[:3]
+    return frozenset({0} if any(h0.free_rank or any(gcd(a, b) > 1 for b, _ in h0.torsion)
+                                for a, _ in h2.torsion) else ())
 
 
 def kunneth_times_z2(h, stabilisers) -> tuple[list[FinAbGroup], list[GroupId]]:

@@ -13,7 +13,6 @@ from equiko.bredon import (
     bredon_homology,
     expand,
     fuchsian_datum,
-    fuchsian_graph_of_groups,
     lifted_fuchsian_datum,
     sl3_datum,
 )
@@ -439,14 +438,6 @@ def test_noncocompact_chain_matches_closed_form():
         assert chain == bredon_closed_form(sig)
 
 
-def test_graph_of_groups_shape():
-    sig = Signature(1, 2, (2, 3, 5))
-    graph = fuchsian_graph_of_groups(sig)
-    # one free vertex + three cone vertices; 2g+s-1 = 3 loops + 3 pendants
-    assert len(graph.vertices) == 4
-    assert len(graph.edges) == 6
-
-
 def test_noncocompact_datum_is_the_written_out_graph():
     sigs = [MODULAR_SIGNATURE, parse_signature("[0,2;997,991]"),
             parse_signature("[0,3;4,6,12]")]
@@ -549,24 +540,30 @@ def test_modular_group_datum():
     assert [str(g) for g in h] == ["Z^4", "0"]
 
 
-def test_graph_of_groups_requires_punctures():
-    with pytest.raises(DatumError, match="graph-of-groups datum needs s >= 1"):
-        fuchsian_graph_of_groups(Signature(1, 0, ()))
-
-
 _Z6_VERTEX = ("v", GroupId.cyclic(6))
+_Z2_EDGE = ("e", GroupId.cyclic(2), ("v", "Z2->Z6"), ("v", "Z2->Z6"))
 
 
-@pytest.mark.parametrize("vertices, edges, message", [
-    ((_Z6_VERTEX, ("v", GroupId.trivial())), (), "duplicate vertex labels"),
-    ((_Z6_VERTEX,), (("e", GroupId.cyclic(2), ("v", "Z2->Z6"), ("w", "Z2->Z6")),),
-     "edge 'e' ends at unknown vertex 'w'"),
-    ((_Z6_VERTEX,), (("e", GroupId.cyclic(4), ("v", "Z4->Z6"), ("v", "Z4->Z6")),),
+# A graph is refused by the rules and messages of its one-dimensional datum.
+@pytest.mark.parametrize("name, vertices, edges, message", [
+    ("bad", (_Z6_VERTEX, ("v", GroupId.trivial())), (), "duplicate cell labels in dimension 0"),
+    ("bad", (_Z6_VERTEX,), (("e", GroupId.cyclic(2), ("v", "Z2->Z6"), ("w", "Z2->Z6")),),
+     "boundary of 'e' hits unknown 0-cell 'w'"),
+    ("bad", (_Z6_VERTEX,), (("e", GroupId.cyclic(4), ("v", "Z4->Z6"), ("v", "Z4->Z6")),),
      "spec 'Z4->Z6' is not a subgroup inclusion"),
-], ids=["duplicate-vertex", "unknown-vertex", "no-embedding"])
-def test_graph_of_groups_refusals(vertices, edges, message):
+    ("a # b", (_Z6_VERTEX,), (_Z2_EDGE,),
+     "datum name 'a # b' must be one line without '#' or outer whitespace"),
+    ("bad", (("a b", GroupId.cyclic(6)),), (), "bad cell label 'a b'"),
+    ("bad", (_Z6_VERTEX,), (("a b", *_Z2_EDGE[1:]),), "bad cell label 'a b'"),
+    ("bad", (_Z6_VERTEX,), (_Z2_EDGE[:3],),
+     "the edges must be a tuple of (label, group, head, tail) tuples"),
+    ("bad", (_Z6_VERTEX,), ((*_Z2_EDGE[:3], ["v", "Z2->Z6"]),),
+     "the edges must be a tuple of (label, group, head, tail) tuples"),
+], ids=["duplicate-vertex", "unknown-vertex", "no-embedding", "hash-in-name",
+        "vertex-label-with-space", "edge-label-with-space", "three-field-edge", "list-end"])
+def test_graph_of_groups_refusals(name, vertices, edges, message):
     with pytest.raises(DatumError) as exc:
-        GraphOfGroupsDatum("bad", vertices, edges)
+        GraphOfGroupsDatum(name, vertices, edges)
     assert str(exc.value) == message
 
 

@@ -10,6 +10,7 @@ from equiko.groups import GroupId, parse_name
 from equiko.ko_assembly import (
     KO_POINT,
     GradedGroup,
+    collapse_ambiguous_degrees,
     collapse_complex,
     ko_from_bredon,
     kunneth_times_z2,
@@ -60,6 +61,23 @@ def test_collapse_keeps_torsion():
 def test_collapse_rejects_high_homology():
     with pytest.raises(ValueError):
         collapse_complex([Z, ZERO, ZERO, Z])
+
+
+@pytest.mark.parametrize("h0, h2, ambiguous", [
+    (Z, FinAbGroup.free(3), False),  # H2 free: the extension splits
+    (Z, Z2, True),  # Ext(Z/2, Z) = Z/2
+    (FinAbGroup.of(0, [4]), Z2, True),  # Ext(Z/2, Z/4) = Z/2
+    (FinAbGroup.of(0, [3]), Z2, False),  # coprime orders: K0 = Z/6
+    (ZERO, FinAbGroup.of(1, [6]), False),  # K0 = H2
+], ids=["free-h2", "z-by-z2", "z4-by-z2", "z3-by-z2", "zero-h0"])
+def test_k0_is_flagged_when_the_extension_may_not_split(h0, h2, ambiguous):
+    expected = frozenset({0}) if ambiguous else frozenset()
+    assert collapse_ambiguous_degrees([h0, Z, h2, ZERO]) == expected
+
+
+def test_short_homology_is_never_ambiguous():
+    assert collapse_ambiguous_degrees([]) == frozenset()
+    assert collapse_ambiguous_degrees([Z, Z2]) == frozenset()
 
 
 # -- KO from column 0 --------------------------------------------------------------
