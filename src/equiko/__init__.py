@@ -16,10 +16,8 @@ from .exactlinalg import (
     InputError,
     IntChainComplex,
     IntMatrix,
-    SNFResult,
     all_homology,
     direct_sum,
-    smith_normal_form,
     tensor_z2,
     tor_z2,
 )

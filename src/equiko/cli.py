@@ -225,7 +225,8 @@ _ARGUMENTS = {
         "help": "use the central Z/2 extension (s >= 1, periods in {2,3})",
     }),
     "file": (("--file",), {"required": True, "help": "path to a Gamma-CW file"}),
-    "also_ko": (("--ko",), {"action": "store_true", "help": "also compute KO (if valid)"}),
+    "also_ko": (("--ko",), {"action": "store_true", "help": "also compute KO; exit 1 unless "
+                            "every stabiliser has coinciding character tables"}),
     "emit": (("--emit",), {
         "action": "store_true",
         "help": "re-serialize the parsed file and exit (round-trip check)",

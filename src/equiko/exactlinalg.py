@@ -6,7 +6,7 @@ reduces to three primitives implemented here:
 * immutable integer matrices with exact arithmetic,
 * Smith normal form by one elimination: on the matrix alone it gives the
   invariant factors for homology; on the matrix bordered by identities it
-  also records the unimodular transforms,
+  also records the unimodular transforms, for `verify`'s snf check,
 * finitely generated abelian groups in invariant-factor canonical form.
 
 All arithmetic uses Python's arbitrary-precision integers; there is no
@@ -56,14 +56,14 @@ class IntMatrix(Value):
     linear map between the corresponding free groups.
 
     >>> a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    >>> b = IntMatrix.diagonal([1, 1], 2, 2)
-    >>> a @ b == a
+    >>> a @ IntMatrix.from_rows([[1, 0], [0, 1]]) == a
     True
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        entries = tuple(entries)  # a list would be unhashable, and unequal to its tuple
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -87,17 +87,6 @@ class IntMatrix(Value):
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
         return cls(len(data), width, tuple(x for row in data for x in row))
-
-    @classmethod
-    def diagonal(cls, diag, rows: int, cols: int) -> "IntMatrix":
-        """rows x cols matrix with `diag` on the main diagonal, zero elsewhere."""
-        diag = list(diag)
-        if len(diag) > min(rows, cols):
-            raise ValueError("diagonal longer than matrix")
-        entries = [0] * (rows * cols)
-        for k, d in enumerate(diag):
-            entries[k * cols + k] = d
-        return cls(rows, cols, tuple(entries))
 
     def row_list(self) -> list[list[int]]:
         c = self.cols
@@ -126,85 +115,6 @@ class IntMatrix(Value):
                     for j in range(m):
                         out[orow + j] += ait * b[brow + j]
         return IntMatrix(n, m, tuple(out))
-
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.row_list()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Bareiss update: division by the previous pivot is exact.
-                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = pivot
-        return sign * a[n - 1][n - 1]
-
-
-class SNFResult(Value):
-    """Smith normal form data: left @ m @ right == diagonal(d), padded with zeros.
-
-    `left` and `right` are unimodular (determinant ±1); `d` is the tuple of
-    positive invariant factors, each dividing the next.
-    """
-
-    __slots__ = ("d", "left", "right")
-
-    def __init__(self, d: tuple[int, ...], left: IntMatrix, right: IntMatrix):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        for i, x in enumerate(d):
-            if x <= 0:
-                raise ValueError("invariant factors must be positive")
-            if i and x % d[i - 1]:
-                raise ValueError("invariant factors must form a divisibility chain")
-
-
-def smith_normal_form(m: IntMatrix) -> SNFResult:
-    """Smith normal form with unimodular transforms.
-
-    Runs the elimination of homology, `_eliminate`, on `m` bordered by
-    identities: I_rows to the right of `m` and I_cols below it.  Only the
-    block of `m` is diagonalised.  Its row operations act on the block rows
-    over their full width, so the right-hand border becomes `left`.  Its
-    column operations, which a row phase applies to the pivot row and to
-    the rows below the block (column t being clear inside the block), turn
-    the lower border into `right`.  So left @ m @ right == diag(d) exactly.
-
-    >>> res = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> res.d
-    (2, 4)
-    """
-    nrows, ncols = m.rows, m.cols
-    a = m.row_list()
-    for i, row in enumerate(a):
-        row += [0] * nrows
-        row[ncols + i] = 1
-    for j in range(ncols):
-        a.append([0] * ncols)
-        a[-1][j] = 1
-    d = _eliminate(a, nrows, ncols)
-    return SNFResult(
-        d=d,
-        left=IntMatrix(nrows, nrows, tuple(chain.from_iterable(row[ncols:] for row in a[:nrows]))),
-        right=IntMatrix(ncols, ncols, tuple(chain.from_iterable(a[nrows:]))),
-    )
 
 
 def _eliminate(a: list[list[int]], nrows: int, ncols: int) -> tuple[int, ...]:
@@ -314,12 +224,32 @@ def _eliminate(a: list[list[int]], nrows: int, ncols: int) -> tuple[int, ...]:
 
 
 def _smith_factors(m: IntMatrix) -> tuple[int, ...]:
-    """The invariant factors of `m`, i.e. `smith_normal_form(m).d`, without transforms.
+    """The invariant factors of `m`, without transforms.
 
     >>> _smith_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     (2, 4)
     """
     return _eliminate(m.row_list(), m.rows, m.cols)
+
+
+def _smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """`(d, left, right)`: the invariant factors `d` of `m` and unimodular
+    transforms with left @ m @ right == diag(d), padded with zeros.  Only
+    `verify`'s snf check calls it.
+
+    `_eliminate` runs on `m` bordered by identities, I_rows to its right and
+    I_cols below it, and diagonalises the block of `m` only.  Its row
+    operations act on the block rows over their full width, so the right
+    border becomes `left`; its column operations, which a row phase applies
+    to the pivot row and to the rows below the block (column t being clear
+    inside the block), turn the lower border into `right`.
+    """
+    nrows, ncols = m.rows, m.cols
+    a = [row + [int(i == k) for k in range(nrows)] for i, row in enumerate(m.row_list())]
+    a += [[int(j == k) for k in range(ncols)] for j in range(ncols)]
+    d = _eliminate(a, nrows, ncols)
+    left = IntMatrix(nrows, nrows, tuple(chain.from_iterable(row[ncols:] for row in a[:nrows])))
+    return d, left, IntMatrix(ncols, ncols, tuple(chain.from_iterable(a[nrows:])))
 
 
 def _invariant_factors(orders, chain) -> tuple[tuple[int, int], ...]:
@@ -379,6 +309,7 @@ class FinAbGroup(Value):
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[tuple[int, int], ...] = ()):
+        torsion = tuple(torsion)  # as in `IntMatrix`
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
         _check_int(free_rank)
@@ -468,6 +399,7 @@ class IntChainComplex(Value):
     __slots__ = ("ranks", "boundaries")
 
     def __init__(self, ranks: tuple[int, ...], boundaries: tuple[IntMatrix, ...]):
+        ranks, boundaries = tuple(ranks), tuple(boundaries)  # as in `IntMatrix`
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", boundaries)
         if not ranks:

@@ -41,6 +41,7 @@ class GradedGroup(Value):
 
     def __init__(self, groups: tuple[FinAbGroup, ...],
                  extension_ambiguous: frozenset[int] = frozenset()):
+        groups, extension_ambiguous = tuple(groups), frozenset(extension_ambiguous)  # hashable
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "extension_ambiguous", extension_ambiguous)
         if len(groups) != 8:

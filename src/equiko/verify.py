@@ -15,12 +15,12 @@ import marshal
 import os
 import random
 from functools import cache
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, product
 from math import gcd, lcm
 
 from . import arithmetic_k, bredon, exactlinalg, fuchsian, groups, ko_assembly
 from ._value import Value
-from .exactlinalg import FinAbGroup, IntMatrix, smith_normal_form
+from .exactlinalg import FinAbGroup, IntMatrix
 
 _SEED = 987123
 
@@ -40,10 +40,7 @@ def _eq(actual, expected, what: str) -> None:
 
 
 def _groups_eq(actual, expected, what: str) -> None:
-    actual = [str(g) for g in actual]
-    expected = list(expected)
-    if actual != expected:
-        raise AssertionError(f"{what}: got {actual}, expected {expected}")
+    _eq([str(g) for g in actual], list(expected), what)
 
 
 # -- frozen expected values -------------------------------------------------
@@ -265,6 +262,30 @@ def _random_matrices(seed: int, count: int, max_dim: int) -> list[IntMatrix]:
     return [IntMatrix(rows, cols, tuple(islice(entries, rows * cols))) for rows, cols in shapes]
 
 
+def _determinant(a: list[list[int]]) -> int:
+    """The determinant of the square matrix of rows `a`, by fraction-free
+    (Bareiss) elimination, which reduces `a` in place.
+
+    >>> _determinant([[0, 2], [3, 4]])
+    -6
+    """
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        if not a[k][k]:
+            at = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if at is None:
+                return 0
+            a[k], a[at], sign = a[at], a[k], -sign
+        pivot_row, pivot = a[k], a[k][k]
+        for row in a[k + 1:]:
+            x = row[k]
+            for j in range(k + 1, len(row)):
+                # Bareiss update: division by the previous pivot is exact
+                row[j] = (row[j] * pivot - x * pivot_row[j]) // prev
+        prev = pivot
+    return sign * prev
+
+
 def _minor_gcd_factors(m: IntMatrix) -> list[int]:
     """Invariant factors via gcds of k x k minors -- an independent oracle."""
     rows = m.row_list()
@@ -272,12 +293,8 @@ def _minor_gcd_factors(m: IntMatrix) -> list[int]:
     g_prev = 1
     for k in range(1, min(m.rows, m.cols) + 1):
         gk = 0
-        for rset in combinations(range(m.rows), k):
-            for cset in combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows([[rows[i][j] for j in cset] for i in rset])
-                gk = gcd(gk, abs(sub.determinant()))
-                if gk == 1:
-                    break
+        for rset, cset in product(combinations(range(m.rows), k), combinations(range(m.cols), k)):
+            gk = gcd(gk, _determinant([[rows[i][j] for j in cset] for i in rset]))
             if gk == 1:
                 break
         if gk == 0:
@@ -292,19 +309,30 @@ def _minor_gcd_factors(m: IntMatrix) -> list[int]:
 _SNF_PARTS = 20
 
 
+def _check_smith_form(m: IntMatrix) -> tuple[int, ...]:
+    """The invariant factors of `m` with transforms, once they are checked:
+    positive, each dividing the next, and left @ m @ right is their diagonal
+    padded with zeros for transforms of determinant +-1.  Raises otherwise."""
+    # through the module, so a replaced kernel is the one checked
+    d, left, right = exactlinalg._smith_normal_form(m)
+    if any(x <= 0 for x in d) or any(y % x for x, y in zip(d, d[1:])):
+        raise AssertionError(f"SNF factors {d} are not a positive divisibility chain")
+    diagonal = [0] * (m.rows * m.cols)
+    diagonal[:len(d) * (m.cols + 1):m.cols + 1] = d  # row-major, step cols + 1
+    if (left @ m @ right).entries != tuple(diagonal):
+        raise AssertionError(f"SNF round-trip failed for {m.rows}x{m.cols} matrix")
+    if abs(_determinant(left.row_list())) != 1 or abs(_determinant(right.row_list())) != 1:
+        raise AssertionError("SNF transforms are not unimodular")
+    return d
+
+
 def _run_snf_part(index: int) -> None:
     """Part `index` of the snf check: 50 round trips and 6 oracle matches on
     matrices it draws from its own seeds; raises on the first failure."""
     seed = _SEED + 2 * index
     for m in _random_matrices(seed, 50, 8):
-        res = smith_normal_form(m)
-        recomposed = res.left @ m @ res.right
-        if recomposed != IntMatrix.diagonal(res.d, m.rows, m.cols):
-            raise AssertionError(f"SNF round-trip failed for {m.rows}x{m.cols} matrix")
-        if abs(res.left.determinant()) != 1 or abs(res.right.determinant()) != 1:
-            raise AssertionError("SNF transforms are not unimodular")
+        _check_smith_form(m)
     for m in _random_matrices(seed + 1, 6, 5):
-        # through the module, so a replaced kernel is the one checked
         if list(exactlinalg._smith_factors(m)) != _minor_gcd_factors(m):
             raise AssertionError("SNF disagrees with the minor-gcd oracle")
 

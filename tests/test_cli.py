@@ -183,6 +183,23 @@ def test_complex_ko_needs_hypothesis(capsys, modular_file):
     assert "Z3" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_complex_ko_refuses_a_cell_without_coinciding_tables(capsys, tmp_path, fmt):
+    # the whole command is refused: no H or K lines before the error
+    path = tmp_path / "z3.cw"
+    path.write_text("name = z3\n\n[cells.0]\nv = Z3\n")
+    assert run(capsys, "complex", "--file", str(path), "--ko", "--format", fmt) == (
+        1, "", "error: stabiliser Z3 does not have coinciding character tables; "
+               "the KO page hypothesis fails\n")
+
+
+def test_complex_ko_help_says_it_refuses(capsys):
+    code, out, _ = run(capsys, "complex", "--help")
+    assert code == 0
+    assert ("also compute KO; exit 1 unless every stabiliser has coinciding character tables"
+            in " ".join(out.split()))
+
+
 # -- exit codes --------------------------------------------------------------------
 
 

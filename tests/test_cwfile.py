@@ -15,6 +15,7 @@ from equiko.bredon import (
     sl3_datum,
 )
 from equiko.cwfile import CWFormatError, format_cw, parse_cw
+from equiko.exactlinalg import IntMatrix
 from equiko.fuchsian import Signature, parse_signature
 from equiko.groups import GroupId, parse_name
 
@@ -188,6 +189,13 @@ def test_matrix_sections_roundtrip():
     text = format_cw(sl3_datum())
     assert "[matrix.1]" in text and "[matrix.3]" in text
     assert "snf_equivalent = true" in text
+
+
+def test_a_matrix_built_from_a_list_round_trips():
+    trivial = GroupId.trivial()
+    cells = ((("v", trivial),), (("e", trivial),))
+    datum = GammaCWDatum("loop", cells, (IntMatrix(1, 1, [0]),))
+    assert parse_cw(format_cw(datum)) == datum
 
 
 _MESSY = """

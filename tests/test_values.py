@@ -14,7 +14,7 @@ import pytest
 
 from equiko.arithmetic_k import ClassCount
 from equiko.bredon import GammaCWDatum, GraphOfGroupsDatum
-from equiko.exactlinalg import FinAbGroup, IntChainComplex, IntMatrix, SNFResult
+from equiko.exactlinalg import FinAbGroup, IntChainComplex, IntMatrix
 from equiko.fuchsian import Signature
 from equiko.groups import FiniteGroupData, GroupId, build_group
 from equiko.ko_assembly import GradedGroup
@@ -30,8 +30,6 @@ _LOOP = ("e", _1, ("v", "id"), ("v", "id"))
 #:           one field and a value that makes an unequal instance)
 VALUES = {
     IntMatrix: (dict(rows=1, cols=2, entries=(3, 4)), ("entries", (3, 5))),
-    SNFResult: (dict(d=(2,), left=IntMatrix.diagonal([1], 1, 1),
-                     right=IntMatrix.diagonal([1], 1, 1)), ("d", (3,))),
     FinAbGroup: (dict(free_rank=1, torsion=((2, 1), (4, 1))), ("free_rank", 2)),
     IntChainComplex: (dict(ranks=(1, 1), boundaries=(IntMatrix(1, 1, (0,)),)),
                       ("boundaries", (IntMatrix(1, 1, (2,)),))),
@@ -129,3 +127,21 @@ def test_repr_names_every_field(cls):
 def test_own_repr_is_str(cls):
     value = _build(cls)
     assert repr(value) == str(value)
+
+
+#: class -> the keyword arguments of VALUES with a list or a set in place of
+#: each tuple or frozenset field
+MUTABLE = {
+    IntMatrix: dict(rows=1, cols=2, entries=[3, 4]),
+    FinAbGroup: dict(free_rank=1, torsion=[(2, 1), (4, 1)]),
+    IntChainComplex: dict(ranks=[1, 1], boundaries=[IntMatrix(1, 1, [0])]),
+    GradedGroup: dict(groups=[FinAbGroup.zero()] * 8, extension_ambiguous={1}),
+}
+
+
+@pytest.mark.parametrize("cls", MUTABLE, ids=[cls.__name__ for cls in MUTABLE])
+def test_mutable_containers_are_stored_as_tuples(cls):
+    value = cls(**MUTABLE[cls])
+    assert value == _build(cls) and hash(value) == hash(_build(cls))
+    assert {name: type(getattr(value, name)) for name in MUTABLE[cls]} == {
+        name: type(x) for name, x in VALUES[cls][0].items()}

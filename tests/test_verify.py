@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import equiko
-from equiko import bredon, cli, fuchsian, verify
+from equiko import bredon, cli, exactlinalg, fuchsian, verify
 from equiko.bredon import fuchsian_datum
+from equiko.exactlinalg import IntMatrix
 from equiko.fuchsian import Signature
 
 
@@ -132,6 +133,50 @@ def test_raising_snf_fails_only_snf(capsys):
         _assert_no_child_left()
 
 
+_smith_normal_form = exactlinalg._smith_normal_form
+
+
+def _factors_negated(m):
+    d, left, right = _smith_normal_form(m)
+    return tuple(-x for x in d), left, right
+
+
+def _factors_reversed(m):
+    d, left, right = _smith_normal_form(m)
+    return d[::-1], left, right
+
+
+def _right_column_negated(m):
+    d, left, right = _smith_normal_form(m)
+    n = right.cols
+    return d, left, IntMatrix(n, n, tuple(-x if k % n == 0 else x
+                                          for k, x in enumerate(right.entries)))
+
+
+def _left_doubled(m):
+    # 2 left @ m @ right is the diagonal of 2 d, a chain, but det(2 left) != +-1
+    d, left, right = _smith_normal_form(m)
+    return tuple(2 * x for x in d), IntMatrix(left.rows, left.cols,
+                                              tuple(2 * x for x in left.entries)), right
+
+
+#: a kernel wrong in one property, and the message of the check that sees it
+_BAD_SNF = [
+    (_factors_negated, "are not a positive divisibility chain"),
+    (_factors_reversed, "are not a positive divisibility chain"),
+    (_right_column_negated, "SNF round-trip failed for"),
+    (_left_doubled, "SNF transforms are not unimodular"),
+]
+
+
+@pytest.mark.parametrize("kernel, message", _BAD_SNF,
+                         ids=[kernel.__name__.lstrip("_") for kernel, _ in _BAD_SNF])
+def test_snf_check_states_each_property(monkeypatch, kernel, message):
+    monkeypatch.setattr(exactlinalg, "_smith_normal_form", kernel)
+    with pytest.raises(AssertionError, match=message):
+        verify._run_snf_part(0)
+
+
 def _exit_7():
     os._exit(7)
 
@@ -188,7 +233,7 @@ def test_without_fork_snf_runs_inline(monkeypatch):
 def test_snf_parts_draw_their_own_matrices_and_total_the_check(monkeypatch):
     # every part is one unit: it draws the same matrices on each call, and
     # the parts together make the 1000 round trips and 120 oracle matches
-    round_trips = _count_calls(monkeypatch, verify, "smith_normal_form")
+    round_trips = _count_calls(monkeypatch, exactlinalg, "_smith_normal_form")
     oracle = _count_calls(monkeypatch, verify, "_minor_gcd_factors")
     for index in range(verify._SNF_PARTS):
         verify._run_snf_part(index)

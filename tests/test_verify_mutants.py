@@ -9,6 +9,8 @@ mutant for p = 11 (mod 12) replaces `hecke_signature` in both modules that
 read it, and `cstar` and `sl2zp-doubling` must catch it.
 """
 
+import inspect
+
 import pytest
 
 from equiko import arithmetic_k, bredon, cli, exactlinalg, fuchsian, groups, ko_assembly, verify
@@ -40,11 +42,27 @@ def _torsion_forgotten(m):
 
 def _border_left_alone(a, nrows, ncols):
     # the column operations never reach the rows below the block, so
-    # `smith_normal_form` returns the identity as its right transform
+    # `_smith_normal_form` returns the identity as its right transform
     border = [row[:] for row in a[nrows:]]
     factors = _eliminate(a, nrows, ncols)
     a[nrows:] = border
     return factors
+
+
+def _unrepaired_kernel():
+    """`_eliminate` built from its own source with the divisibility repair
+    skipped: a pivot that fails to divide the rest of the block stays, so
+    [[2, 0], [0, 3]] keeps the factors (2, 3), with sound transforms."""
+    source = inspect.getsource(_eliminate)
+    assert source.count("if offender is None:") == 1
+    namespace = dict(vars(exactlinalg))
+    exec(source.replace("if offender is None:", "if True:"), namespace)
+    kernel = namespace["_eliminate"]
+    kernel.__name__ = "_divisibility_unrepaired"
+    return kernel
+
+
+_divisibility_unrepaired = _unrepaired_kernel()
 
 
 def _tensor_z2_forgotten(g):
@@ -145,6 +163,7 @@ MUTANTS = [
         ("sl2zp-doubling", bredon, "lifted_fuchsian_datum", _lift_without_central_edges),
         ("cstar", arithmetic_k, "_require_11_mod_12", _spheres_from_p_plus_1),
         ("snf", exactlinalg, "_eliminate", _border_left_alone),
+        ("snf", exactlinalg, "_eliminate", _divisibility_unrepaired),
         ("snf", exactlinalg, "_smith_factors", _torsion_forgotten),
         ("gauss-bonnet", bredon, "fuchsian_datum", _polygon_without_face),
     ]
@@ -161,6 +180,14 @@ def test_mutant_fails_its_check(monkeypatch, check, module, name, mutant):
     monkeypatch.setattr(module, name, mutant)
     results = verify.verify_all(2, 70)  # 61 and 67 reach the sweep mutants
     assert check in {r.name for r in results if not r.passed}
+
+
+def test_unrepaired_kernel_fails_snf_on_the_chain(monkeypatch):
+    monkeypatch.setattr(exactlinalg, "_eliminate", _divisibility_unrepaired)
+    snf = {r.name: r for r in verify.verify_all(2, 30)}["snf"]
+    assert not snf.passed
+    assert snf.detail.startswith("AssertionError: SNF factors (")
+    assert snf.detail.endswith(") are not a positive divisibility chain")
 
 
 def _genus_plus_one_at_11_mod_12(p):
