@@ -10,13 +10,16 @@ in `main` alone, which prints one `error:` line and nothing on stdout: an
 `InputError`, input that cannot be read (a malformed or non-hyperbolic
 signature, a bad file or `--primes` range, an integer not in ASCII digits
 0-9 or too long for `int`), exits 2; any other ValueError, a domain error
-(a composite prime, a prime beyond the proven range 2**64, a failed
-hypothesis, an invalid lift), or a MemoryError or OverflowError, a result
-too large to build or to index, exits 1.  A `ChainComplexError` (d∘d != 0) is an InputError even
-from built-in chain data, where it means a defect.  argparse's usage
-errors exit 2 too.  A process run through `run` (the `equiko` script and
-`python -m equiko.cli`) that cannot write its output, such as stdout on a
-full disk, prints one `error: cannot write output` line and exits 1.
+(a composite prime, a prime or `--primes` bound past the proven range
+2**64, a failed hypothesis, an invalid lift), or a MemoryError or
+OverflowError, a result too large to build or to index, exits 1.  A
+`ChainComplexError` (d∘d != 0) is an InputError even from built-in chain
+data, where it means a defect.  argparse's usage errors exit 2 too.  A
+process run through `run` (the `equiko` script and `python -m equiko.cli`)
+that cannot write its output, such as stdout on a full disk, prints one
+`error: cannot write output` line and exits 1.  `complex` on a file whose
+homology the collapse to K refuses writes H, exits 0, and gives the reason
+in one `note: no K groups:` line on stderr.
 """
 
 from __future__ import annotations
@@ -34,65 +37,61 @@ from .exactlinalg import InputError, ascii_int
 BOTT_NOTE = "remaining groups by Bott periodicity"
 
 
-def _write_json(doc: dict) -> None:
-    import json  # here only: text output never needs it, and it costs each process ~3 ms
+def _write(args, inputs: dict, fields, text_lines) -> None:
+    """Write one document: the JSON object, or the text lines.
 
-    json.dump(doc, sys.stdout, indent=2)
-    print()
-
-
-def _print_doc(args, inputs: dict, groups: dict, text_lines: list[tuple],
-               ambiguous_degrees=(), extra=None) -> int:
-    """Write the groups as JSON, or the text lines.
-
-    A text line is a tuple of strings and groups, joined when the text is
-    written.  So each group is rendered once in either format: a (Z/2)^b
-    string of `cstar --ko` is megabytes long.
+    `fields()` gives the JSON fields after `command` and `inputs`; a text
+    line is a tuple of strings and groups, joined when the text is written.
+    So each group is rendered once, and only for the format written: a
+    (Z/2)^b string of `cstar --ko` is megabytes long.
     """
     if args.format == "json":
-        doc = {
-            "command": args.command,
-            "inputs": inputs,
-            "groups": {name: str(g) for name, g in groups.items()},
-            "extension_ambiguous": bool(ambiguous_degrees),
-        }
-        if ambiguous_degrees:
-            doc["ambiguous_degrees"] = sorted(ambiguous_degrees)
-        if extra:
-            doc.update(extra)
-        _write_json(doc)
-    else:
-        # every line first, so a MemoryError leaves stdout empty
-        rendered = ["".join(map(str, line)) for line in text_lines]
-        # written piecewise: a joined copy would double the (Z/2)^b strings
-        for line in rendered:
-            print(line)
+        import json  # here only: text output never needs it, and it costs each process ~3 ms
+
+        json.dump({"command": args.command, "inputs": inputs, **fields()}, sys.stdout, indent=2)
+        print()
+        return
+    # every line first, so a MemoryError leaves stdout empty
+    rendered = ["".join(map(str, line)) for line in text_lines]
+    # written piecewise: a joined copy would double the (Z/2)^b strings
+    for line in rendered:
+        print(line)
+
+
+def _print_doc(args, inputs: dict, payload: tuple, extra=None) -> int:
+    """Write a payload `(groups, text lines, degrees known only up to
+    extension)`, with the `extra` JSON fields."""
+    groups, text_lines, ambiguous = payload
+
+    def fields():
+        degrees = {"ambiguous_degrees": sorted(ambiguous)} if ambiguous else {}
+        return {"groups": {name: str(g) for name, g in groups.items()},
+                "extension_ambiguous": bool(ambiguous), **degrees, **(extra or {})}
+
+    _write(args, inputs, fields, text_lines)
     return 0
 
 
-def _k_payload(k0, k1, ambiguous=frozenset()) -> tuple[dict, list[tuple]]:
+def _k_payload(k0, k1, ambiguous=frozenset()) -> tuple[dict, list[tuple], frozenset]:
     groups = {"K0": k0, "K1": k1}
     flag = " (up to extension)" if 0 in ambiguous else ""
-    return groups, [("K0 = ", k0, flag, ", K1 = ", k1), (BOTT_NOTE,)]
+    return groups, [("K0 = ", k0, flag, ", K1 = ", k1), (BOTT_NOTE,)], ambiguous
 
 
-def _ko_payload(gg) -> tuple[dict, list[tuple]]:
+def _ko_payload(gg) -> tuple[dict, list[tuple], frozenset]:
     groups = {f"KO{n}": gg.entry(n) for n in range(8)}
     lines = [
         (f"KO{n} = ", gg.entry(n), " (up to extension)" if n in gg.extension_ambiguous else "")
         for n in range(8)
     ]
-    return groups, lines + [(BOTT_NOTE,)]
+    return groups, lines + [(BOTT_NOTE,)], gg.extension_ambiguous
 
 
 def _assemble(h, stabilisers, ko: bool) -> tuple[dict, list[tuple], frozenset]:
-    """K by collapse, or KO (which checks every stabiliser's tables), and
-    the degrees known only up to extension."""
+    """K by collapse, or KO (which checks every stabiliser's tables)."""
     if ko:
-        gg = ko_assembly.ko_from_bredon(h, stabilisers)
-        return (*_ko_payload(gg), gg.extension_ambiguous)
-    ambiguous = ko_assembly.collapse_ambiguous_degrees(h)
-    return (*_k_payload(*ko_assembly.collapse_complex(h), ambiguous), ambiguous)
+        return _ko_payload(ko_assembly.ko_from_bredon(h, stabilisers))
+    return _k_payload(*ko_assembly.collapse_complex(h), ko_assembly.collapse_ambiguous_degrees(h))
 
 
 # -- commands ----------------------------------------------------------------
@@ -104,7 +103,7 @@ def _cmd_sl3_gl3(args) -> int:
     if args.command == "gl3":
         # GL_3(Z) = SL_3(Z) x Z/2, the Z/2 central and acting trivially.
         h, stabilisers = ko_assembly.kunneth_times_z2(h, stabilisers)
-    return _print_doc(args, {}, *_assemble(h, stabilisers, args.ko))
+    return _print_doc(args, {}, _assemble(h, stabilisers, args.ko))
 
 
 def _cmd_fuchsian(args) -> int:
@@ -116,35 +115,28 @@ def _cmd_fuchsian(args) -> int:
                          "characteristic 2-2g-s-sum(1-1/m_j) >= 0")
     inputs = {"signature": str(sig), "lift": bool(args.lift)}
     h = fuchsian.bredon_closed_form(sig) if datum is None else bredon.bredon_homology(datum)
-    return _print_doc(args, inputs, *_assemble(h, (), ko=False))
+    return _print_doc(args, inputs, _assemble(h, (), ko=False))
 
 
 def _cmd_hecke(args) -> int:
     sig = fuchsian.hecke_signature(args.prime)
     h0, h1 = fuchsian.bredon_closed_form(sig)  # Gamma_0(p) has cusps: two degrees
-    groups = {"H0": h0, "H1": h1}
     lines = [(f"signature = {sig}",), ("H0 = ", h0), ("H1 = ", h1)]
-    return _print_doc(
-        args, {"p": args.prime}, groups, lines, extra={"signature": str(sig)}
-    )
+    return _print_doc(args, {"p": args.prime}, ({"H0": h0, "H1": h1}, lines, frozenset()),
+                      extra={"signature": str(sig)})
 
 
 def _cmd_zp(args) -> int:
     compute = arithmetic_k.psl_zp_k if args.command == "psl2zp" else arithmetic_k.sl_zp_k
-    groups, lines = _k_payload(*compute(args.prime))
-    return _print_doc(args, {"p": args.prime}, groups, lines)
+    return _print_doc(args, {"p": args.prime}, _k_payload(*compute(args.prime)))
 
 
 def _cmd_cstar(args) -> int:
-    inputs = {"p": args.prime, "ko": args.ko}
     if args.ko:
-        gg = arithmetic_k.cstar_ko_p11(args.prime)
-        groups, lines = _ko_payload(gg)
-        return _print_doc(
-            args, inputs, groups, lines, ambiguous_degrees=gg.extension_ambiguous
-        )
-    groups, lines = _k_payload(*arithmetic_k.cstar_k_p11(args.prime))
-    return _print_doc(args, inputs, groups, lines)
+        payload = _ko_payload(arithmetic_k.cstar_ko_p11(args.prime))
+    else:
+        payload = _k_payload(*arithmetic_k.cstar_k_p11(args.prime))
+    return _print_doc(args, {"p": args.prime, "ko": args.ko}, payload)
 
 
 def _cmd_complex(args) -> int:
@@ -161,19 +153,22 @@ def _cmd_complex(args) -> int:
     groups = {f"H{n}": g for n, g in enumerate(h)}
     lines = [(f"name = {datum.name}",)]
     lines += [(f"H{n} = ", g) for n, g in enumerate(h)]
-    parts, ambiguous = [], frozenset()
-    if all(g.is_zero() for g in h[3:]):
-        parts.append(_assemble(h, datum.stabilisers(), ko=False))
+    parts, ambiguous, note = [], frozenset(), None
+    try:
+        parts.append(_assemble(h, (), ko=False))
+    except ValueError as exc:  # `collapse_complex` refuses: H, but no K
+        note = f"note: no K groups: {exc}"
     if args.ko:
         parts.append(_assemble(h, datum.stabilisers(), ko=True))
     for part_groups, part_lines, part_ambiguous in parts:
         groups.update(part_groups)
         lines += part_lines
         ambiguous |= part_ambiguous
-    return _print_doc(
-        args, {"file": args.file, "ko": args.ko}, groups, lines, ambiguous,
-        extra={"name": datum.name},
-    )
+    _print_doc(args, {"file": args.file, "ko": args.ko}, (groups, lines, ambiguous),
+               extra={"name": datum.name})
+    if note:  # after the output, so a refused --ko gives its error line alone
+        print(note, file=sys.stderr)
+    return 0
 
 
 _PRIMES_RE = re.compile(r"([0-9]+)\.\.([0-9]+)")
@@ -186,27 +181,16 @@ def _cmd_verify(args) -> int:
     lo, hi = ascii_int(m.group(1)), ascii_int(m.group(2))
     if lo > hi:
         raise InputError(f"--primes expects A <= B, got {args.primes!r}")
+    fuchsian.is_prime(hi)  # B past the test's proven range is a domain error, before any sweep
     if not any(fuchsian.is_prime(p) for p in range(lo, hi + 1)):
         # the prime sweeps would pass with nothing swept
         raise InputError(f"--primes range {args.primes!r} contains no prime")
     results = verify_mod.verify_all(lo, hi)
     passed = all(r.passed for r in results)
-    if args.format == "json":
-        doc = {
-            "command": "verify",
-            "inputs": {"primes": args.primes},
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "passed": passed,
-        }
-        _write_json(doc)
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-        n_ok = sum(1 for r in results if r.passed)
-        print(f"{n_ok}/{len(results)} checks passed")
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    lines = [(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}",) for r in results]
+    lines.append((f"{sum(r.passed for r in results)}/{len(results)} checks passed",))
+    _write(args, {"primes": args.primes}, lambda: {"checks": checks, "passed": passed}, lines)
     return 0 if passed else 3
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -130,6 +131,27 @@ def test_each_group_is_rendered_once(capsys, monkeypatch, fmt):
     code, _, _ = run(capsys, "cstar", "-p", "23", "--ko", "--format", fmt)
     assert code == 0
     assert len(calls) == 8
+
+
+def _stream_uses(path: Path) -> list[int]:
+    """Lines of `path` that call `print` or name `sys.stdout` or `sys.stderr`."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+                or isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"
+                or isinstance(node, ast.ImportFrom) and node.module == "sys"
+                and {a.name for a in node.names} & {"stdout", "stderr"}):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_cli_writes_to_the_standard_streams():
+    # every other module returns values or raises; `cli` alone writes them
+    assert _stream_uses(Path(cli.__file__))  # the detector sees what cli does
+    uses = {p.name: _stream_uses(p) for p in Path(cli.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in uses.items() if lines and name != "cli.py"} == {}
 
 
 # -- determinism -------------------------------------------------------------------
@@ -456,6 +478,16 @@ def test_verify_accepts_a_one_prime_range(capsys):
     assert (code, err) == (0, "")
     assert "PASS hecke: 1 primes, chain = closed form; table rows match\n" in out
     assert "PASS gauss-bonnet: 6 chi_orb = -(p+1) for 1 primes; cell sums match on 6 data\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_refuses_a_prime_range_past_the_primality_test(capsys, monkeypatch, fmt):
+    # a domain error like `hecke -p 18446744073709551616`, found before any sweep
+    monkeypatch.setattr(cli.verify_mod, "verify_all", lambda lo, hi: pytest.fail("swept"))
+    primes = "18446744073709551557..18446744073709551616"
+    assert run(capsys, "verify", "--primes", primes, "--format", fmt) == (
+        1, "", "error: 18446744073709551616 is outside the proven range n < 2**64 "
+               "of the primality test\n")
 
 
 def test_errors_go_to_stderr(capsys):

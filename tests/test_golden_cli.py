@@ -102,6 +102,8 @@ CASES += [
     # --emit writes the file back whatever --format says
     ["complex", "--file", "polygon.cw", "--emit"],
     ["complex", "--file", "sl3.cw", "--emit"],
+    # H3 = Z puts KO's page outside column 0: exit 1
+    ["complex", "--file", "lens6.cw", "--ko"],
 ]
 
 
@@ -140,6 +142,32 @@ def test_golden_covers_every_case():
 def test_golden_cli(argv, in_file_dir):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[_case_id(argv)]
     assert _run(argv) == expected
+
+
+#: What `complex` writes on stderr for each file: only L(6) gets no K groups.
+_STDERR = {
+    "lens6.cw": "note: no K groups: collapse needs homology to vanish in degrees >= 3; "
+                "degree 3 is Z\n",
+    "moore.cw": "",
+    "modular.cw": "",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", _STDERR)
+def test_complex_says_on_stderr_why_it_prints_no_k(capsys, in_file_dir, name, fmt):
+    # the note leaves stdout and the exit code as the golden file has them
+    argv = ["complex", "--file", name, "--format", fmt]
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[_case_id(argv)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert ({"code": code, "stdout": captured.out}, captured.err) == (expected, _STDERR[name])
+
+
+def test_refused_ko_gives_its_error_line_alone(capsys, in_file_dir):
+    assert cli.main(["complex", "--file", "lens6.cw", "--ko"]) == 1
+    assert capsys.readouterr().err == (
+        "error: page is not concentrated in column 0 (nonzero columns [1, 2, 3])\n")
 
 
 #: Cases also run as processes: through `cli.run`, which ends in `os._exit`.
