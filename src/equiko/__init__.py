@@ -54,7 +54,6 @@ from .cwfile import CWFormatError, format_cw, parse_cw
 from .ko_assembly import (
     KO_POINT,
     GradedGroup,
-    collapse_ambiguous_degrees,
     collapse_complex,
     ko_from_bredon,
     kunneth_times_z2,

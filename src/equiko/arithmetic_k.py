@@ -83,23 +83,24 @@ def psl_zp_bredon(p: int) -> list[FinAbGroup]:
     ]
 
 
-def psl_zp_k(p: int) -> tuple[FinAbGroup, FinAbGroup]:
-    """Equivariant K-homology of PSL_2(Z[1/p]) (collapsed assembly).
+def psl_zp_k(p: int) -> GradedGroup:
+    """Equivariant K-homology (K_0, K_1) of PSL_2(Z[1/p]) (collapsed assembly).
 
-    >>> tuple(str(g) for g in psl_zp_k(17))
-    ('Z^9', 'Z')
+    >>> [str(g) for g in psl_zp_k(17).groups]
+    ['Z^9', 'Z']
     """
     return collapse_complex(psl_zp_bredon(p))
 
 
-def sl_zp_k(p: int) -> tuple[FinAbGroup, FinAbGroup]:
-    """Equivariant K-homology of SL_2(Z[1/p]): the central Z/2 doubles ranks.
+def sl_zp_k(p: int) -> GradedGroup:
+    """Equivariant K-homology of SL_2(Z[1/p]): the central Z/2 doubles every
+    group, and the degrees flagged for PSL_2(Z[1/p]) stay flagged.
 
-    >>> tuple(str(g) for g in sl_zp_k(13))
-    ('Z^10', 'Z^6')
+    >>> [str(g) for g in sl_zp_k(13).groups]
+    ['Z^10', 'Z^6']
     """
-    k0, k1 = psl_zp_k(p)
-    return direct_sum(k0, k0), direct_sum(k1, k1)
+    k = psl_zp_k(p)
+    return GradedGroup([direct_sum(g, g) for g in k.groups], k.extension_ambiguous)
 
 
 #: For p = 11 mod 12, Gamma_0(p) has no elliptic points (e2 = e3 = 0), so
@@ -120,19 +121,19 @@ def _require_11_mod_12(p: int) -> int:
     return spheres  # the wedge has this many 2-spheres
 
 
-def cstar_k_p11(p: int) -> tuple[FinAbGroup, FinAbGroup]:
+def cstar_k_p11(p: int) -> GradedGroup:
     """K-theory of the reduced C*-algebra of PSL_2(Z[1/p]), p = 11 mod 12.
 
     Summands: reduced K of C*_r(Z/2) (rank 1) per involution class, reduced
     K of C*_r(Z/3) (rank 2) per Z/3 class, and K of a wedge of b 2-spheres
     (rank 1 + b), with b = (p+7)/6; odd K vanishes throughout.
 
-    >>> str(cstar_k_p11(11)[0])
+    >>> str(cstar_k_p11(11).entry(0))
     'Z^10'
     """
     b = _require_11_mod_12(p)
     rank = _P11_Z2_CLASSES * 1 + _P11_Z3_CLASSES * 2 + 1 + b
-    return FinAbGroup.free(rank), FinAbGroup.zero()
+    return GradedGroup((FinAbGroup.free(rank), FinAbGroup.zero()))
 
 
 def cstar_ko_p11(p: int) -> GradedGroup:

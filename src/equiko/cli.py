@@ -72,26 +72,22 @@ def _print_doc(args, inputs: dict, payload: tuple, extra=None) -> int:
     return 0
 
 
-def _k_payload(k0, k1, ambiguous=frozenset()) -> tuple[dict, list[tuple], frozenset]:
-    groups = {"K0": k0, "K1": k1}
-    flag = " (up to extension)" if 0 in ambiguous else ""
-    return groups, [("K0 = ", k0, flag, ", K1 = ", k1), (BOTT_NOTE,)], ambiguous
-
-
-def _ko_payload(gg) -> tuple[dict, list[tuple], frozenset]:
-    groups = {f"KO{n}": gg.entry(n) for n in range(8)}
-    lines = [
-        (f"KO{n} = ", gg.entry(n), " (up to extension)" if n in gg.extension_ambiguous else "")
-        for n in range(8)
-    ]
+def _payload(gg) -> tuple[dict, list[tuple], frozenset]:
+    """The payload of a graded result: K (period 2) on one line, KO one line
+    per degree, each flagged degree marked."""
+    name = "K" if len(gg.groups) == 2 else "KO"
+    groups = {f"{name}{n}": g for n, g in enumerate(gg.groups)}
+    lines = [(f"{key} = ", g, " (up to extension)" if n in gg.extension_ambiguous else "")
+             for n, (key, g) in enumerate(groups.items())]
+    if name == "K":
+        lines = [lines[0] + (", ",) + lines[1]]
     return groups, lines + [(BOTT_NOTE,)], gg.extension_ambiguous
 
 
 def _assemble(h, stabilisers, ko: bool) -> tuple[dict, list[tuple], frozenset]:
     """K by collapse, or KO (which checks every stabiliser's tables)."""
-    if ko:
-        return _ko_payload(ko_assembly.ko_from_bredon(h, stabilisers))
-    return _k_payload(*ko_assembly.collapse_complex(h), ko_assembly.collapse_ambiguous_degrees(h))
+    return _payload(ko_assembly.ko_from_bredon(h, stabilisers) if ko
+                    else ko_assembly.collapse_complex(h))
 
 
 # -- commands ----------------------------------------------------------------
@@ -128,15 +124,12 @@ def _cmd_hecke(args) -> int:
 
 def _cmd_zp(args) -> int:
     compute = arithmetic_k.psl_zp_k if args.command == "psl2zp" else arithmetic_k.sl_zp_k
-    return _print_doc(args, {"p": args.prime}, _k_payload(*compute(args.prime)))
+    return _print_doc(args, {"p": args.prime}, _payload(compute(args.prime)))
 
 
 def _cmd_cstar(args) -> int:
-    if args.ko:
-        payload = _ko_payload(arithmetic_k.cstar_ko_p11(args.prime))
-    else:
-        payload = _k_payload(*arithmetic_k.cstar_k_p11(args.prime))
-    return _print_doc(args, {"p": args.prime, "ko": args.ko}, payload)
+    compute = arithmetic_k.cstar_ko_p11 if args.ko else arithmetic_k.cstar_k_p11
+    return _print_doc(args, {"p": args.prime, "ko": args.ko}, _payload(compute(args.prime)))
 
 
 def _cmd_complex(args) -> int:

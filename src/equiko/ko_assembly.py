@@ -5,7 +5,7 @@ sequence degenerates in one of two ways:
 
 * complex K: when Bredon homology vanishes in degrees >= 3, the sequence
   collapses, K_1 = H_1 and K_0 = H_0 + H_2 up to extension
-  (`collapse_complex`, `collapse_ambiguous_degrees`);
+  (`collapse_complex`, which flags K_0 when the extension may not split);
 * real KO: when every stabiliser has coinciding complex, real and
   quaternionic tables and the E^2 page with KO-point coefficients is
   concentrated in column p = 0, that column is the KO-homology
@@ -31,10 +31,11 @@ from .groups import GroupId, all_tables_coincide
 
 
 class GradedGroup(Value):
-    """A graded family of abelian groups of period 8, as KO-homology is.
+    """A periodic graded family of abelian groups: `groups` holds one period,
+    two groups for complex K-homology or eight for KO-homology.
 
-    `extension_ambiguous` lists the degrees (mod 8) where the group is only
-    determined up to an abelian extension of the stated factors.
+    `extension_ambiguous` lists the degrees (mod the period) where the group
+    is only determined up to an abelian extension of the stated factors.
     """
 
     __slots__ = ("groups", "extension_ambiguous")
@@ -44,13 +45,13 @@ class GradedGroup(Value):
         groups, extension_ambiguous = tuple(groups), frozenset(extension_ambiguous)  # hashable
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "extension_ambiguous", extension_ambiguous)
-        if len(groups) != 8:
-            raise ValueError("need exactly 8 groups")
-        if any(not (0 <= d < 8) for d in extension_ambiguous):
+        if len(groups) not in (2, 8):
+            raise ValueError("need 2 groups (period 2) or 8 (period 8)")
+        if any(not (0 <= d < len(groups)) for d in extension_ambiguous):
             raise ValueError("ambiguous degrees must lie in one period")
 
     def entry(self, n: int) -> FinAbGroup:
-        return self.groups[n % 8]
+        return self.groups[n % len(self.groups)]
 
 
 _Z = FinAbGroup.free(1)
@@ -61,15 +62,23 @@ _0 = FinAbGroup.zero()
 KO_POINT = GradedGroup((_Z, _Z2, _Z2, _0, _Z, _0, _0, _0))
 
 
-def collapse_complex(h) -> tuple[FinAbGroup, FinAbGroup]:
-    """Collapsed complex K-homology of a complex with homology `h` by degree.
+def collapse_complex(h) -> GradedGroup:
+    """Collapsed complex K-homology (K_0, K_1) of a complex with homology `h`
+    by degree.
 
     Only valid when homology vanishes in degrees >= 3; that hypothesis is
-    what kills all differentials, and it is checked here.
+    what kills all differentials, and it is checked here.  The collapse
+    gives 0 -> H0 -> K0 -> H2 -> 0, and K0 is reported as the split sum
+    H0 + H2.  That is K0 when Ext(H2, H0) = 0, the sum of H0/aH0 over the
+    torsion orders a of H2: when H2 is free (always in dimension <= 2, where
+    H2 is the top cycles), or when H0 is finite with every order prime to
+    each order of H2.  Otherwise degree 0 is flagged.
 
-    >>> k0, k1 = collapse_complex([FinAbGroup.free(6), FinAbGroup.zero(), FinAbGroup.free(1)])
-    >>> str(k0)
-    'Z^7'
+    >>> k = collapse_complex([FinAbGroup.free(6), FinAbGroup.zero(), FinAbGroup.free(1)])
+    >>> str(k.entry(0)), k.extension_ambiguous
+    ('Z^7', frozenset())
+    >>> collapse_complex([FinAbGroup.free(1)] * 2 + [FinAbGroup.of(0, [2])]).extension_ambiguous
+    frozenset({0})
     """
     h = list(h)
     for degree, g in enumerate(h):
@@ -78,26 +87,10 @@ def collapse_complex(h) -> tuple[FinAbGroup, FinAbGroup]:
                 f"collapse needs homology to vanish in degrees >= 3; "
                 f"degree {degree} is {g}"
             )
-    while len(h) < 3:
-        h.append(FinAbGroup.zero())
-    return direct_sum(h[0], h[2]), h[1]
-
-
-def collapse_ambiguous_degrees(h) -> frozenset[int]:
-    """The degrees where `collapse_complex(h)` is known only up to extension.
-
-    The collapse gives 0 -> H0 -> K0 -> H2 -> 0, and `collapse_complex`
-    reports the split sum H0 + H2.  That is K0 when Ext(H2, H0) = 0, the sum
-    of H0/aH0 over the torsion orders a of H2: when H2 is free (always in
-    dimension <= 2, where H2 is the top cycles), or when H0 is finite with
-    every order prime to each order of H2.  Otherwise degree 0 is flagged.
-
-    >>> collapse_ambiguous_degrees([FinAbGroup.free(1)] * 2 + [FinAbGroup.of(0, [2])])
-    frozenset({0})
-    """
-    h0, _, h2 = (list(h) + [_0] * 3)[:3]
-    return frozenset({0} if any(h0.free_rank or any(gcd(a, b) > 1 for b, _ in h0.torsion)
-                                for a, _ in h2.torsion) else ())
+    h0, h1, h2 = (h + [_0] * 3)[:3]
+    split = not any(h0.free_rank or any(gcd(a, b) > 1 for b, _ in h0.torsion)
+                    for a, _ in h2.torsion)
+    return GradedGroup((direct_sum(h0, h2), h1), () if split else {0})
 
 
 def kunneth_times_z2(h, stabilisers) -> tuple[list[FinAbGroup], list[GroupId]]:

@@ -107,9 +107,10 @@ COINCIDING = ("1", "Z2", "Z2xZ2", "D3", "D4", "D6", "S4")
 NOT_COINCIDING = ("Z3", "Z4", "Z6", "Zm(5)", "Zm(7)", "Zm(12)")
 
 
-def expected_cstar_ko(b: int) -> list[FinAbGroup]:
-    """The closed-form KO groups for p = 11 mod 12 with b = (p+7)/6."""
-    return [
+def expected_cstar_ko(b: int) -> ko_assembly.GradedGroup:
+    """The closed-form KO groups for p = 11 mod 12 with b = (p+7)/6, known
+    only up to extension in degrees 1, 3 and 4."""
+    return ko_assembly.GradedGroup([
         FinAbGroup.free(5),
         FinAbGroup(0, ((2, 3),)),
         FinAbGroup(2 + b, ((2, 3),)),
@@ -118,7 +119,7 @@ def expected_cstar_ko(b: int) -> list[FinAbGroup]:
         FinAbGroup.zero(),
         FinAbGroup.free(2 + b),
         FinAbGroup.zero(),
-    ]
+    ], {1, 3, 4})
 
 
 def _primes_in(limit_lo: int, limit_hi: int) -> list[int]:
@@ -137,7 +138,7 @@ def check_sl3_bredon() -> str:
 def check_sl3_ko() -> str:
     datum = bredon.sl3_datum()
     gg = ko_assembly.ko_from_bredon(bredon.bredon_homology(datum), datum.stabilisers())
-    _groups_eq([gg.entry(n) for n in range(8)], SL3_KO, "SL3 KO")
+    _groups_eq(gg.groups, SL3_KO, "SL3 KO")
     return "eight periodic KO groups match"
 
 
@@ -147,7 +148,7 @@ def check_gl3_ko() -> str:
         bredon.bredon_homology(datum), datum.stabilisers()
     )
     gg = ko_assembly.ko_from_bredon(doubled, products)
-    _groups_eq([gg.entry(n) for n in range(8)], GL3_KO, "GL3 KO")
+    _groups_eq(gg.groups, GL3_KO, "GL3 KO")
     return "rank-doubled KO groups match"
 
 
@@ -210,14 +211,14 @@ def check_psl_tables() -> str:
         if any(g.torsion for g in h):
             raise AssertionError(f"torsion in PSL_2(Z[1/{p}]) Bredon homology")
     for p, (k0, k1) in PSL_K_TABLE.items():
-        actual = arithmetic_k.psl_zp_k(p)
-        _eq((actual[0].free_rank, actual[1].free_rank), (k0, k1), f"PSL K for p={p}")
+        actual = arithmetic_k.psl_zp_k(p).groups
+        _eq(tuple(g.free_rank for g in actual), (k0, k1), f"PSL K for p={p}")
     return f"{len(PSL_BREDON_TABLE)} Bredon rows + {len(PSL_K_TABLE)} K rows match"
 
 
 def check_sl_doubling() -> str:
     for p, (k0, k1) in PSL_K_TABLE.items():
-        s0, s1 = arithmetic_k.sl_zp_k(p)
+        s0, s1 = arithmetic_k.sl_zp_k(p).groups
         _eq((s0.free_rank, s1.free_rank), (2 * k0, 2 * k1), f"SL doubling for p={p}")
         if s0.torsion or s1.torsion:
             raise AssertionError(f"torsion in SL_2(Z[1/{p}]) K-homology")
@@ -236,18 +237,11 @@ def check_sl_doubling() -> str:
 def check_cstar() -> str:
     for p in CSTAR_PRIMES:
         b = (p + 7) // 6  # 2g + 1 two-spheres, with genus g = (p + 1) / 12 of Gamma_0(p)
-        k0, k1 = arithmetic_k.cstar_k_p11(p)
+        k = arithmetic_k.cstar_k_p11(p)
+        k0, k1 = k.groups
         _eq((k0.free_rank, k0.torsion, str(k1)), (7 + b, (), "0"), f"C* K for p={p}")
-        psl = arithmetic_k.psl_zp_k(p)
-        _eq((str(k0), str(k1)), (str(psl[0]), str(psl[1])),
-            f"C* K agrees with the equivariant assembly for p={p}")
-        ko = arithmetic_k.cstar_ko_p11(p)
-        _groups_eq(
-            [ko.entry(n) for n in range(8)],
-            [str(g) for g in expected_cstar_ko(b)],
-            f"C* KO for p={p}",
-        )
-        _eq(sorted(ko.extension_ambiguous), [1, 3, 4], f"C* KO ambiguity flags for p={p}")
+        _eq(k, arithmetic_k.psl_zp_k(p), f"C* K agrees with the equivariant assembly for p={p}")
+        _eq(arithmetic_k.cstar_ko_p11(p), expected_cstar_ko(b), f"C* KO for p={p}")
     return f"K and KO summand assembly matches for p in {CSTAR_PRIMES}"
 
 
@@ -361,6 +355,8 @@ def check_gauss_bonnet(primes: list[int]) -> str:
 def _run_check(name: str | int, fn) -> tuple[str | int, bool, str]:
     try:
         return name, True, fn()
+    except (MemoryError, OverflowError):  # too large to build, not a wrong value
+        raise
     except Exception as exc:  # noqa: BLE001 -- a failing check must not stop the run
         return name, False, f"{type(exc).__name__}: {exc}"
 
@@ -437,7 +433,8 @@ class _SnfLanes:
 
 
 def verify_all(prime_lo: int, prime_hi: int) -> list[CheckResult]:
-    """Run every regression check; never raises, reports per-check results."""
+    """Run every regression check, one result each; a MemoryError or
+    OverflowError (too large to build) propagates once the snf child is reaped."""
     swept = cache(lambda: _primes_in(prime_lo, prime_hi))  # for hecke and gauss-bonnet
     checks = [
         ("sl3-bredon", check_sl3_bredon),

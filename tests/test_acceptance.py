@@ -152,7 +152,7 @@ def test_criterion_06_psl_tables():
                 g.torsion for g in h
             ), f"p = {p}"
         for p, (k0, k1) in table1.items():
-            a, b = psl_zp_k(p)
+            a, b = psl_zp_k(p).groups
             assert (a.free_rank, b.free_rank) == (k0, k1), f"p = {p}"
             assert not a.torsion and not b.torsion
 
@@ -160,8 +160,8 @@ def test_criterion_06_psl_tables():
 def test_criterion_07_sl_doubling():
     with criterion(7, "SL_2(Z[1/p]) doubles PSL_2(Z[1/p]), also at chain level"):
         for p in [2, 3, 13, 17, 19, 23, 29, 37, 47, 59]:
-            a, b = psl_zp_k(p)
-            sa, sb = sl_zp_k(p)
+            a, b = psl_zp_k(p).groups
+            sa, sb = sl_zp_k(p).groups
             assert (sa.free_rank, sb.free_rank) == (2 * a.free_rank, 2 * b.free_rank)
         for p in [2, 3, 11, 13]:
             sig = hecke_signature(p)
@@ -174,7 +174,7 @@ def test_criterion_07_sl_doubling():
 def test_criterion_08_cstar(capsys):
     with criterion(8, "K and KO of the reduced C*-algebra for p = 11 mod 12"):
         for p, rank in [(11, 10), (23, 12), (47, 16), (59, 18)]:
-            k0, k1 = cstar_k_p11(p)
+            k0, k1 = cstar_k_p11(p).groups
             assert (str(k0), str(k1)) == (f"Z^{rank}", "0"), f"p = {p}"
         gg = cstar_ko_p11(11)
         z2 = lambda k: " + ".join(["Z/2"] * k)

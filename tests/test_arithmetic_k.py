@@ -89,15 +89,15 @@ def test_psl_bredon_builds_one_signature(monkeypatch):
 
 def test_psl_k_table():
     for p, (k0, k1) in PSL_K.items():
-        a, b = psl_zp_k(p)
+        a, b = psl_zp_k(p).groups
         assert (a.free_rank, b.free_rank) == (k0, k1)
         assert not a.torsion and not b.torsion
 
 
 def test_sl_doubles_psl():
     for p in PSL_K:
-        a, b = psl_zp_k(p)
-        sa, sb = sl_zp_k(p)
+        a, b = psl_zp_k(p).groups
+        sa, sb = sl_zp_k(p).groups
         assert (sa.free_rank, sb.free_rank) == (2 * a.free_rank, 2 * b.free_rank)
 
 
@@ -129,17 +129,17 @@ def test_closed_form_invariants_below_2000():
 
 
 def test_cstar_k_values():
-    assert str(cstar_k_p11(11)[0]) == "Z^10"
-    assert str(cstar_k_p11(11)[1]) == "0"
-    assert str(cstar_k_p11(23)[0]) == "Z^12"
-    assert str(cstar_k_p11(47)[0]) == "Z^16"
-    assert str(cstar_k_p11(59)[0]) == "Z^18"
+    assert str(cstar_k_p11(11).entry(0)) == "Z^10"
+    assert str(cstar_k_p11(11).entry(1)) == "0"
+    assert str(cstar_k_p11(23).entry(0)) == "Z^12"
+    assert str(cstar_k_p11(47).entry(0)) == "Z^16"
+    assert str(cstar_k_p11(59).entry(0)) == "Z^18"
 
 
 def test_cstar_k_agrees_with_chain_computation():
     for p in [11, 23, 47, 59]:
-        k0, k1 = psl_zp_k(p)
-        c0, c1 = cstar_k_p11(p)
+        k0, k1 = psl_zp_k(p).groups
+        c0, c1 = cstar_k_p11(p).groups
         assert (c0, c1) == (k0, k1)
 
 

@@ -118,11 +118,11 @@ def test_closed_form_modular_group():
 
 
 def test_equivariant_k_from_closed_form():
-    k0, k1 = collapse_complex(bredon_closed_form(parse_signature("[0,0;2,3,7]")))
+    k0, k1 = collapse_complex(bredon_closed_form(parse_signature("[0,0;2,3,7]"))).groups
     assert (str(k0), str(k1)) == ("Z^11", "0")
-    k0, k1 = collapse_complex(bredon_closed_form(MODULAR_SIGNATURE))
+    k0, k1 = collapse_complex(bredon_closed_form(MODULAR_SIGNATURE)).groups
     assert (str(k0), str(k1)) == ("Z^4", "0")
-    k0, k1 = collapse_complex(bredon_closed_form(parse_signature("[2,3;4,5]")))
+    k0, k1 = collapse_complex(bredon_closed_form(parse_signature("[2,3;4,5]"))).groups
     # H0 = 1 + 3 + 4 = Z^8, H1 = Z^(2*2+3-1) = Z^6
     assert (str(k0), str(k1)) == ("Z^8", "Z^6")
 

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from equiko.bredon import bredon_homology, sl3_datum
+from equiko.cwfile import parse_cw
 from equiko.exactlinalg import FinAbGroup, tensor_z2, tor_z2
 from equiko.groups import GroupId, parse_name
 from equiko.ko_assembly import (
     KO_POINT,
     GradedGroup,
-    collapse_ambiguous_degrees,
     collapse_complex,
     ko_from_bredon,
     kunneth_times_z2,
@@ -33,29 +33,53 @@ def test_ko_point_values():
 
 
 def test_graded_group_validation():
+    # period 2 (complex K) and period 8 (KO) only
+    assert GradedGroup((Z, ZERO)).groups == (Z, ZERO)
+    assert GradedGroup((Z,) * 8).groups == (Z,) * 8
+    for count in (3, 4):
+        with pytest.raises(ValueError):
+            GradedGroup((Z,) * count)
     with pytest.raises(ValueError):
-        GradedGroup((Z,) * 2)
-    with pytest.raises(ValueError):
-        GradedGroup((Z,) * 3)
+        GradedGroup((Z, ZERO), frozenset({2}))
     with pytest.raises(ValueError):
         GradedGroup((Z,) * 8, frozenset({8}))
+    k = GradedGroup((Z, Z2))
+    assert [k.entry(n) for n in (-2, -1, 0, 1, 2, 3)] == [Z, Z2, Z, Z2, Z, Z2]
 
 
 # -- collapse ----------------------------------------------------------------------
 
 
 def test_collapse_low_dimensional_complex():
-    k0, k1 = collapse_complex([FinAbGroup.free(10), ZERO, Z])
+    k0, k1 = collapse_complex([FinAbGroup.free(10), ZERO, Z]).groups
     assert (str(k0), str(k1)) == ("Z^11", "0")
-    k0, k1 = collapse_complex([FinAbGroup.free(4)])
+    k0, k1 = collapse_complex([FinAbGroup.free(4)]).groups
     assert (str(k0), str(k1)) == ("Z^4", "0")
-    k0, k1 = collapse_complex([Z, FinAbGroup.free(2), Z])
+    k0, k1 = collapse_complex([Z, FinAbGroup.free(2), Z]).groups
     assert (str(k0), str(k1)) == ("Z^2", "Z^2")
 
 
 def test_collapse_keeps_torsion():
-    k0, k1 = collapse_complex([FinAbGroup.of(1, [2]), FinAbGroup.of(0, [3])])
+    k0, k1 = collapse_complex([FinAbGroup.of(1, [2]), FinAbGroup.of(0, [3])]).groups
     assert (str(k0), str(k1)) == ("Z + Z/2", "Z/3")
+
+
+#: The Gamma-CW file `moore.cw`: H = Z, Z, Z/2, 0, so K0 is an extension of
+#: H2 = Z/2 by H0 = Z, and Ext(Z/2, Z) = Z/2.
+MOORE_CW = (
+    "name = moore\n"
+    "[cells.0]\nv = 1\n[cells.1]\ne = 1\n[cells.2]\nf = 1\n[cells.3]\nt = 1\n"
+    "[boundary.1]\ne = +1 * v : id, -1 * v : id\n[boundary.2]\nf =\n[matrix.3]\n2\n"
+)
+
+
+def test_collapse_flags_the_moore_complex():
+    h = bredon_homology(parse_cw(MOORE_CW))
+    assert h == [Z, Z, Z2, ZERO]
+    k = collapse_complex(h)
+    assert [str(g) for g in k.groups] == ["Z + Z/2", "Z"]
+    assert k.extension_ambiguous == frozenset({0})
+    assert k.entry(2) == k.entry(0)
 
 
 def test_collapse_rejects_high_homology():
@@ -72,12 +96,12 @@ def test_collapse_rejects_high_homology():
 ], ids=["free-h2", "z-by-z2", "z4-by-z2", "z3-by-z2", "zero-h0"])
 def test_k0_is_flagged_when_the_extension_may_not_split(h0, h2, ambiguous):
     expected = frozenset({0}) if ambiguous else frozenset()
-    assert collapse_ambiguous_degrees([h0, Z, h2, ZERO]) == expected
+    assert collapse_complex([h0, Z, h2, ZERO]).extension_ambiguous == expected
 
 
 def test_short_homology_is_never_ambiguous():
-    assert collapse_ambiguous_degrees([]) == frozenset()
-    assert collapse_ambiguous_degrees([Z, Z2]) == frozenset()
+    assert collapse_complex([]).extension_ambiguous == frozenset()
+    assert collapse_complex([Z, Z2]).extension_ambiguous == frozenset()
 
 
 # -- KO from column 0 --------------------------------------------------------------

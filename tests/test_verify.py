@@ -55,6 +55,23 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("error, line", [
+    (MemoryError, "error: out of memory: the result is too large to build"),
+    (OverflowError, "error: the result is too large to build: a size exceeds an index"),
+], ids=["memory", "overflow"])
+def test_a_result_too_large_to_build_is_not_a_failed_check(monkeypatch, capsys, fmt,
+                                                            error, line):
+    # exit 1 with one error line and empty stdout, not a FAIL line and exit 3
+    def too_large():
+        raise error
+
+    monkeypatch.setattr(verify, "check_class_counts", too_large)
+    assert cli.main(["verify", "--primes", "2..30", "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+    _assert_no_child_left()
+
+
 LAST = verify._SNF_PARTS - 1
 
 

@@ -6,7 +6,9 @@ child.  The three `hecke_signature` mutants change only primes p > 60, where
 no table row reaches; `hecke` compares two computations from the same
 signature and passes them, and `gauss-bonnet` must catch them.  The genus
 mutant for p = 11 (mod 12) replaces `hecke_signature` in both modules that
-read it, and `cstar` and `sl2zp-doubling` must catch it.
+read it, and `cstar` and `sl2zp-doubling` must catch it.  Each mutant
+returns what the function it replaces returns, so its check fails on a wrong
+value, an `AssertionError`, not on a type or shape it cannot read.
 """
 
 import inspect
@@ -17,6 +19,7 @@ from equiko import arithmetic_k, bredon, cli, exactlinalg, fuchsian, groups, ko_
 from equiko.exactlinalg import FinAbGroup, direct_sum
 from equiko.fuchsian import Signature
 from equiko.groups import GroupId
+from equiko.ko_assembly import GradedGroup
 
 _smith_factors = exactlinalg._smith_factors
 _eliminate = exactlinalg._eliminate
@@ -101,17 +104,17 @@ def _classes_fused_backwards(edge):
 
 
 def _collapse_without_h2(h):
-    return h[0], h[1]
+    return GradedGroup(h[:2])
 
 
 def _sl_doubles_k0_only(p):
-    k0, k1 = _psl_zp_k(p)
-    return direct_sum(k0, k0), k1
+    k0, k1 = _psl_zp_k(p).groups
+    return GradedGroup((direct_sum(k0, k0), k1))
 
 
 def _psl_k0_one_more(p):
-    k0, k1 = _psl_zp_k(p)
-    return FinAbGroup.free(k0.free_rank + 1), k1
+    k0, k1 = _psl_zp_k(p).groups
+    return GradedGroup((FinAbGroup.free(k0.free_rank + 1), k1))
 
 
 def _lift_without_central_edges(sig):
@@ -179,7 +182,10 @@ def test_every_check_has_a_mutant():
 def test_mutant_fails_its_check(monkeypatch, check, module, name, mutant):
     monkeypatch.setattr(module, name, mutant)
     results = verify.verify_all(2, 70)  # 61 and 67 reach the sweep mutants
-    assert check in {r.name for r in results if not r.passed}
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert check in failed
+    # on a wrong value, not on a mutant of the wrong type or shape
+    assert failed[check].startswith("AssertionError: ")
 
 
 def test_unrepaired_kernel_fails_snf_on_the_chain(monkeypatch):
