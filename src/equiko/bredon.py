@@ -201,25 +201,13 @@ class GammaCWDatum(Value):
                     f"{len(b)} term lists"
                 )
             below = by_label[n - 1]
-            # A cell's terms are checked against its stabiliser and the
-            # stabilisers they hit, so cells sharing one terms tuple and one
-            # source (every loop of a Fuchsian graph) are checked once, and
-            # within those each distinct spec triple once.  Keying on object
-            # identity spares hashing tuples and GroupIds per cell; equal but
-            # distinct objects are merely checked again.
-            seen = set()
-            checked = set()
             for (label, source), terms in zip(self.cells[n], b):
-                pair = (id(terms), id(source))
-                if pair in seen:
-                    continue
-                seen.add(pair)
                 if not (type(terms) is tuple
                         and all(type(t) is tuple and len(t) == 3 for t in terms)):
                     raise DatumError(f"the boundary of {label!r} must be a tuple of "
                                      f"(sign, target, spec) tuples, got {terms!r}")
                 for sign, target_label, spec in terms:
-                    if sign not in (1, -1):
+                    if type(sign) is not int or sign not in (1, -1):
                         raise DatumError(f"boundary coefficients must be +1 or -1, got {sign}")
                     target = below.get(target_label)
                     if target is None:
@@ -227,10 +215,7 @@ class GammaCWDatum(Value):
                             f"boundary of {label!r} hits unknown "
                             f"{n - 1}-cell {target_label!r}"
                         )
-                    key = (spec, id(source), id(target))
-                    if key not in checked:
-                        _check_spec(spec, source, target)
-                        checked.add(key)
+                    _check_spec(spec, source, target)
 
     def stabilisers(self) -> list[GroupId]:
         """All stabilisers, deduplicated, in order of first appearance."""
@@ -269,25 +254,14 @@ def expand(datum: GammaCWDatum) -> IntChainComplex:
         for (label, _), m in zip(datum.cells[n - 1], cell_ranks[n - 1]):
             below[label] = (pos, m)
             pos += m
-        # Cells with one terms tuple and one rank (every loop of a Fuchsian
-        # graph) add the same column pattern at their own column offset, so
-        # each pattern is summed once: (position in the column, nonzero sum).
-        patterns: dict[tuple[int, int], list[tuple[int, int]]] = {}
         entries = [0] * (rows * cols)
         col_off = 0
         for terms, d in zip(b, cell_ranks[n]):
-            pattern = patterns.get((id(terms), d))
-            if pattern is None:
-                sums: dict[int, int] = {}
-                for sign, target, _ in terms:
-                    row_off, m = below[target]
-                    for j in range(d):
-                        for k in range(j, m, d):
-                            at = (row_off + k) * cols + j
-                            sums[at] = sums.get(at, 0) + sign
-                pattern = patterns[id(terms), d] = [(at, x) for at, x in sums.items() if x]
-            for at, x in pattern:
-                entries[at + col_off] += x
+            for sign, target, _ in terms:
+                row_off, m = below[target]
+                for j in range(d):
+                    for k in range(j, m, d):
+                        entries[(row_off + k) * cols + col_off + j] += sign
             col_off += d
         matrices.append(IntMatrix(rows, cols, tuple(entries)))
     return IntChainComplex(tuple(ranks), tuple(matrices))
@@ -371,20 +345,17 @@ class GraphOfGroupsDatum(Value):
                      (tuple(((1, *head), (-1, *tail)) for _, _, head, tail in self.edges),))
 
 
-# Every loop at z is bounded by z - z through the identity; all loops share it.
-_LOOP_TERMS = ((1, "z", "id"), (-1, "z", "id"))
-
-
 def _fuchsian_graph(loops: int, free: GroupId, cones: list[GroupId], via: str):
     # (vertices, edges, edge terms): a vertex z with group `free` carrying
     # `loops` loops, and one pendant edge with group `free` from z into each
-    # cone vertex, embedded there by the spec `via->cone`.
+    # cone vertex, embedded there by the spec `via->cone`.  A loop at z has
+    # the cellular boundary z - z = 0, so its terms are the empty tuple.
     vertices = (("z", free),)
     vertices += tuple((f"p{j + 1}", cone) for j, cone in enumerate(cones))
     edges = tuple(zip([f"l{i + 1}" for i in range(loops)], repeat(free)))
     edges += tuple((f"d{j + 1}", free) for j in range(len(cones)))
-    terms = (_LOOP_TERMS,) * loops + tuple(
-        ((1, f"p{j + 1}", f"{via}->{cone.name()}"), _LOOP_TERMS[1])
+    terms = ((),) * loops + tuple(
+        ((1, f"p{j + 1}", f"{via}->{cone.name()}"), (-1, "z", "id"))
         for j, cone in enumerate(cones)
     )
     return vertices, edges, terms
@@ -394,10 +365,12 @@ def fuchsian_datum(sig: Signature) -> GammaCWDatum:
     """The datum of a Fuchsian signature [g, s; m_1..m_r].
 
     One free vertex carrying 2g + s - 1 loops (2g when s = 0), plus one
-    pendant edge from it into each cone vertex Z/m_j.  A cocompact signature
-    adds a single free 2-cell whose polygon boundary traverses every edge
-    twice with opposite orientations, so its chain boundary cancels to zero
-    term by term.
+    pendant edge from it into each cone vertex Z/m_j.  A loop begins and
+    ends at the one free vertex, so its boundary is zero and it carries no
+    terms (a file writes `l1 =`).  A cocompact signature adds a single free
+    2-cell whose polygon boundary traverses every edge twice with opposite
+    orientations; its terms record that polygon, and its chain boundary
+    cancels to zero term by term.
     """
     trivial = GroupId.trivial()
     cones = [GroupId.cyclic(m) for m in sig.periods]

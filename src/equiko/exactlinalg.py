@@ -404,8 +404,9 @@ class IntChainComplex(Value):
         object.__setattr__(self, "boundaries", boundaries)
         if not ranks:
             raise ChainComplexError("a chain complex needs at least one degree")
-        if any(r < 0 for r in ranks):
-            raise ChainComplexError("chain group ranks must be nonnegative")
+        for r in ranks:  # 2.0 == 2 would pass the shape checks
+            if type(r) is not int or r < 0:
+                raise ChainComplexError(f"chain group ranks must be nonnegative ints, got {r!r}")
         if len(boundaries) != len(ranks) - 1:
             raise ChainComplexError(
                 f"expected {len(ranks) - 1} boundary maps, got {len(boundaries)}"

@@ -76,10 +76,8 @@ class GroupId(Value):
         return cls.cyclic(1)
 
     @classmethod
-    @lru_cache(maxsize=None, typed=True)  # untyped, it keys 2.0 as 2 and True as 1
     def cyclic(cls, m: int) -> "GroupId":
-        """Z/m.  One object per m, so a datum's identity-keyed checks see
-        equal cones, and all trivial cells, as one."""
+        """Z/m, a new tag equal to every other tag of Z/m."""
         return cls("cyclic", m)
 
     @classmethod

@@ -551,6 +551,14 @@ def test_chain_complex_rejects_nonzero_composite():
         IntChainComplex(ranks=(2, 2, 1), boundaries=(d1, d2))
 
 
+@pytest.mark.parametrize("rank", [2.0, True], ids=["float", "bool"])
+def test_chain_complex_rejects_ranks_that_are_not_ints(rank):
+    # 2.0 == 2 and True == 1, so each would pass the shape check below
+    with pytest.raises(ChainComplexError) as exc:
+        IntChainComplex((rank, 1), (IntMatrix(int(rank), 1, (0,) * int(rank)),))
+    assert str(exc.value) == f"chain group ranks must be nonnegative ints, got {rank!r}"
+
+
 def test_chain_complex_rejects_shape_mismatch():
     with pytest.raises(ChainComplexError):
         IntChainComplex(ranks=(2, 3), boundaries=(_diagonal((), 5, 3),))

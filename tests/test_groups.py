@@ -161,7 +161,7 @@ def test_cyclic_refuses_non_ints_after_the_int_is_cached(m):
 def test_cyclic_order_one_is_the_trivial_group():
     # one tag per group: the trivial group is the cyclic group Z/1
     assert GroupId("cyclic", 1) == GroupId.trivial()
-    assert GroupId.trivial() is GroupId.cyclic(1) is parse_name("1") is parse_name("Zm(1)")
+    assert GroupId.trivial() == GroupId.cyclic(1) == parse_name("1") == parse_name("Zm(1)")
     with pytest.raises(UnsupportedGroupError, match="unknown group kind"):
         GroupId("trivial")
 

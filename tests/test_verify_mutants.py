@@ -8,7 +8,9 @@ signature and passes them, and `gauss-bonnet` must catch them.  The genus
 mutant for p = 11 (mod 12) replaces `hecke_signature` in both modules that
 read it, and `cstar` and `sl2zp-doubling` must catch it.  Each mutant
 returns what the function it replaces returns, so its check fails on a wrong
-value, an `AssertionError`, not on a type or shape it cannot read.
+value, an `AssertionError`, not on a type or shape it cannot read.  The
+`expand` mutants are built from its own source; the one that forgets signs
+is refused by `IntChainComplex` before any compare, so it has its own test.
 """
 
 import inspect
@@ -28,6 +30,7 @@ _bredon_closed_form = fuchsian.bredon_closed_form
 _kunneth_times_z2 = ko_assembly.kunneth_times_z2
 _psl_zp_k = arithmetic_k.psl_zp_k
 _fuchsian_datum = bredon.fuchsian_datum
+_expand = bredon.expand
 
 
 def _last_factor_dropped(m):
@@ -66,6 +69,30 @@ def _unrepaired_kernel():
 
 
 _divisibility_unrepaired = _unrepaired_kernel()
+
+
+def _expand_mutant(name, old, new):
+    """`bredon.expand` built from its own source with `old` replaced by `new`."""
+    source = inspect.getsource(_expand)
+    assert source.count(old) == 1
+    namespace = dict(vars(bredon))
+    exec(source.replace(old, new), namespace)
+    expand = namespace["expand"]
+    expand.__name__ = name
+    return expand
+
+
+# a term's character j reaches the target's characters 0, d, 2d, ...
+_expand_cosets_from_zero = _expand_mutant("_expand_cosets_from_zero", "range(j, m, d)",
+                                          "range(0, m, d)")
+# each entry lands in the row of the source's character, not the target's
+_expand_row_by_source_character = _expand_mutant("_expand_row_by_source_character",
+                                                 "(row_off + k)", "(row_off + j)")
+# each cell takes one column, whatever its rank
+_expand_one_column_per_cell = _expand_mutant("_expand_one_column_per_cell", "col_off += d",
+                                             "col_off += 1")
+# every term adds +1: the cocompact polygon's face no longer cancels
+_expand_sign_forgotten = _expand_mutant("_expand_sign_forgotten", "+= sign", "+= 1")
 
 
 def _tensor_z2_forgotten(g):
@@ -164,6 +191,9 @@ MUTANTS = [
         ("sl2zp-doubling", arithmetic_k, "sl_zp_k", _sl_doubles_k0_only),
         ("sl2zp-doubling", arithmetic_k, "psl_zp_k", _psl_k0_one_more),
         ("sl2zp-doubling", bredon, "lifted_fuchsian_datum", _lift_without_central_edges),
+        ("sl2zp-doubling", bredon, "expand", _expand_cosets_from_zero),
+        ("sl2zp-doubling", bredon, "expand", _expand_one_column_per_cell),
+        ("hecke", bredon, "expand", _expand_row_by_source_character),
         ("cstar", arithmetic_k, "_require_11_mod_12", _spheres_from_p_plus_1),
         ("snf", exactlinalg, "_eliminate", _border_left_alone),
         ("snf", exactlinalg, "_eliminate", _divisibility_unrepaired),
@@ -194,6 +224,15 @@ def test_unrepaired_kernel_fails_snf_on_the_chain(monkeypatch):
     assert not snf.passed
     assert snf.detail.startswith("AssertionError: SNF factors (")
     assert snf.detail.endswith(") are not a positive divisibility chain")
+
+
+def test_sign_forgotten_fails_hecke_on_the_polygon(monkeypatch):
+    # the one wrong-value mutant whose chain is refused before any compare:
+    # the [0,0;2,3,7] face's terms no longer cancel
+    monkeypatch.setattr(bredon, "expand", _expand_sign_forgotten)
+    failed = {r.name: r.detail for r in verify.verify_all(2, 30) if not r.passed}
+    assert failed == {"hecke": "ChainComplexError: composite of differentials "
+                               "through degree 1 is nonzero"}
 
 
 def _genus_plus_one_at_11_mod_12(p):
