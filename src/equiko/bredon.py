@@ -28,8 +28,10 @@ from itertools import repeat
 
 from ._value import Value
 from .exactlinalg import FinAbGroup, IntChainComplex, IntMatrix, all_homology
-from .fuchsian import Signature
 from .groups import GroupId, UnsupportedGroupError, complex_irreducible_count, parse_name
+
+# `fuchsian.Signature` is named only in annotations, which stay strings; an
+# import would execute `fuchsian` in every command that builds a datum.
 
 
 class DatumError(ValueError):

@@ -150,9 +150,9 @@ def test_bad_multiplication_table_rejected(mult, message):
 
 
 @pytest.mark.parametrize("m", [2.0, True], ids=["float", "bool"])
-def test_cyclic_refuses_non_ints_after_the_int_is_cached(m):
-    # lru_cache keys 2.0 as 2 and True as 1, so the cached Z2 or trivial
-    # tag would answer them
+def test_cyclic_refuses_non_ints_equal_to_an_int(m):
+    # 2.0 == 2 and True == 1, so a lookup keyed on the order would answer
+    # them with the Z2 or trivial tag built just before
     GroupId.cyclic(int(m))
     with pytest.raises(UnsupportedGroupError, match="must be an int"):
         GroupId.cyclic(m)

@@ -2,6 +2,8 @@
 
 The tracer replaces `__post_init__` on the two datum classes and the
 `verify.CheckResult` name, so it depends on both staying where it finds them.
+The package loads its submodules lazily; the tracer's `vars(module)` executes
+each one before wrapping it, so a `cwfile` span and `verify`'s checks show.
 """
 
 import json
@@ -25,8 +27,9 @@ def _stdout(argv) -> str:
                           check=True, cwd=ROOT).stdout
 
 
-@pytest.mark.parametrize("argv", [["sl3"], ["complex", "--file", "modular.cw"]],
-                         ids=["sl3", "complex"])
+@pytest.mark.parametrize("argv", [["sl3"], ["complex", "--file", "modular.cw"],
+                                  ["verify", "--primes", "2..30"]],
+                         ids=["sl3", "complex", "verify"])
 def test_traced_run_matches_the_plain_cli(argv, tmp_path):
     modular = tmp_path / "modular.cw"
     modular.write_text(format_cw(fuchsian_datum(MODULAR_SIGNATURE)))
@@ -35,3 +38,7 @@ def test_traced_run_matches_the_plain_cli(argv, tmp_path):
     assert trace["code"] == 0
     assert trace["stdout"] == _stdout(["-m", "equiko.cli", *argv])
     assert trace["spans"]["bredon.GammaCWDatum.validate"][0] >= 1
+    if argv[0] == "complex":
+        assert trace["spans"]["cwfile.parse_cw"][0] == 1
+    if argv[0] == "verify":
+        assert trace["checks"]
