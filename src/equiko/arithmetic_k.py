@@ -33,11 +33,6 @@ class ClassCount(Value):
 
     __slots__ = ("identity", "order2", "order3")
 
-    def __init__(self, identity: int, order2: int, order3: int):
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "order2", order2)
-        object.__setattr__(self, "order3", order3)
-
     @property
     def total(self) -> int:
         return self.identity + self.order2 + self.order3

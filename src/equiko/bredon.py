@@ -139,10 +139,7 @@ class GammaCWDatum(Value):
 
     def __init__(self, name: str, cells: tuple[tuple[tuple[str, GroupId], ...], ...],
                  boundaries: tuple[Boundary, ...], snf_equivalent: bool = False):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "snf_equivalent", snf_equivalent)
+        super().__init__(name, cells, boundaries, snf_equivalent)
         self.__post_init__()
 
     def __post_init__(self):
@@ -333,9 +330,7 @@ class GraphOfGroupsDatum(Value):
 
     def __init__(self, name: str, vertices: tuple[tuple[str, GroupId], ...],
                  edges: tuple[tuple[str, GroupId, tuple[str, str], tuple[str, str]], ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+        super().__init__(name, vertices, edges)
         self.__post_init__()
 
     def __post_init__(self):

@@ -84,12 +84,6 @@ def _payload(gg) -> tuple[dict, list[tuple], frozenset]:
     return groups, lines + [(BOTT_NOTE,)], gg.extension_ambiguous
 
 
-def _assemble(h, stabilisers, ko: bool) -> tuple[dict, list[tuple], frozenset]:
-    """K by collapse, or KO (which checks every stabiliser's tables)."""
-    return _payload(ko_assembly.ko_from_bredon(h, stabilisers) if ko
-                    else ko_assembly.collapse_complex(h))
-
-
 # -- commands ----------------------------------------------------------------
 
 
@@ -99,7 +93,8 @@ def _cmd_sl3_gl3(args) -> int:
     if args.command == "gl3":
         # GL_3(Z) = SL_3(Z) x Z/2, the Z/2 central and acting trivially.
         h, stabilisers = ko_assembly.kunneth_times_z2(h, stabilisers)
-    return _print_doc(args, {}, _assemble(h, stabilisers, args.ko))
+    gg = ko_assembly.ko_from_bredon(h, stabilisers) if args.ko else ko_assembly.collapse_complex(h)
+    return _print_doc(args, {}, _payload(gg))
 
 
 def _cmd_fuchsian(args) -> int:
@@ -111,7 +106,7 @@ def _cmd_fuchsian(args) -> int:
                          "characteristic 2-2g-s-sum(1-1/m_j) >= 0")
     inputs = {"signature": str(sig), "lift": bool(args.lift)}
     h = fuchsian.bredon_closed_form(sig) if datum is None else bredon.bredon_homology(datum)
-    return _print_doc(args, inputs, _assemble(h, (), ko=False))
+    return _print_doc(args, inputs, _payload(ko_assembly.collapse_complex(h)))
 
 
 def _cmd_hecke(args) -> int:
@@ -148,11 +143,11 @@ def _cmd_complex(args) -> int:
     lines += [(f"H{n} = ", g) for n, g in enumerate(h)]
     parts, ambiguous, note = [], frozenset(), None
     try:
-        parts.append(_assemble(h, (), ko=False))
+        parts.append(_payload(ko_assembly.collapse_complex(h)))
     except ValueError as exc:  # `collapse_complex` refuses: H, but no K
         note = f"note: no K groups: {exc}"
     if args.ko:
-        parts.append(_assemble(h, datum.stabilisers(), ko=True))
+        parts.append(_payload(ko_assembly.ko_from_bredon(h, datum.stabilisers())))
     for part_groups, part_lines, part_ambiguous in parts:
         groups.update(part_groups)
         lines += part_lines

@@ -64,9 +64,7 @@ class IntMatrix(Value):
 
     def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
         entries = tuple(entries)  # a list would be unhashable, and unequal to its tuple
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(rows, cols, entries)
         if type(rows) is not int or type(cols) is not int:
             raise ValueError(f"matrix dimensions must be ints, got {rows!r} x {cols!r}")
         if rows < 0 or cols < 0:
@@ -310,8 +308,7 @@ class FinAbGroup(Value):
 
     def __init__(self, free_rank: int, torsion: tuple[tuple[int, int], ...] = ()):
         torsion = tuple(torsion)  # as in `IntMatrix`
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        super().__init__(free_rank, torsion)
         _check_int(free_rank)
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
@@ -400,8 +397,7 @@ class IntChainComplex(Value):
 
     def __init__(self, ranks: tuple[int, ...], boundaries: tuple[IntMatrix, ...]):
         ranks, boundaries = tuple(ranks), tuple(boundaries)  # as in `IntMatrix`
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "boundaries", boundaries)
+        super().__init__(ranks, boundaries)
         if not ranks:
             raise ChainComplexError("a chain complex needs at least one degree")
         for r in ranks:  # 2.0 == 2 would pass the shape checks

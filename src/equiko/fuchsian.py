@@ -35,10 +35,8 @@ class Signature(Value):
     __slots__ = ("g", "s", "periods")
 
     def __init__(self, g: int, s: int, periods: tuple[int, ...] = ()):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "s", s)
         periods = tuple(periods)  # a one-shot iterable is read once
-        object.__setattr__(self, "periods", periods)
+        super().__init__(g, s, periods)
         # 2.0 == 2, but [0,1;2.0,3] reads back as no signature
         if any(type(x) is not int for x in (g, s, *periods)):
             raise InputError(f"signature entries must be ints, got {(g, s, periods)!r}")

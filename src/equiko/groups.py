@@ -46,9 +46,7 @@ class GroupId(Value):
     __slots__ = ("kind", "m", "twos")
 
     def __init__(self, kind: str, m: int = 0, twos: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "twos", twos)
+        super().__init__(kind, m, twos)
         if kind not in _KINDS:
             raise UnsupportedGroupError(f"unknown group kind {kind!r}")
         for x in (m, twos):
@@ -185,20 +183,6 @@ class FiniteGroupData(Value):
     """
 
     __slots__ = ("order", "mult", "classes", "class_index", "square_class")
-
-    def __init__(
-        self,
-        order: int,
-        mult: tuple[tuple[int, ...], ...],
-        classes: tuple[tuple[int, ...], ...],
-        class_index: tuple[int, ...],
-        square_class: tuple[int, ...],
-    ):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "class_index", class_index)
-        object.__setattr__(self, "square_class", square_class)
 
 
 def _mult_table(gid: GroupId) -> list[list[int]]:

@@ -43,8 +43,7 @@ class GradedGroup(Value):
     def __init__(self, groups: tuple[FinAbGroup, ...],
                  extension_ambiguous: frozenset[int] = frozenset()):
         groups, extension_ambiguous = tuple(groups), frozenset(extension_ambiguous)  # hashable
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "extension_ambiguous", extension_ambiguous)
+        super().__init__(groups, extension_ambiguous)
         if len(groups) not in (2, 8):
             raise ValueError("need 2 groups (period 2) or 8 (period 8)")
         if any(not (0 <= d < len(groups)) for d in extension_ambiguous):

@@ -28,11 +28,6 @@ _SEED = 987123
 class CheckResult(Value):
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 def _eq(actual, expected, what: str) -> None:
     if actual != expected:
@@ -153,16 +148,13 @@ def check_gl3_ko() -> str:
 
 
 def check_table_coincidence() -> str:
-    for name in COINCIDING:
-        gid = groups.parse_name(name)
-        for probe in (gid, groups.GroupId.times_z2(gid)):
-            if not groups.all_tables_coincide(probe):
-                raise AssertionError(f"{probe.name()} should have coinciding tables")
-    for name in NOT_COINCIDING:
-        gid = groups.parse_name(name)
-        for probe in (gid, groups.GroupId.times_z2(gid)):
-            if groups.all_tables_coincide(probe):
-                raise AssertionError(f"{probe.name()} should not have coinciding tables")
+    for names, coincide in ((COINCIDING, True), (NOT_COINCIDING, False)):
+        for name in names:
+            gid = groups.parse_name(name)
+            for probe in (gid, groups.GroupId.times_z2(gid)):
+                if groups.all_tables_coincide(probe) != coincide:
+                    should = "should" if coincide else "should not"
+                    raise AssertionError(f"{probe.name()} {should} have coinciding tables")
     return f"{len(COINCIDING)} coinciding + {len(NOT_COINCIDING)} not, with Z/2 products"
 
 
@@ -369,7 +361,8 @@ class _SnfLanes:
     reads as end of file.  The child claims parts from the start and sends
     its `(index, passed, detail)` results back through a second pipe; this
     process claims the rest in `drain`, once its own checks are done.
-    Without `os.fork` this process runs every part in `drain`.
+    Without `os.fork`, or when the fork fails, this process runs every part
+    in `drain`.
     """
 
     def __init__(self):
@@ -378,10 +371,13 @@ class _SnfLanes:
         os.write(write_fd, bytes(range(_SNF_PARTS)))
         os.close(write_fd)
         self.child = None
-        if not hasattr(os, "fork"):
-            return
         self.results, write_fd = os.pipe()
-        self.child = os.fork()
+        try:
+            self.child = os.fork()
+        except (AttributeError, OSError):  # no fork, or out of processes or memory
+            os.close(self.results)
+            os.close(write_fd)
+            return
         if self.child == 0:
             # never return into the caller's stack or flush its inherited stdio
             status = 1

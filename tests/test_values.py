@@ -7,11 +7,14 @@ deletion, survives `copy`, and (unless it prints itself) has the repr
 `Name(field=value, ...)`.
 """
 
+import ast
 import copy
 import itertools
+from pathlib import Path
 
 import pytest
 
+import equiko
 from equiko.arithmetic_k import ClassCount
 from equiko.bredon import GammaCWDatum, GraphOfGroupsDatum
 from equiko.exactlinalg import FinAbGroup, IntChainComplex, IntMatrix
@@ -145,3 +148,33 @@ def test_mutable_containers_are_stored_as_tuples(cls):
     assert value == _build(cls) and hash(value) == hash(_build(cls))
     assert {name: type(getattr(value, name)) for name in MUTABLE[cls]} == {
         name: type(x) for name, x in VALUES[cls][0].items()}
+
+
+def _bad_calls(cls):
+    """Calls that miss a field, add a value, name no field, or give one
+    field both by position and by name."""
+    kwargs = VALUES[cls][0]
+    values = list(kwargs.values())
+    yield (), dict(list(kwargs.items())[1:])
+    yield (*values, values[-1]), {}
+    yield (), {**kwargs, "not_a_field": 1}
+    yield (values[0],), kwargs
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_a_missing_extra_unknown_or_repeated_field_is_refused(cls):
+    for args, kwargs in _bad_calls(cls):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_only_value_writes_fields():
+    # an ast walk, so a mention in a docstring or a comment does not count
+    src = Path(equiko.__file__).parent
+    writers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                writers.add(path.name)
+    assert writers == {"_value.py"}

@@ -1,5 +1,6 @@
 """The regression sweep: green on the shipped data, red on corruption."""
 
+import errno
 import os
 import select
 import signal
@@ -245,6 +246,19 @@ def test_without_fork_snf_runs_inline(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert verify.verify_all(2, 30) == forked
     assert ran == list(range(LAST + 1))
+
+
+def test_a_failed_fork_runs_snf_inline_and_closes_its_pipe(monkeypatch):
+    forked = verify.verify_all(2, 30)
+    _assert_no_child_left()
+
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert verify.verify_all(2, 30) == forked
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_snf_parts_draw_their_own_matrices_and_total_the_check(monkeypatch):
