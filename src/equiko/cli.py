@@ -58,30 +58,37 @@ def _write(args, inputs: dict, fields, text_lines) -> None:
         print(line)
 
 
-def _print_doc(args, inputs: dict, payload: tuple, extra=None) -> int:
-    """Write a payload `(groups, text lines, degrees known only up to
-    extension)`, with the `extra` JSON fields."""
-    groups, text_lines, ambiguous = payload
+def _print_doc(args, inputs: dict, parts, named=None) -> int:
+    """Write the groups of `parts`, after one `name = value` line per `named`
+    field; in JSON each named field follows the groups and their flags.  A
+    part is Bredon homology (a list), one `Hn = ` line per degree, or a
+    `GradedGroup`: K (period 2) on one line, KO one line per degree, each
+    flagged degree marked."""
+    named = named or {}
+    groups, ambiguous = {}, set()
+    lines = [(f"{key} = {value}",) for key, value in named.items()]
+    for part in parts:
+        if isinstance(part, list):
+            name, part_groups, flagged, tail = "H", part, frozenset(), []
+        else:
+            name = "K" if len(part.groups) == 2 else "KO"
+            part_groups, flagged, tail = part.groups, part.extension_ambiguous, [(BOTT_NOTE,)]
+        keyed = {f"{name}{n}": g for n, g in enumerate(part_groups)}
+        part_lines = [(f"{key} = ", g, " (up to extension)" if n in flagged else "")
+                      for n, (key, g) in enumerate(keyed.items())]
+        if name == "K":
+            part_lines = [part_lines[0] + (", ",) + part_lines[1]]
+        lines += part_lines + tail
+        groups.update(keyed)
+        ambiguous |= flagged
 
     def fields():
         degrees = {"ambiguous_degrees": sorted(ambiguous)} if ambiguous else {}
-        return {"groups": {name: str(g) for name, g in groups.items()},
-                "extension_ambiguous": bool(ambiguous), **degrees, **(extra or {})}
+        return {"groups": {key: str(g) for key, g in groups.items()},
+                "extension_ambiguous": bool(ambiguous), **degrees, **named}
 
-    _write(args, inputs, fields, text_lines)
+    _write(args, inputs, fields, lines)
     return 0
-
-
-def _payload(gg) -> tuple[dict, list[tuple], frozenset]:
-    """The payload of a graded result: K (period 2) on one line, KO one line
-    per degree, each flagged degree marked."""
-    name = "K" if len(gg.groups) == 2 else "KO"
-    groups = {f"{name}{n}": g for n, g in enumerate(gg.groups)}
-    lines = [(f"{key} = ", g, " (up to extension)" if n in gg.extension_ambiguous else "")
-             for n, (key, g) in enumerate(groups.items())]
-    if name == "K":
-        lines = [lines[0] + (", ",) + lines[1]]
-    return groups, lines + [(BOTT_NOTE,)], gg.extension_ambiguous
 
 
 # -- commands ----------------------------------------------------------------
@@ -94,7 +101,7 @@ def _cmd_sl3_gl3(args) -> int:
         # GL_3(Z) = SL_3(Z) x Z/2, the Z/2 central and acting trivially.
         h, stabilisers = ko_assembly.kunneth_times_z2(h, stabilisers)
     gg = ko_assembly.ko_from_bredon(h, stabilisers) if args.ko else ko_assembly.collapse_complex(h)
-    return _print_doc(args, {}, _payload(gg))
+    return _print_doc(args, {}, [gg])
 
 
 def _cmd_fuchsian(args) -> int:
@@ -106,30 +113,28 @@ def _cmd_fuchsian(args) -> int:
                          "characteristic 2-2g-s-sum(1-1/m_j) >= 0")
     inputs = {"signature": str(sig), "lift": bool(args.lift)}
     h = fuchsian.bredon_closed_form(sig) if datum is None else bredon.bredon_homology(datum)
-    return _print_doc(args, inputs, _payload(ko_assembly.collapse_complex(h)))
+    return _print_doc(args, inputs, [ko_assembly.collapse_complex(h)])
 
 
 def _cmd_hecke(args) -> int:
     sig = fuchsian.hecke_signature(args.prime)
-    h0, h1 = fuchsian.bredon_closed_form(sig)  # Gamma_0(p) has cusps: two degrees
-    lines = [(f"signature = {sig}",), ("H0 = ", h0), ("H1 = ", h1)]
-    return _print_doc(args, {"p": args.prime}, ({"H0": h0, "H1": h1}, lines, frozenset()),
-                      extra={"signature": str(sig)})
+    h = fuchsian.bredon_closed_form(sig)  # Gamma_0(p) has cusps: two degrees
+    return _print_doc(args, {"p": args.prime}, [h], {"signature": str(sig)})
 
 
 def _cmd_zp(args) -> int:
     compute = arithmetic_k.psl_zp_k if args.command == "psl2zp" else arithmetic_k.sl_zp_k
-    return _print_doc(args, {"p": args.prime}, _payload(compute(args.prime)))
+    return _print_doc(args, {"p": args.prime}, [compute(args.prime)])
 
 
 def _cmd_cstar(args) -> int:
     compute = arithmetic_k.cstar_ko_p11 if args.ko else arithmetic_k.cstar_k_p11
-    return _print_doc(args, {"p": args.prime, "ko": args.ko}, _payload(compute(args.prime)))
+    return _print_doc(args, {"p": args.prime, "ko": args.ko}, [compute(args.prime)])
 
 
 def _cmd_complex(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(exc) from exc
@@ -138,22 +143,14 @@ def _cmd_complex(args) -> int:
         print(cwfile.format_cw(datum), end="")
         return 0
     h = bredon.bredon_homology(datum)  # d o d != 0 raises ChainComplexError: exit 2
-    groups = {f"H{n}": g for n, g in enumerate(h)}
-    lines = [(f"name = {datum.name}",)]
-    lines += [(f"H{n} = ", g) for n, g in enumerate(h)]
-    parts, ambiguous, note = [], frozenset(), None
+    parts, note = [h], None
     try:
-        parts.append(_payload(ko_assembly.collapse_complex(h)))
+        parts.append(ko_assembly.collapse_complex(h))
     except ValueError as exc:  # `collapse_complex` refuses: H, but no K
         note = f"note: no K groups: {exc}"
     if args.ko:
-        parts.append(_payload(ko_assembly.ko_from_bredon(h, datum.stabilisers())))
-    for part_groups, part_lines, part_ambiguous in parts:
-        groups.update(part_groups)
-        lines += part_lines
-        ambiguous |= part_ambiguous
-    _print_doc(args, {"file": args.file, "ko": args.ko}, (groups, lines, ambiguous),
-               extra={"name": datum.name})
+        parts.append(ko_assembly.ko_from_bredon(h, datum.stabilisers()))
+    _print_doc(args, {"file": args.file, "ko": args.ko}, parts, {"name": datum.name})
     if note:  # after the output, so a refused --ko gives its error line alone
         print(note, file=sys.stderr)
     return 0

@@ -1,8 +1,9 @@
 """Text format for Gamma-CW data.
 
-A file is UTF-8 text; `#` starts a comment, blank lines are ignored.  A
-`name = ...` line (and optionally `snf_equivalent = true`), each key once,
-precedes the sections.  Cells are declared per dimension:
+A file is UTF-8, with an optional leading byte-order mark; `#` starts a
+comment, blank lines are ignored.  A `name = ...` line (and optionally
+`snf_equivalent = true`), each key once, precedes the sections.  Cells are
+declared per dimension:
 
     [cells.0]
     z = 1            # label = stabiliser name
@@ -77,7 +78,7 @@ def _parse_terms(body: str, lineno: int) -> tuple[tuple[int, str, str], ...]:
 
 
 def parse_cw(text: str) -> GammaCWDatum:
-    """Parse a Gamma-CW file into a datum (labels, stabilisers, boundaries)."""
+    """Parse a Gamma-CW file, its byte-order mark dropped, into a datum."""
     header: dict[str, str] = {}
     cells: dict[int, list[tuple[str, GroupId]]] = {}
     term_sections: dict[int, list[tuple[str, tuple]]] = {}

@@ -240,12 +240,7 @@ def build_group(gid: GroupId) -> FiniteGroupData:
     mult = _mult_table(gid)
     _validate_table(mult)
     n = len(mult)
-    inverse = [0] * n
-    for g in range(n):
-        for h in range(n):
-            if mult[g][h] == 0:
-                inverse[g] = h
-                break
+    inverse = [row.index(0) for row in mult]
 
     element_order = [0] * n
     for g in range(n):

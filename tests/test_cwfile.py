@@ -441,6 +441,31 @@ def test_refused_file_exits_two(text, message, tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_leading_byte_order_mark_is_dropped(fmt, tmp_path, monkeypatch, capsys):
+    # the same name in two directories, so JSON's `inputs.file` matches too
+    text = format_cw(sl3_datum())
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "plain" / "sl3.cw").write_text(text, encoding="utf-8")
+    (tmp_path / "bom").mkdir()
+    (tmp_path / "bom" / "sl3.cw").write_text("\ufeff" + text, encoding="utf-8")
+    runs = []
+    for directory in ("plain", "bom"):
+        monkeypatch.chdir(tmp_path / directory)
+        code = cli.main(["complex", "--file", "sl3.cw", "--ko", "--format", fmt])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0][0] == 0 and "KO0" in runs[0][1]
+    assert runs[1] == runs[0]
+
+
+def test_a_byte_order_mark_past_the_start_is_refused(tmp_path, capsys):
+    path = tmp_path / "bad.cw"
+    path.write_text("\ufeffname = a\n[cells.0]\nv\ufeff = 1\n", encoding="utf-8")
+    code = cli.main(["complex", "--file", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: line 3: bad cell label 'v\\ufeff'\n")
+
+
 def test_parse_error_bad_spec():
     _expect_error(
         """

@@ -144,6 +144,35 @@ def test_golden_cli(argv, in_file_dir):
     assert _run(argv) == expected
 
 
+#: `_BOTH_FORMATS` cases whose golden documents hold groups: exit 0, neither
+#: `verify` nor `--emit`.
+_GOLDEN_CODES = {key: record["code"]
+                 for key, record in json.loads(GOLDEN.read_text(encoding="utf-8")).items()}
+_GROUP_DOCUMENTS = [
+    argv for argv in _BOTH_FORMATS
+    if argv[0] != "verify" and "--emit" not in argv
+    and _GOLDEN_CODES[_case_id(argv + ["--format", "json"])] == 0
+]
+_DOCUMENT_KEYS = ("command", "inputs", "groups", "extension_ambiguous", "ambiguous_degrees")
+
+
+@pytest.mark.parametrize("argv", _GROUP_DOCUMENTS, ids=_case_id)
+def test_text_and_json_carry_the_same_groups(argv):
+    # reads the golden records only: one renderer writes both formats
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    text = golden[_case_id(argv + ["--format", "text"])]["stdout"]
+    doc = json.loads(golden[_case_id(argv + ["--format", "json"])]["stdout"])
+    named = {key: value for key, value in doc.items() if key not in _DOCUMENT_KEYS}
+    lines = text.splitlines()
+    assert lines[:len(named)] == [f"{key} = {value}" for key, value in named.items()]
+    entries = [entry.removesuffix(" (up to extension)").split(" = ", 1)
+               for line in lines[len(named):] if line != cli.BOTT_NOTE
+               for entry in line.split(", ")]
+    assert entries == [list(item) for item in doc["groups"].items()]
+    assert text.count(" (up to extension)") == len(doc.get("ambiguous_degrees", ()))
+    assert doc["extension_ambiguous"] == ("ambiguous_degrees" in doc)
+
+
 #: What `complex` writes on stderr for each file: only L(6) gets no K groups.
 _STDERR = {
     "lens6.cw": "note: no K groups: collapse needs homology to vanish in degrees >= 3; "
