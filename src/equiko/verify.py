@@ -3,16 +3,12 @@
 Each check recomputes results from first principles (chain complexes, Smith
 normal form, power maps) and compares them against frozen expected values,
 independent closed forms or Gauss-Bonnet.  `verify_all` returns one result
-per check; the CLI turns any failure into exit code 3.  The `snf` check is
-cut into parts that two lanes share: a forked child claims parts from the
-start, and the parent claims the rest once its own checks are done.  All
-randomness is seeded, so output is byte-identical run to run.
+per check; the CLI turns any failure into exit code 3.  All randomness is
+seeded, so output is byte-identical run to run.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
 import random
 from functools import cache
 from itertools import chain, combinations, islice, product
@@ -290,11 +286,6 @@ def _minor_gcd_factors(m: IntMatrix) -> list[int]:
     return out
 
 
-#: The snf check runs in this many self-contained parts, which together
-#: make its 1000 round trips and 120 minor-gcd oracle matches.
-_SNF_PARTS = 20
-
-
 def _check_smith_form(m: IntMatrix) -> tuple[int, ...]:
     """The invariant factors of `m` with transforms, once they are checked:
     positive, each dividing the next, and left @ m @ right is their diagonal
@@ -312,15 +303,36 @@ def _check_smith_form(m: IntMatrix) -> tuple[int, ...]:
     return d
 
 
-def _run_snf_part(index: int) -> None:
-    """Part `index` of the snf check: 50 round trips and 6 oracle matches on
-    matrices it draws from its own seeds; raises on the first failure."""
-    seed = _SEED + 2 * index
-    for m in _random_matrices(seed, 50, 8):
+#: Curated matrices for the snf check: one per branch of
+#: `exactlinalg._eliminate` (a column-phase re-pick, a row-phase re-pick, a
+#: row remainder whose column re-enters the column phase, the divisibility
+#: repair, negative pivots, the empty shapes), then zero rows and columns
+#: ahead of the pivot, which random draws rarely give.
+SNF_CASES = [
+    IntMatrix.from_rows([[2], [3]]),
+    IntMatrix.from_rows([[2, 3]]),
+    IntMatrix.from_rows([[2, 3], [0, 3]]),
+    IntMatrix.from_rows([[2, 0], [0, 3]]),
+    IntMatrix.from_rows([[-2, 4], [-6, -8]]),
+    IntMatrix(0, 3, ()),
+    IntMatrix(3, 0, ()),
+    IntMatrix.from_rows([[0, 0], [0, 5]]),
+    IntMatrix.from_rows([[0, 0, 0], [0, 4, 6], [0, 6, 9]]),
+    IntMatrix.from_rows([[0, 3], [0, 0], [5, 0]]),
+    IntMatrix.from_rows([[0, 0, 6], [4, 0, 0]]),
+]
+
+
+def check_snf() -> str:
+    round_trips = SNF_CASES + _random_matrices(_SEED, 50, 8)
+    for m in round_trips:
         _check_smith_form(m)
-    for m in _random_matrices(seed + 1, 6, 5):
+    matches = SNF_CASES + _random_matrices(_SEED + 1, 120, 5)
+    for m in matches:
         if list(exactlinalg._smith_factors(m)) != _minor_gcd_factors(m):
             raise AssertionError("SNF disagrees with the minor-gcd oracle")
+    return (f"{len(round_trips)} round-trips and {len(matches)} minor-gcd oracle matches, "
+            f"{len(SNF_CASES)} of each on curated matrices")
 
 
 def check_gauss_bonnet(primes: list[int]) -> str:
@@ -344,7 +356,7 @@ def check_gauss_bonnet(primes: list[int]) -> str:
     return f"6 chi_orb = -(p+1) for {len(primes)} primes; cell sums match on {len(data)} data"
 
 
-def _run_check(name: str | int, fn) -> tuple[str | int, bool, str]:
+def _run_check(name: str, fn) -> tuple[str, bool, str]:
     try:
         return name, True, fn()
     except (MemoryError, OverflowError):  # too large to build, not a wrong value
@@ -353,84 +365,9 @@ def _run_check(name: str | int, fn) -> tuple[str | int, bool, str]:
         return name, False, f"{type(exc).__name__}: {exc}"
 
 
-class _SnfLanes:
-    """The snf check's parts, shared between this process and one forked child.
-
-    One token per part goes into a pipe whose write end is closed before
-    the fork, so a 1-byte read claims one part atomically and an empty pipe
-    reads as end of file.  The child claims parts from the start and sends
-    its `(index, passed, detail)` results back through a second pipe; this
-    process claims the rest in `drain`, once its own checks are done.
-    Without `os.fork`, or when the fork fails, this process runs every part
-    in `drain`.
-    """
-
-    def __init__(self):
-        self.done: list[tuple[int, bool, str | None]] = []  # the parts this process ran
-        self.tokens, write_fd = os.pipe()
-        os.write(write_fd, bytes(range(_SNF_PARTS)))
-        os.close(write_fd)
-        self.child = None
-        self.results, write_fd = os.pipe()
-        try:
-            self.child = os.fork()
-        except (AttributeError, OSError):  # no fork, or out of processes or memory
-            os.close(self.results)
-            os.close(write_fd)
-            return
-        if self.child == 0:
-            # never return into the caller's stack or flush its inherited stdio
-            status = 1
-            try:
-                os.close(self.results)
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(marshal.dumps(self._claim()))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-
-    def _claim(self) -> list[tuple[int, bool, str | None]]:
-        done = []
-        while token := os.read(self.tokens, 1):
-            index = token[0]
-            done.append(_run_check(index, lambda: _run_snf_part(index)))
-        return done
-
-    def drain(self) -> None:
-        self.done += self._claim()
-
-    def result(self) -> tuple[str, bool, str]:
-        """Wait for the child; `snf` passes only if the child returned its
-        results and every part ran and passed.  A failure reports the
-        failing part of lowest index, whichever process ran it."""
-        os.close(self.tokens)
-        done = self.done
-        if self.child is not None:
-            with os.fdopen(self.results, "rb") as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(self.child, 0)[1])
-            try:
-                if code == 0:
-                    done = done + marshal.loads(data)
-            except (EOFError, ValueError, TypeError):
-                code = 1
-            if code != 0:
-                how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                return "snf", False, f"check process {how} without a result"
-        done.sort()
-        for index, passed, detail in done:
-            if not passed:
-                return "snf", False, detail
-        ran = [index for index, _, _ in done]
-        if ran != list(range(_SNF_PARTS)):
-            return "snf", False, f"parts {ran} ran, not each of 0..{_SNF_PARTS - 1} once"
-        return "snf", True, "1000 random round-trips, 120 minor-gcd oracle matches"
-
-
 def verify_all(prime_lo: int, prime_hi: int) -> list[CheckResult]:
     """Run every regression check, one result each; a MemoryError or
-    OverflowError (too large to build) propagates once the snf child is reaped."""
+    OverflowError (too large to build) propagates."""
     swept = cache(lambda: _primes_in(prime_lo, prime_hi))  # for hecke and gauss-bonnet
     checks = [
         ("sl3-bredon", check_sl3_bredon),
@@ -443,20 +380,7 @@ def verify_all(prime_lo: int, prime_hi: int) -> list[CheckResult]:
         ("psl2zp", check_psl_tables),
         ("sl2zp-doubling", check_sl_doubling),
         ("cstar", check_cstar),
-        ("snf", None),  # run by `_SnfLanes` below
+        ("snf", check_snf),
         ("gauss-bonnet", lambda: check_gauss_bonnet(swept())),
     ]
-    # snf costs the same at every prime range, and near B = 1900 about as
-    # much as all the other checks together.  Its parts are shared: a forked
-    # child starts on them at once, and this process takes what is left
-    # after the other eleven checks, so neither CPU waits on the other.
-    snf = _SnfLanes()
-    results = {}
-    try:
-        for name, fn in checks:
-            if name != "snf":
-                results[name] = CheckResult(*_run_check(name, fn))
-        snf.drain()
-    finally:
-        results["snf"] = CheckResult(*snf.result())
-    return [results[name] for name, _ in checks]
+    return [CheckResult(*_run_check(name, fn)) for name, fn in checks]

@@ -158,23 +158,9 @@ def test_snf_rectangular():
     assert _smith_normal_form(m)[0] == (2, 12)
 
 
-# One matrix per branch of the elimination: a column-phase re-pick, a
-# row-phase re-pick, a row remainder whose column re-enters the column phase,
-# the divisibility repair, negative pivots, and the empty shapes.
-_BRANCH_CASES = [
-    IntMatrix.from_rows([[2], [3]]),
-    IntMatrix.from_rows([[2, 3]]),
-    IntMatrix.from_rows([[2, 3], [0, 3]]),
-    IntMatrix.from_rows([[2, 0], [0, 3]]),
-    IntMatrix.from_rows([[-2, 4], [-6, -8]]),
-    IntMatrix(0, 3, ()),
-    IntMatrix(3, 0, ()),
-]
-
-
 def test_snf_matches_minor_gcd_oracle():
     rng = random.Random(20260819)
-    cases = list(_BRANCH_CASES)
+    cases = list(verify.SNF_CASES)
     for _ in range(120):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         cases.append(IntMatrix.from_rows(
@@ -186,28 +172,28 @@ def test_snf_matches_minor_gcd_oracle():
         assert exactlinalg._smith_factors(m) == d
 
 
-def test_snf_transforms_of_the_verify_matrices_are_pinned(monkeypatch):
-    # the 1000 seeded round-trip matrices of `verify`'s snf parts; the digest
-    # was retaken, with the kernel unchanged, when the matrices came to be
-    # drawn from bytes and again when each part came to draw its own
+def test_snf_transforms_of_the_verify_matrices_are_pinned():
+    # 1000 seeded matrices, 50 from each of 20 seeds; `verify`'s snf check
+    # draws the first 50.  The digest was retaken, with the kernel unchanged,
+    # when the matrices came to be drawn from bytes and again when each
+    # batch of 50 came to be drawn from its own seed
     digest = hashlib.sha256()
-
-    def pinned(m):
-        d, left, right = _smith_normal_form(m)
-        digest.update(repr((d, left.entries, right.entries)).encode())
-        return d, left, right
-
-    monkeypatch.setattr(exactlinalg, "_smith_normal_form", pinned)
-    for index in range(verify._SNF_PARTS):
-        verify._run_snf_part(index)
+    for i in range(20):
+        for m in verify._random_matrices(verify._SEED + 2 * i, 50, 8):
+            d, left, right = _smith_normal_form(m)
+            digest.update(repr((d, left.entries, right.entries)).encode())
     assert digest.hexdigest() == (
         "679dacca77bc809ac39186ac0cc54ba51dcc0f952e9d7fcc283ca20469ff3d73")
 
 
-# each id is the matrix, one text line per row
-@pytest.mark.parametrize("m", _BRANCH_CASES, ids=[
-    "2\n3", "2 3", "2 3\n0 3", "2 0\n0 3", "-2 4\n-6 -8", "<empty 0x3>", "<empty 3x0>",
-])
+def _matrix_id(m: IntMatrix) -> str:
+    """The matrix, one text line per row."""
+    if not (m.rows and m.cols):
+        return f"<empty {m.rows}x{m.cols}>"
+    return "\n".join(" ".join(map(str, row)) for row in m.row_list())
+
+
+@pytest.mark.parametrize("m", verify.SNF_CASES, ids=_matrix_id)
 def test_snf_roundtrip_on_branch_cases(m):
     _assert_snf_roundtrip(m)
 

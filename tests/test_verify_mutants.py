@@ -1,16 +1,17 @@
 """Every `verify` check can fail: a plausible wrong library function per check.
 
 Each mutant replaces one function of the library, never a check, and runs
-through `verify_all` as shipped, so the `snf` mutant runs in the forked
-child.  The three `hecke_signature` mutants change only primes p > 60, where
-no table row reaches; `hecke` compares two computations from the same
-signature and passes them, and `gauss-bonnet` must catch them.  The genus
-mutant for p = 11 (mod 12) replaces `hecke_signature` in both modules that
-read it, and `cstar` and `sl2zp-doubling` must catch it.  Each mutant
-returns what the function it replaces returns, so its check fails on a wrong
-value, an `AssertionError`, not on a type or shape it cannot read.  The
-`expand` mutants are built from its own source; the one that forgets signs
-is refused by `IntChainComplex` before any compare, so it has its own test.
+through `verify_all` as shipped.  The three `hecke_signature` mutants change
+only primes p > 60, where no table row reaches; `hecke` compares two
+computations from the same signature and passes them, and `gauss-bonnet`
+must catch them.  The genus mutant for p = 11 (mod 12) replaces
+`hecke_signature` in both modules that read it, and `cstar` and
+`sl2zp-doubling` must catch it.  Each mutant returns what the function it
+replaces returns, so its check fails on a wrong value, an `AssertionError`,
+not on a type or shape it cannot read.  The `expand` mutants, and two of
+the `_eliminate` mutants, are built from their function's own source.  The
+`expand` mutant that forgets signs is refused by `IntChainComplex` before
+any compare, so it has its own test.
 """
 
 import inspect
@@ -55,20 +56,27 @@ def _border_left_alone(a, nrows, ncols):
     return factors
 
 
-def _unrepaired_kernel():
-    """`_eliminate` built from its own source with the divisibility repair
-    skipped: a pivot that fails to divide the rest of the block stays, so
-    [[2, 0], [0, 3]] keeps the factors (2, 3), with sound transforms."""
+def _kernel_mutant(name, old, new):
+    """`exactlinalg._eliminate` built from its own source with `old` replaced by `new`."""
     source = inspect.getsource(_eliminate)
-    assert source.count("if offender is None:") == 1
+    assert source.count(old) == 1
     namespace = dict(vars(exactlinalg))
-    exec(source.replace("if offender is None:", "if True:"), namespace)
+    exec(source.replace(old, new), namespace)
     kernel = namespace["_eliminate"]
-    kernel.__name__ = "_divisibility_unrepaired"
+    kernel.__name__ = name
     return kernel
 
 
-_divisibility_unrepaired = _unrepaired_kernel()
+# the divisibility repair skipped: a pivot that fails to divide the rest of
+# the block stays, so [[2, 0], [0, 3]] keeps the factors (2, 3), with sound
+# transforms
+_divisibility_unrepaired = _kernel_mutant("_divisibility_unrepaired", "if offender is None:",
+                                          "if True:")
+# the pivot scan stops after its first row unless that row holds a unit, so
+# a block whose first row is zero, as in [[0, 0], [0, 5]], gets no factors
+_scan_stops_at_zero_row = _kernel_mutant(
+    "_scan_stops_at_zero_row", "            if best_abs == 1:\n                break\n",
+    "            if best_abs != 1:\n                break\n")
 
 
 def _expand_mutant(name, old, new):
@@ -197,6 +205,7 @@ MUTANTS = [
         ("cstar", arithmetic_k, "_require_11_mod_12", _spheres_from_p_plus_1),
         ("snf", exactlinalg, "_eliminate", _border_left_alone),
         ("snf", exactlinalg, "_eliminate", _divisibility_unrepaired),
+        ("snf", exactlinalg, "_eliminate", _scan_stops_at_zero_row),
         ("snf", exactlinalg, "_smith_factors", _torsion_forgotten),
         ("gauss-bonnet", bredon, "fuchsian_datum", _polygon_without_face),
     ]
